@@ -178,6 +178,30 @@ fn overload_under_seeded_faults_is_exact_or_transient() {
 }
 
 #[test]
+fn every_engine_is_admitted_and_folds_exec_stats() {
+    // Regression: MapReduce map tasks used to bypass admission and drop
+    // their owners' exec stats. A queue this deep never sheds, so every
+    // engine's serves must show up as admitted, with rows shared.
+    let sql = "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 10";
+    for engine in [EngineChoice::Basic, EngineChoice::MapReduce] {
+        let mut net = build_net(AdmissionConfig {
+            queue_depth: 10_000,
+            ..AdmissionConfig::default()
+        });
+        submit(&mut net, sql, engine).expect("a never-shedding network answers");
+        net.publish_admission_metrics();
+        assert!(
+            net.metrics().counter("admission.admitted") > 0,
+            "{engine:?} serves skipped admission"
+        );
+        assert!(
+            net.metrics().counter("exec.rows_shared") > 0,
+            "{engine:?} dropped its owners' exec stats"
+        );
+    }
+}
+
+#[test]
 fn crashed_peer_is_scrubbed_from_admission_state() {
     // Regression: `leave` (and fail-over eviction) must drop the
     // departed peer's admission queue so utilization sampling and

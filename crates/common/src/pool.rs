@@ -92,7 +92,13 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = thread_count().min(items.len());
+    // The item count is checked first: `thread_count` may read cgroup
+    // files, which would dominate a batch of one.
+    let workers = if items.len() <= 1 {
+        1
+    } else {
+        thread_count().min(items.len())
+    };
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }

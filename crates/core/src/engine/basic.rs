@@ -20,13 +20,13 @@
 //!   over the already-fetched side's join keys and ships it to the other
 //!   side's owners, which drop non-matching tuples before transmission.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use bestpeer_common::{codec, Error, PeerId, Result, TableSchema, Value};
 use bestpeer_simnet::{Phase, Task, Trace};
 use bestpeer_sql::ast::SelectStmt;
 use bestpeer_sql::bloom::BloomFilter;
-use bestpeer_sql::decompose::{decompose, Decomposition};
+use bestpeer_sql::decompose::decompose;
 use bestpeer_sql::dist::split_aggregate;
 use bestpeer_sql::exec::execute_select;
 use bestpeer_storage::{Database, MemTable};
@@ -47,7 +47,7 @@ pub fn execute(
         let all: HashSet<PeerId> = located.values().flatten().copied().collect();
         if all.len() == 1 {
             let owner = *all.iter().next().expect("non-empty");
-            let (rs, stats, warm) = ctx.serve_cached(owner, stmt)?;
+            let (rs, stats, warm) = ctx.serve_batch(&[owner], stmt)?.remove(0);
             let out_bytes = codec::batch_encoded_size(&rs.rows);
             // A warm hit replays the result from the submitter's cache:
             // no owner disk scan, no tuple shipping — just local CPU.
@@ -75,7 +75,7 @@ pub fn execute(
         // One batched serve: preamble and merge stay in owner order, so
         // the trace is identical to the old per-owner loop; only the
         // cache-miss executions run concurrently.
-        let served = ctx.serve_cached_batch(&owners, &dist.partial)?;
+        let served = ctx.serve_batch(&owners, &dist.partial)?;
         for (&owner, (rs, stats, warm)) in owners.iter().zip(served) {
             let out_bytes = codec::batch_encoded_size(&rs.rows);
             total_bytes += out_bytes;
@@ -152,7 +152,7 @@ pub fn execute(
 
         let mut fetch = Phase::new(format!("fetch:{}", part.table));
         let mut memtable = MemTable::new(part.table.clone(), ctx.config.memtable_budget);
-        let served = ctx.serve_cached_batch(&owners, &part.subquery)?;
+        let served = ctx.serve_batch(&owners, &part.subquery)?;
         for (&owner, (mut rs, stats, warm)) in owners.iter().zip(served) {
             // The cache stores the owner's pre-bloom result; the bloom
             // prune below runs at the submitter either way, so warm and
@@ -185,8 +185,9 @@ pub fn execute(
     }
 
     // Processing step at the submitting peer.
-    let local_stmt = rewrite_for_temp(stmt, &decomp);
-    let (rs, pstats) = execute_select(&local_stmt, &temp)?;
+    // The staging tables carry the original names and (pruned) columns,
+    // so the original statement evaluates directly.
+    let (rs, pstats) = execute_select(stmt, &temp)?;
     ctx.note_exec(&pstats);
     let out_bytes = codec::batch_encoded_size(&rs.rows);
     trace.push(
@@ -225,24 +226,9 @@ fn temp_schema(
     TableSchema::new(table, cols, vec![])
 }
 
-/// The processing-step statement: identical to the original — the
-/// staging tables carry the same names and (pruned) columns, so the
-/// original statement evaluates directly.
-fn rewrite_for_temp(stmt: &SelectStmt, _decomp: &Decomposition) -> SelectStmt {
-    stmt.clone()
-}
-
 /// All values of one column of a staged table.
 fn column_values(db: &Database, table: &str, column: &str) -> Result<Vec<Value>> {
     let t = db.table(table)?;
     let idx = t.schema().column_index(column)?;
     Ok(t.scan().map(|r| r.get(idx).clone()).collect())
 }
-
-/// Statistics a caller can extract from a basic-engine trace.
-pub fn network_bytes_of(trace: &Trace) -> u64 {
-    trace.network_bytes()
-}
-
-/// (Used by tests and the ablation bench.)
-pub type LocatedPeers = BTreeMap<String, Vec<PeerId>>;

@@ -44,7 +44,7 @@ pub struct EngineCtx<'a> {
     pub peers: &'a BTreeMap<PeerId, NormalPeer>,
     /// Data peers living in other processes, reachable over
     /// `transport`. Engines treat them exactly like local owners —
-    /// the serve paths dispatch on membership in this map.
+    /// [`EngineCtx::serve_batch`] dispatches on membership in this map.
     pub remotes: &'a BTreeMap<PeerId, RemotePeer>,
     /// The wire transport for `remotes` (`None` in pure in-process
     /// networks, where `remotes` is necessarily empty).
@@ -70,11 +70,12 @@ pub struct EngineCtx<'a> {
     pub admission: &'a AdmissionState,
     /// Execution counters accumulated across every subquery this query
     /// touches (rows shared vs cloned, top-K short-circuits, …); a
-    /// `Cell` because [`EngineCtx::serve`] takes `&self`. The network
-    /// folds these into the telemetry registry after the engine runs.
+    /// `Cell` because [`EngineCtx::serve_batch`] takes `&self`. The
+    /// network folds these into the telemetry registry after the engine
+    /// runs.
     pub exec: Cell<ExecStats>,
     /// The submitting peer's remote-fetch result cache (level 2 of the
-    /// caching subsystem; consulted by [`EngineCtx::serve_cached`]). A
+    /// caching subsystem; consulted by [`EngineCtx::serve_batch`]). A
     /// `RefCell` because serving takes `&self`.
     pub rescache: &'a RefCell<ResultCache>,
     /// The network's learned routing advisor: confirmed query templates
@@ -93,241 +94,55 @@ impl EngineCtx<'_> {
             .ok_or_else(|| Error::Network(format!("{id} is not a live peer")))
     }
 
-    /// Run a subquery at a data owner, with access control and snapshot
-    /// checks (the owner enforces both). Advances the fault clock one
-    /// operation; a crash scheduled for this instant fires *before* the
-    /// owner answers, so the failure lands mid-query.
-    pub fn serve(&self, owner: PeerId, stmt: &SelectStmt) -> Result<(ResultSet, ExecStats)> {
-        self.faults.tick();
-        if self.faults.is_down(owner) {
-            return Err(Error::Unavailable(format!(
-                "data peer {owner} is down (crashed mid-query)"
-            )));
-        }
-        self.faults.note_serve(owner);
-        self.admission.admit(owner)?;
-        if let Some(remote) = self.remotes.get(&owner) {
-            let (rs, stats) =
-                remote_execute(self.transport, remote, stmt, self.role, self.query_ts)?;
-            self.note_exec(&stats);
-            return Ok((rs, stats));
-        }
-        let (rs, stats) = self
-            .peer(owner)?
-            .serve_subquery(stmt, self.role, self.query_ts)?;
-        self.note_exec(&stats);
-        Ok((rs, stats))
-    }
-
-    /// Run a subquery like [`EngineCtx::serve`], but consult the
-    /// submitter's result cache first: a repeated pushed-down subquery
-    /// against an unchanged owner is
-    /// answered from memory instead of re-fetched. The third return
-    /// value is `true` on a warm hit; the caller charges the hit where
-    /// the cached result is consumed — the basic engine replays the
-    /// fetch at the submitter (no owner disk, no tuple shipping), while
-    /// the parallel and MapReduce engines memoize the owner's partition
-    /// scan in place (no disk or scan CPU; placement, shuffle, and the
-    /// level's parallel structure stay exactly as cold, so a hit can
-    /// only shorten queue timelines).
-    ///
-    /// Correctness is preserved exactly: a hit still runs the full
-    /// fault preamble (clock tick, crash check, slow-link charge) and
-    /// the owner's snapshot check, so crashes, retries, and
-    /// stale-snapshot rejections land identically to a cold run — only
-    /// the data movement differs. Entries are validated against the
-    /// owner's current `load_timestamp` and dropped on mismatch.
-    pub fn serve_cached(
-        &self,
-        owner: PeerId,
-        stmt: &SelectStmt,
-    ) -> Result<(ResultSet, ExecStats, bool)> {
-        if !self.rescache.borrow().enabled() {
-            let (rs, stats) = self.serve(owner, stmt)?;
-            return Ok((rs, stats, false));
-        }
-        // The fault preamble of `serve`, verbatim — the cache must not
-        // mask a crash scheduled for this operation.
-        self.faults.tick();
-        if self.faults.is_down(owner) {
-            return Err(Error::Unavailable(format!(
-                "data peer {owner} is down (crashed mid-query)"
-            )));
-        }
-        self.faults.note_serve(owner);
-        self.admission.admit(owner)?;
-        if let Some(remote) = self.remotes.get(&owner) {
-            // The submitter-side snapshot check uses the remote's
-            // advertised load timestamp; the owner re-enforces the
-            // authoritative one when the subquery arrives.
-            let load_ts = remote.load_timestamp;
-            if load_ts < self.query_ts {
-                return Err(Error::StaleSnapshot(format!(
-                    "peer {owner} data timestamp {load_ts} is older than query timestamp {}",
-                    self.query_ts
-                )));
-            }
-            let fp = ResultCache::fingerprint(stmt, &self.role.name);
-            if let Some(rs) = self.rescache.borrow_mut().get(owner, fp, load_ts) {
-                return Ok((rs, ExecStats::default(), true));
-            }
-            let (rs, stats) =
-                remote_execute(self.transport, remote, stmt, self.role, self.query_ts)?;
-            self.note_exec(&stats);
-            self.rescache
-                .borrow_mut()
-                .insert(owner, fp, stmt.from.clone(), rs.clone(), load_ts);
-            return Ok((rs, stats, false));
-        }
-        let peer = self.peer(owner)?;
-        let load_ts = peer.db.load_timestamp();
-        // The owner's own snapshot check (Definition 2), applied before
-        // the cache so a hit cannot outrun the loader.
-        if load_ts < self.query_ts {
-            return Err(Error::StaleSnapshot(format!(
-                "peer {owner} data timestamp {load_ts} is older than query timestamp {}",
-                self.query_ts
-            )));
-        }
-        let fp = ResultCache::fingerprint(stmt, &self.role.name);
-        if let Some(rs) = self.rescache.borrow_mut().get(owner, fp, load_ts) {
-            return Ok((rs, ExecStats::default(), true));
-        }
-        let (rs, stats) = peer.serve_subquery(stmt, self.role, self.query_ts)?;
-        self.note_exec(&stats);
-        self.rescache
-            .borrow_mut()
-            .insert(owner, fp, stmt.from.clone(), rs.clone(), load_ts);
-        Ok((rs, stats, false))
-    }
-
-    /// Serve the same pushed-down statement at several owners, fanning
-    /// the pure execution work out to pool workers while preserving the
-    /// one-at-a-time semantics of [`EngineCtx::serve_cached`] exactly.
+    /// Serve one pushed-down statement at each of `owners` — the one
+    /// owner-serve path every engine shares; a single-owner serve is a
+    /// batch of one. Returns, per owner and in owner order, the result,
+    /// the owner's exec stats, and `true` when the submitter's result
+    /// cache answered.
     ///
     /// Three phases:
     ///
     /// 1. **Preamble, sequential, in owner order** — fault-clock tick,
-    ///    crash check, slow-link charge, peer lookup, snapshot check,
-    ///    cache probe, and (on a miss) access control. The first failure
-    ///    stops the phase: owners after it never tick, exactly as if the
-    ///    loop had returned early.
-    /// 2. **Execution, parallel** — each cache miss runs
-    ///    [`NormalPeer::execute_subquery`] (pure `&self`) on a pool
-    ///    worker.
+    ///    crash check, slow-link charge, and admission. A remote owner is
+    ///    then always a miss: its own snapshot and access checks are
+    ///    authoritative, and the submitter cannot tell whether another
+    ///    process's data changed without asking it, so remote results
+    ///    are never cached. A local owner lacking a FROM table
+    ///    contributes an empty partition (MapReduce asks every peer;
+    ///    BATON-routed owners always hold the table); any other local
+    ///    owner gets the snapshot check, the cache probe, and on a miss
+    ///    the access check. The first failure stops the phase: owners
+    ///    after it never tick, exactly as if a one-at-a-time loop had
+    ///    returned early.
+    /// 2. **Execution, parallel** — each cache miss runs on a pool
+    ///    worker: [`NormalPeer::execute_subquery`] (pure `&self`) for a
+    ///    local owner, a wire round trip for a remote one.
     /// 3. **Merge, sequential, in owner order** — exec stats fold in,
-    ///    cache inserts land, and results come back in owner order; a
-    ///    preamble failure from phase 1 surfaces only after the earlier
-    ///    owners' misses have executed and been cached, matching the
-    ///    sequential path's cache state on error.
+    ///    local misses enter the cache, and results come back in owner
+    ///    order. A preamble failure from phase 1 surfaces only after the
+    ///    earlier owners' misses have executed and been cached.
     ///
-    /// Because phase 1 is order-identical to the sequential loop and
+    /// Because phase 1 is order-identical to a one-at-a-time loop and
     /// phase 3 merges in owner order, results, traces, fault landings,
-    /// and stats are byte-identical at any thread count.
-    pub fn serve_cached_batch(
+    /// and stats are byte-identical at any thread count. A cache hit
+    /// still runs the full fault preamble and the owner's snapshot
+    /// check, so crashes, retries, and stale-snapshot rejections land
+    /// identically to a cold serve — only the data movement differs.
+    pub fn serve_batch(
         &self,
         owners: &[PeerId],
         stmt: &SelectStmt,
     ) -> Result<Vec<(ResultSet, ExecStats, bool)>> {
-        /// Where a cache miss executes in the parallel phase: on a
-        /// local peer's database, or over the wire at a remote peer.
-        enum MissTarget<'p> {
-            Local(&'p NormalPeer),
-            Remote(&'p RemotePeer),
-        }
-        enum Prepared<'p> {
-            Hit(ResultSet),
-            /// A miss to execute; `cache_key` is `(fingerprint, load_ts)`
-            /// when the result should be admitted to the cache.
-            Miss {
-                target: MissTarget<'p>,
-                cache_key: Option<(u64, u64)>,
-            },
-        }
-        let cached = self.rescache.borrow().enabled();
+        let fp = self
+            .rescache
+            .borrow()
+            .enabled()
+            .then(|| ResultCache::fingerprint(stmt, &self.role.name));
         let mut prepared: Vec<Prepared> = Vec::with_capacity(owners.len());
         let mut preamble_err: Option<Error> = None;
         for &owner in owners {
-            self.faults.tick();
-            if self.faults.is_down(owner) {
-                preamble_err = Some(Error::Unavailable(format!(
-                    "data peer {owner} is down (crashed mid-query)"
-                )));
-                break;
-            }
-            self.faults.note_serve(owner);
-            if let Err(e) = self.admission.admit(owner) {
-                preamble_err = Some(e);
-                break;
-            }
-            if let Some(remote) = self.remotes.get(&owner) {
-                // No local precheck for remote owners: the owner
-                // enforces access control and its authoritative
-                // snapshot check when the subquery arrives.
-                if !cached {
-                    prepared.push(Prepared::Miss {
-                        target: MissTarget::Remote(remote),
-                        cache_key: None,
-                    });
-                    continue;
-                }
-                let load_ts = remote.load_timestamp;
-                if load_ts < self.query_ts {
-                    preamble_err = Some(Error::StaleSnapshot(format!(
-                        "peer {owner} data timestamp {load_ts} is older than query timestamp {}",
-                        self.query_ts
-                    )));
-                    break;
-                }
-                let fp = ResultCache::fingerprint(stmt, &self.role.name);
-                if let Some(rs) = self.rescache.borrow_mut().get(owner, fp, load_ts) {
-                    prepared.push(Prepared::Hit(rs));
-                } else {
-                    prepared.push(Prepared::Miss {
-                        target: MissTarget::Remote(remote),
-                        cache_key: Some((fp, load_ts)),
-                    });
-                }
-                continue;
-            }
-            let peer = match self.peer(owner) {
-                Ok(p) => p,
-                Err(e) => {
-                    preamble_err = Some(e);
-                    break;
-                }
-            };
-            if !cached {
-                match peer.precheck_subquery(stmt, self.role, self.query_ts) {
-                    Ok(()) => prepared.push(Prepared::Miss {
-                        target: MissTarget::Local(peer),
-                        cache_key: None,
-                    }),
-                    Err(e) => {
-                        preamble_err = Some(e);
-                        break;
-                    }
-                }
-                continue;
-            }
-            let load_ts = peer.db.load_timestamp();
-            if load_ts < self.query_ts {
-                preamble_err = Some(Error::StaleSnapshot(format!(
-                    "peer {owner} data timestamp {load_ts} is older than query timestamp {}",
-                    self.query_ts
-                )));
-                break;
-            }
-            let fp = ResultCache::fingerprint(stmt, &self.role.name);
-            if let Some(rs) = self.rescache.borrow_mut().get(owner, fp, load_ts) {
-                prepared.push(Prepared::Hit(rs));
-                continue;
-            }
-            match peer.precheck_subquery(stmt, self.role, self.query_ts) {
-                Ok(()) => prepared.push(Prepared::Miss {
-                    target: MissTarget::Local(peer),
-                    cache_key: Some((fp, load_ts)),
-                }),
+            match self.prepare(owner, stmt, fp) {
+                Ok(p) => prepared.push(p),
                 Err(e) => {
                     preamble_err = Some(e);
                     break;
@@ -338,7 +153,7 @@ impl EngineCtx<'_> {
             .iter()
             .filter_map(|p| match p {
                 Prepared::Miss { target, .. } => Some(target),
-                Prepared::Hit(_) => None,
+                Prepared::Empty | Prepared::Hit(_) => None,
             })
             .collect();
         // The closure captures only `Sync` state (the transport is
@@ -354,8 +169,9 @@ impl EngineCtx<'_> {
         let mut out = Vec::with_capacity(prepared.len());
         let mut executed = executed.into_iter();
         for (p, &owner) in prepared.into_iter().zip(owners) {
-            match p {
-                Prepared::Hit(rs) => out.push((rs, ExecStats::default(), true)),
+            out.push(match p {
+                Prepared::Empty => (ResultSet::default(), ExecStats::default(), false),
+                Prepared::Hit(rs) => (rs, ExecStats::default(), true),
                 Prepared::Miss { cache_key, .. } => {
                     let (rs, stats) = executed.next().expect("one result per miss")?;
                     self.note_exec(&stats);
@@ -368,14 +184,58 @@ impl EngineCtx<'_> {
                             load_ts,
                         );
                     }
-                    out.push((rs, stats, false));
+                    (rs, stats, false)
                 }
-            }
+            });
         }
         match preamble_err {
             Some(e) => Err(e),
             None => Ok(out),
         }
+    }
+
+    /// One owner's serve preamble (phase 1 of
+    /// [`EngineCtx::serve_batch`]). The fault clock ticks first, so a
+    /// crash scheduled for this instant fires *before* the owner
+    /// answers. The owner's snapshot check (Definition 2) runs before
+    /// the cache probe, so a hit cannot outrun the loader. `fp` is the
+    /// statement's cache fingerprint, `None` when the cache is disabled.
+    fn prepare(&self, owner: PeerId, stmt: &SelectStmt, fp: Option<u64>) -> Result<Prepared<'_>> {
+        self.faults.tick();
+        if self.faults.is_down(owner) {
+            return Err(Error::Unavailable(format!(
+                "data peer {owner} is down (crashed mid-query)"
+            )));
+        }
+        self.faults.note_serve(owner);
+        self.admission.admit(owner)?;
+        if let Some(remote) = self.remotes.get(&owner) {
+            return Ok(Prepared::Miss {
+                target: MissTarget::Remote(remote),
+                cache_key: None,
+            });
+        }
+        let peer = self.peer(owner)?;
+        if !stmt.from.iter().all(|t| peer.db.has_table(t)) {
+            return Ok(Prepared::Empty);
+        }
+        let load_ts = peer.db.load_timestamp();
+        if load_ts < self.query_ts {
+            return Err(Error::StaleSnapshot(format!(
+                "peer {owner} data timestamp {load_ts} is older than query timestamp {}",
+                self.query_ts
+            )));
+        }
+        if let Some(fp) = fp {
+            if let Some(rs) = self.rescache.borrow_mut().get(owner, fp, load_ts) {
+                return Ok(Prepared::Hit(rs));
+            }
+        }
+        peer.precheck_subquery(stmt, self.role, self.query_ts)?;
+        Ok(Prepared::Miss {
+            target: MissTarget::Local(peer),
+            cache_key: fp.map(|fp| (fp, load_ts)),
+        })
     }
 
     /// Fold one execution's stats into the query-wide counters.
@@ -449,6 +309,27 @@ impl EngineCtx<'_> {
         }
         Ok(located)
     }
+}
+
+/// One owner's outcome of the [`EngineCtx::serve_batch`] preamble.
+enum Prepared<'p> {
+    /// The owner lacks a FROM table: it contributes an empty partition.
+    Empty,
+    /// Answered from the submitter's result cache.
+    Hit(ResultSet),
+    /// A miss to execute; `cache_key` is `(fingerprint, load_ts)` when
+    /// the result should be admitted to the cache.
+    Miss {
+        target: MissTarget<'p>,
+        cache_key: Option<(u64, u64)>,
+    },
+}
+
+/// Where a cache miss executes in the parallel phase: on a local peer's
+/// database, or over the wire at a remote peer.
+enum MissTarget<'p> {
+    Local(&'p NormalPeer),
+    Remote(&'p RemotePeer),
 }
 
 /// Execute one pushed-down subquery at a remote peer over the wire.

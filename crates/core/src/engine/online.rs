@@ -115,8 +115,8 @@ pub fn execute(
     for owner in owners.iter() {
         // Graceful degradation: a downed peer's partition is skipped
         // (its contribution stays missing) rather than failing the run.
-        let (rs, stats) = match ctx.serve(*owner, &dist.partial) {
-            Ok(served) => served,
+        let (rs, stats, _) = match ctx.serve_batch(&[*owner], &dist.partial) {
+            Ok(mut served) => served.remove(0),
             Err(e) if e.kind() == "unavailable" => {
                 degraded = true;
                 skipped_peers += 1;

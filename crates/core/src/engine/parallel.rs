@@ -54,7 +54,7 @@ pub fn execute(
     let mut phase = Phase::new(format!("scan:{}", part0.table));
     // Batched serve: preamble and merge stay in owner order (identical
     // traces); only the cache-miss partition scans run concurrently.
-    let served = ctx.serve_cached_batch(&owners0, &part0.subquery)?;
+    let served = ctx.serve_batch(&owners0, &part0.subquery)?;
     for (&owner, (rs, stats, warm)) in owners0.iter().zip(served) {
         let out_bytes = codec::batch_encoded_size(&rs.rows);
         // In this engine the pushed-down partition scan is consumed at
@@ -95,7 +95,7 @@ pub fn execute(
         let inter_bytes = codec::batch_encoded_size(&inter_rows);
         let mut phase = Phase::new(format!("join:{}", part.table));
         let mut next_rows = Vec::new();
-        let served = ctx.serve_cached_batch(&owners, &part.subquery)?;
+        let served = ctx.serve_batch(&owners, &part.subquery)?;
         // Each owner's probe of the broadcast intermediate against its
         // partition is independent CPU work — fan the joins out to pool
         // workers and merge their outputs back in owner order.

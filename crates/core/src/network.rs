@@ -195,9 +195,11 @@ pub struct RemotePeer {
     pub id: PeerId,
     /// `host:port` its `bestpeer-node` listens on.
     pub addr: String,
-    /// Its data load timestamp as of registration (Definition 2
-    /// snapshot bound; the owner still enforces the authoritative
-    /// check per subquery).
+    /// Its data load timestamp as of registration, which bounds
+    /// [`BestPeerNetwork::consistent_timestamp`]. The owner enforces
+    /// the authoritative Definition 2 check per subquery, and its
+    /// results are never cached, since this copy goes stale as soon as
+    /// the remote loads new data.
     pub load_timestamp: u64,
 }
 
@@ -1625,15 +1627,9 @@ impl BestPeerNetwork {
             .locators
             .entry(submitter)
             .or_insert_with(|| PeerLocator::new(self.config.index_cache));
-        // The online engine streams progressive estimates and never
-        // consults the result cache, but the context carries it for
-        // uniformity.
-        let rescache = self.rescaches.entry(submitter).or_insert_with(|| {
-            RefCell::new(ResultCache::new(
-                self.config.result_cache,
-                self.config.result_cache_budget,
-            ))
-        });
+        // The online engine streams progressive estimates from fresh
+        // owner serves: its context carries a disabled result cache.
+        let rescache = RefCell::new(ResultCache::new(false, 0));
         let mut ctx = EngineCtx {
             peers: &self.peers,
             remotes: &self.remotes,
@@ -1647,7 +1643,7 @@ impl BestPeerNetwork {
             faults: &self.faults,
             admission: &self.admission,
             exec: std::cell::Cell::new(Default::default()),
-            rescache: &*rescache,
+            rescache: &rescache,
             advisor: &self.advisor,
         };
         let mut out = crate::engine::online::execute(&mut ctx, submitter, &stmt)?;

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use bestpeer_common::PeerId;
+use bestpeer_common::{PeerId, Row, Value};
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig};
 use bestpeer_core::{indexer, NodeService, Role};
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
@@ -159,6 +159,53 @@ fn tcp_loopback_digests_match_the_in_process_reference() {
 
     node1.stop();
     node2.stop();
+}
+
+#[test]
+fn remote_load_is_visible_to_the_next_query() {
+    // Regression: remote results used to be cached under the load
+    // timestamp reported at registration, which nothing ever updates,
+    // so a warm cache kept answering from the remote's old data.
+    let node1 = spawn_node(1, 100);
+    let addr = node1.addr().to_string();
+    let (mut net, local) = build_network(0, 0);
+    let transport = Arc::new(TcpTransport::new());
+    net.set_transport(transport.clone());
+    link(&mut net, &transport, &addr);
+
+    let count = |net: &mut BestPeerNetwork| -> i64 {
+        let out = net
+            .submit_query(
+                local,
+                "SELECT COUNT(*) AS n FROM lineitem",
+                "R",
+                EngineChoice::Basic,
+                0,
+            )
+            .unwrap();
+        out.result.rows[0].get(0).as_int().unwrap()
+    };
+    let n = count(&mut net);
+    assert_eq!(count(&mut net), n, "warm repeat agrees");
+
+    // One new lineitem row at the remote, under a fresh order key.
+    let data = DbGen::new(TpchConfig::tiny(1).with_rows(ROWS)).generate();
+    let mut values = data["lineitem"][0].values().to_vec();
+    values[0] = Value::Int(9_999_999);
+    let resp = transport
+        .call(
+            &addr,
+            &Request::Load {
+                table: "lineitem".into(),
+                timestamp: 2,
+                rows: vec![Row::new(values)],
+            },
+        )
+        .unwrap();
+    assert_eq!(resp, Response::Ok);
+
+    assert_eq!(count(&mut net), n + 1, "the remote's new row is counted");
+    node1.stop();
 }
 
 #[test]

@@ -102,14 +102,19 @@ impl LocalSource for WorkerSource<'_> {
         self.0.iter().map(|w| w.peer).collect()
     }
 
-    fn run_local(&self, peer: PeerId, stmt: &SelectStmt) -> Result<(ResultSet, u64)> {
-        let w = self
-            .0
+    fn run_local(&self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>> {
+        peers
             .iter()
-            .find(|w| w.peer == peer)
-            .ok_or_else(|| Error::Network(format!("no worker {peer}")))?;
-        let (rs, stats) = execute_select(stmt, &w.db)?;
-        Ok((rs, stats.bytes_scanned))
+            .map(|&peer| {
+                let w = self
+                    .0
+                    .iter()
+                    .find(|w| w.peer == peer)
+                    .ok_or_else(|| Error::Network(format!("no worker {peer}")))?;
+                let (rs, stats) = execute_select(stmt, &w.db)?;
+                Ok((rs, stats.bytes_scanned))
+            })
+            .collect()
     }
 
     fn table_schema(&self, table: &str) -> Result<TableSchema> {

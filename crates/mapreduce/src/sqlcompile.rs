@@ -36,21 +36,11 @@ pub trait LocalSource {
     /// The participating node ids.
     fn peers(&self) -> Vec<PeerId>;
     /// Evaluate `stmt` (single-table, no aggregation beyond partials)
-    /// on one node's local data; returns the result and the disk bytes
-    /// the scan touched.
-    fn run_local(&self, peer: PeerId, stmt: &SelectStmt) -> Result<(ResultSet, u64)>;
-    /// Evaluate `stmt` at each of `peers`, returning one result per
-    /// peer, in peer order. The default runs [`LocalSource::run_local`]
-    /// one peer at a time; sources whose local execution is pure may
-    /// override to fan the work out, provided results, errors, and side
-    /// effects stay order-identical to the sequential loop.
-    fn run_local_batch(
-        &self,
-        peers: &[PeerId],
-        stmt: &SelectStmt,
-    ) -> Result<Vec<(ResultSet, u64)>> {
-        peers.iter().map(|&p| self.run_local(p, stmt)).collect()
-    }
+    /// on each of `peers`' local data, returning one `(result, disk
+    /// bytes the scan touched)` pair per peer, in peer order. Sources
+    /// may fan the work out, provided results, errors, and side effects
+    /// stay order-identical to a one-peer-at-a-time loop.
+    fn run_local(&self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>>;
     /// The schema of a base table (shared across nodes).
     fn table_schema(&self, table: &str) -> Result<TableSchema>;
 }
@@ -99,7 +89,7 @@ fn local_results(
     let peers = workers.peers();
     let mut parts = Vec::with_capacity(peers.len());
     let mut columns = Vec::new();
-    for (peer, (rs, scanned)) in peers.iter().zip(workers.run_local_batch(&peers, stmt)?) {
+    for (peer, (rs, scanned)) in peers.iter().zip(workers.run_local(&peers, stmt)?) {
         columns = rs.columns;
         parts.push((*peer, rs.rows, scanned));
     }

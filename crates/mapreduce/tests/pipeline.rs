@@ -14,10 +14,15 @@ impl LocalSource for Dbs {
     fn peers(&self) -> Vec<PeerId> {
         self.0.iter().map(|(p, _)| *p).collect()
     }
-    fn run_local(&self, peer: PeerId, stmt: &SelectStmt) -> Result<(ResultSet, u64)> {
-        let db = &self.0.iter().find(|(p, _)| *p == peer).unwrap().1;
-        let (rs, stats) = execute_select(stmt, db)?;
-        Ok((rs, stats.bytes_scanned))
+    fn run_local(&self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>> {
+        peers
+            .iter()
+            .map(|&peer| {
+                let db = &self.0.iter().find(|(p, _)| *p == peer).unwrap().1;
+                let (rs, stats) = execute_select(stmt, db)?;
+                Ok((rs, stats.bytes_scanned))
+            })
+            .collect()
     }
     fn table_schema(&self, table: &str) -> Result<TableSchema> {
         Ok(self.0[0].1.table(table)?.schema().clone())

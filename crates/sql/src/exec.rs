@@ -5,14 +5,11 @@
 //! pruning — see [`crate::phys`]) and walks it bottom-up with
 //! [`run_physical`], materializing each operator's output. Index scans
 //! drive off a secondary index when the planner estimates the matching
-//! fraction below [`INDEX_SELECTIVITY_THRESHOLD`] — this is what makes
-//! the paper's Q1/Q2 fast on both systems (§6.1.6: "both systems
-//! benefit from the secondary indices built on l_shipdate and
+//! fraction below [`crate::phys::INDEX_SELECTIVITY_THRESHOLD`] — this
+//! is what makes the paper's Q1/Q2 fast on both systems (§6.1.6: "both
+//! systems benefit from the secondary indices built on l_shipdate and
 //! l_commitdate") — and fetch their row ids sorted ascending, so the
-//! visible row sequence never depends on which access path ran. The
-//! logical [`run`] entry point remains for un-planned callers holding a
-//! bare [`Plan`]; its scans estimate candidates from index statistics
-//! and materialize only the winning posting lists.
+//! visible row sequence never depends on which access path ran.
 //!
 //! Two hot-path properties:
 //!
@@ -40,8 +37,8 @@ use bestpeer_common::{mix64, pool, stable_hash, Error, Result, Row, SharedRow, V
 use bestpeer_storage::{Database, RowId, Table};
 
 use crate::ast::{AggFunc, Expr, SelectStmt};
-use crate::phys::{best_index_candidate, plan_physical, PhysPlan, INDEX_SELECTIVITY_THRESHOLD};
-use crate::plan::{eval, eval_bool, AggItem, Binding, NoStats, Plan, SelectivityEstimator};
+use crate::phys::{plan_physical, PhysPlan};
+use crate::plan::{eval, eval_bool, AggItem, Binding, NoStats, SelectivityEstimator};
 
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -222,6 +219,9 @@ pub fn execute_select_with(
 
 /// Execute a physical plan, materializing its output as shared row
 /// handles.
+//
+// The operators it walks into are `#[inline(never)]`: inlined here,
+// their bodies would enlarge the stack frame of every recursion level.
 pub fn run_physical(
     plan: &PhysPlan,
     db: &Database,
@@ -316,7 +316,11 @@ pub fn run_physical(
             let rows = run_physical(input, db, stats)?;
             project_rows(&rows, exprs, input.binding(), stats)
         }
-        // Same bounded top-K special cases as the logical walker.
+        // `LIMIT k` directly above a sort (with or without an intervening
+        // row-wise projection) becomes a bounded top-K: the heap keeps
+        // exactly the k rows a full sort + truncate would keep, in the
+        // same order. Projection commutes with truncation because it is
+        // 1:1 and order-preserving.
         PhysPlan::Limit { input, n, .. } => match &**input {
             PhysPlan::Sort {
                 input: sorted,
@@ -371,108 +375,6 @@ fn prune_rows(rows: &[SharedRow], cols: &[usize], stats: &mut ExecStats) -> Vec<
     .collect()
 }
 
-/// Execute a plan, materializing its output as shared row handles.
-pub fn run(plan: &Plan, db: &Database, stats: &mut ExecStats) -> Result<Vec<SharedRow>> {
-    match plan {
-        Plan::Scan {
-            table,
-            filters,
-            binding,
-        } => scan(db.table(table)?, table, filters, binding, stats),
-        Plan::HashJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            ..
-        } => {
-            let l = run(left, db, stats)?;
-            let r = run(right, db, stats)?;
-            Ok(hash_join(&l, &r, *left_key, *right_key, stats))
-        }
-        Plan::CrossJoin { left, right, .. } => {
-            let l = run(left, db, stats)?;
-            let r = run(right, db, stats)?;
-            let mut out = Vec::with_capacity(l.len() * r.len());
-            for a in &l {
-                for b in &r {
-                    out.push(SharedRow::new(a.concat(b)));
-                }
-            }
-            Ok(out)
-        }
-        Plan::Filter {
-            input,
-            predicates,
-            binding,
-        } => {
-            let rows = run(input, db, stats)?;
-            filter_rows(rows, predicates, binding, stats)
-        }
-        Plan::Aggregate {
-            input, group, aggs, ..
-        } => {
-            let rows = run(input, db, stats)?;
-            let chunks = pool::morsels(rows.len());
-            if chunks.len() > 1 {
-                stats.parallel_morsels += chunks.len() as u64;
-            }
-            let out = aggregate_slice(&rows, input.binding(), group, aggs)?;
-            Ok(out.into_iter().map(SharedRow::new).collect())
-        }
-        Plan::Sort {
-            input,
-            keys,
-            binding,
-        } => {
-            let mut rows = run(input, db, stats)?;
-            sort_shared(&mut rows, keys, binding)?;
-            Ok(rows)
-        }
-        Plan::Project { input, exprs, .. } => {
-            let rows = run(input, db, stats)?;
-            project_rows(&rows, exprs, input.binding(), stats)
-        }
-        // `LIMIT k` directly above a sort (with or without an intervening
-        // row-wise projection) becomes a bounded top-K: the heap keeps
-        // exactly the k rows a full sort + truncate would keep, in the
-        // same order. Projection commutes with truncation because it is
-        // 1:1 and order-preserving.
-        Plan::Limit { input, n, .. } => match &**input {
-            Plan::Sort {
-                input: sorted,
-                keys,
-                binding,
-            } => {
-                let rows = run(sorted, db, stats)?;
-                top_k_shared(rows, keys, binding, *n, stats)
-            }
-            Plan::Project {
-                input: projected,
-                exprs,
-                ..
-            } if matches!(&**projected, Plan::Sort { .. }) => {
-                let Plan::Sort {
-                    input: sorted,
-                    keys,
-                    binding,
-                } = &**projected
-                else {
-                    unreachable!("guarded by matches!")
-                };
-                let rows = run(sorted, db, stats)?;
-                let rows = top_k_shared(rows, keys, binding, *n, stats)?;
-                project_rows(&rows, exprs, binding, stats)
-            }
-            _ => {
-                let mut rows = run(input, db, stats)?;
-                rows.truncate(*n);
-                Ok(rows)
-            }
-        },
-    }
-}
-
 /// Evaluate projection expressions over each row (1:1, order-preserving).
 /// Inputs spanning more than one morsel are projected on pool workers,
 /// one morsel per task, merged back in morsel order.
@@ -511,6 +413,7 @@ fn project_rows(
 /// Morsel-parallel filter: each worker evaluates the predicates over one
 /// fixed-size chunk; survivors are concatenated in chunk order, so the
 /// output sequence equals the sequential scan's at any thread count.
+#[inline(never)]
 fn filter_rows(
     rows: Vec<SharedRow>,
     preds: &[Expr],
@@ -553,38 +456,9 @@ fn all_true(preds: &[Expr], row: &Row, b: &Binding) -> Result<bool> {
     Ok(true)
 }
 
-/// Index-aware scan for the logical (un-planned) path: estimate every
-/// sargable indexed candidate from index statistics *first*, then
-/// materialize only the winner's posting lists — and only when its
-/// estimated fraction clears the planner's cost threshold; wide ranges
-/// fall back to the sequential scan. Mirrors the physical planner's
-/// access-path choice so `run` and `run_physical` agree.
-fn scan(
-    table: &Table,
-    name: &str,
-    filters: &[Expr],
-    binding: &Binding,
-    stats: &mut ExecStats,
-) -> Result<Vec<SharedRow>> {
-    if let Some((driving, column, bounds, frac)) =
-        best_index_candidate(table, name, filters, &NoStats)
-    {
-        if frac <= INDEX_SELECTIVITY_THRESHOLD {
-            let mut ids = bounds.lookup(table, &column).ok_or_else(|| {
-                Error::Internal(format!("chosen index `{name}.{column}` is missing"))
-            })?;
-            // RowId (insertion) order, not key order — see run_physical.
-            ids.sort_unstable();
-            stats.index_scans += 1;
-            return index_scan_rows(table, &ids, driving, filters, binding, stats);
-        }
-    }
-    stats.full_scans += 1;
-    seq_scan_rows(table, filters, binding, stats)
-}
-
 /// Fetch `ids` (pre-sorted ascending) and apply every filter except the
 /// driving predicate, which the index probe already satisfied.
+#[inline(never)]
 fn index_scan_rows(
     table: &Table,
     ids: &[RowId],
@@ -617,6 +491,7 @@ fn index_scan_rows(
 
 /// Full-table scan + filter in RowId order, morsel-parallel when the
 /// table spans more than one morsel.
+#[inline(never)]
 fn seq_scan_rows(
     table: &Table,
     filters: &[Expr],
@@ -682,6 +557,7 @@ const JOIN_PARTITIONS: usize = 16;
 /// probing merged in probe order — the output sequence (probe order,
 /// build-input order within a probe match) is byte-identical to the
 /// sequential nested loop at any thread count.
+#[inline(never)]
 fn hash_join(
     left: &[SharedRow],
     right: &[SharedRow],
@@ -1003,6 +879,7 @@ impl GroupTable {
 /// decomposition depends only on the input length), merged in morsel
 /// order with [`Acc::merge`] — the output is a pure function of the
 /// input rows at any thread count.
+#[inline(never)]
 fn aggregate_slice<R>(
     rows: &[R],
     input_binding: &Binding,
@@ -1065,6 +942,7 @@ fn cmp_keys(a: &[Value], b: &[Value], desc: &[bool]) -> Ordering {
 /// Full sort of shared handles: reorders `Arc`s (refcount bumps), never
 /// deep-copies a row. Ties break on original input position, matching
 /// the executor's historical stable-sort semantics.
+#[inline(never)]
 fn sort_shared(rows: &mut Vec<SharedRow>, keys: &[(Expr, bool)], b: &Binding) -> Result<()> {
     let desc: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
     // Precompute key tuples to keep comparisons fallible-free.

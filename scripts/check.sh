@@ -52,6 +52,9 @@ run_test() {
   echo "==> bench-regression gate (fresh BENCH_*.json vs baselines/, fail on >30% regression)"
   ./scripts/bench_compare.sh
 
+  echo "==> end-to-end benchmark self-test (builds perfbench/, its own workspace, which no workspace build compiles)"
+  CARGO_TARGET_DIR="$PWD/target" python3 perfbench/selftest.py
+
   echo "==> recovery + durability chaos suites (default threads)"
   cargo test -q -p bestpeer-storage --test wal_file
   cargo test -q -p bestpeer-core --test recovery
