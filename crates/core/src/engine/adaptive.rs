@@ -13,8 +13,6 @@ use std::collections::BTreeMap;
 use bestpeer_common::{PeerId, Result};
 use bestpeer_sql::ast::SelectStmt;
 use bestpeer_sql::decompose::decompose;
-use bestpeer_sql::plan::Binding;
-
 use bestpeer_sql::SelectivityEstimator;
 
 use crate::cost::{self, CostParams, EngineDecision, LevelOp, LevelSpec, ProcessingGraph};
@@ -193,12 +191,4 @@ pub fn execute(
         (mr::execute(ctx, submitter, stmt)?, ChosenEngine::MapReduce)
     };
     Ok((output, AdaptiveReport { decision, ran }))
-}
-
-/// (Internal helper exposed for the cost-model benches.)
-pub fn final_binding_of(
-    stmt: &SelectStmt,
-    schemas: &[bestpeer_common::TableSchema],
-) -> Result<Binding> {
-    Ok(decompose(stmt, schemas)?.final_binding().clone())
 }

@@ -60,9 +60,8 @@ pub fn execute(
     let engine = MapReduceEngine::new(workers.clone(), ctx.config.mr);
     let mut hdfs = Hdfs::new(workers, ctx.config.hdfs_replication);
     let (mut rs, trace) = run_stmt(stmt, &PeerSource(ctx), &engine, &mut hdfs)?;
-    // Idempotent re-application: the ordering/truncation contract all
-    // engines share is enforced at the engine boundary, not left to a
-    // compiler-internal detail of `run_stmt`.
+    // `run_stmt` leaves ordering and truncation to its caller, so they
+    // run once, here, like every engine's coordinator step.
     if bestpeer_sql::apply_order_limit(stmt, &mut rs) {
         ctx.note_topk();
     }

@@ -20,7 +20,7 @@ use bestpeer_simnet::{Phase, Task, Trace};
 use bestpeer_sql::ast::SelectStmt;
 use bestpeer_sql::decompose::decompose;
 use bestpeer_sql::exec::{aggregate_rows, ResultSet};
-use bestpeer_sql::plan::{eval, eval_bool, rewrite_post_agg, AggItem, Binding};
+use bestpeer_sql::plan::{eval, eval_bool, Binding, OutputStage};
 
 use super::{EngineCtx, EngineOutput};
 
@@ -149,9 +149,9 @@ pub fn execute(
     }
 
     // ---- GROUP BY level + root ------------------------------------
-    if stmt.is_aggregate() {
-        let group = stmt.group_by.clone();
-        let aggs = collect_agg_items(stmt);
+    let out = OutputStage::new(stmt, &inter_binding);
+    let final_rows = if stmt.is_aggregate() {
+        let group = &stmt.group_by;
         let group_nodes: Vec<PeerId> = match decomp.joins.last() {
             Some(j) => located
                 .get(&decomp.parts[j.part].table)
@@ -184,87 +184,35 @@ pub fn execute(
             if rows.is_empty() && (!group.is_empty() || slot != 0) {
                 return Ok(None);
             }
-            aggregate_rows(rows, &inter_binding, &group, &aggs).map(Some)
+            aggregate_rows(rows, &inter_binding, group, &out.aggs).map(Some)
         });
         for (slot, (rows, agg)) in partitions.iter().zip(aggregated).enumerate() {
-            let Some(out) = agg? else { continue };
+            let Some(groups) = agg? else { continue };
             let node = group_nodes[slot % n];
             let in_bytes = codec::batch_encoded_size(rows);
-            let out_bytes = codec::batch_encoded_size(&out);
+            let out_bytes = codec::batch_encoded_size(&groups);
             phase.push(
                 Task::on(node)
                     .cpu(2 * in_bytes + out_bytes)
                     .send(submitter, out_bytes),
             );
-            agg_out.extend(out);
+            agg_out.extend(groups);
         }
         trace.push(phase);
-        // Root: final projection over the aggregate output.
-        let mut cols: Vec<(Option<String>, String)> =
-            group.iter().map(|g| (None, g.to_string())).collect();
-        cols.extend(aggs.iter().map(|a| (None, a.name.clone())));
-        let agg_binding = Binding::from_cols(cols);
-        let projs: Vec<(bestpeer_sql::Expr, String)> = stmt
-            .projections
-            .iter()
-            .map(|it| (rewrite_post_agg(&it.expr, &group), it.output_name()))
-            .collect();
-        let rows: Vec<Row> = agg_out
-            .iter()
-            .map(|r| {
-                Ok(Row::new(
-                    projs
-                        .iter()
-                        .map(|(e, _)| eval(e, r, &agg_binding))
-                        .collect::<Result<Vec<_>>>()?,
-                ))
-            })
-            .collect::<Result<_>>()?;
-        let out_bytes = codec::batch_encoded_size(&rows);
-        trace.push(Phase::new("root").task(Task::on(submitter).cpu(out_bytes)));
-        let mut rs = ResultSet {
-            columns: projs.into_iter().map(|(_, n)| n).collect(),
-            rows,
-        };
-        if bestpeer_sql::apply_order_limit(stmt, &mut rs) {
-            ctx.note_topk();
-        }
-        return Ok((rs, trace));
-    }
-
-    // Non-aggregate root: project the joined tuples.
-    let projs: Vec<(bestpeer_sql::Expr, String)> = if stmt.projections.is_empty() {
-        (0..inter_binding.arity())
-            .map(|i| {
-                let (t, name) = inter_binding.col(i).clone();
-                let e = bestpeer_sql::Expr::Column(match t {
-                    Some(t) => bestpeer_sql::ast::ColumnRef::qualified(t, name.clone()),
-                    None => bestpeer_sql::ast::ColumnRef::new(name.clone()),
-                });
-                (e, name)
-            })
-            .collect()
+        agg_out
     } else {
-        stmt.projections
-            .iter()
-            .map(|it| (it.expr.clone(), it.output_name()))
-            .collect()
+        inter_rows
     };
-    let rows: Vec<Row> = inter_rows
+
+    // Root: the output projection at the submitter.
+    let rows: Vec<Row> = final_rows
         .iter()
-        .map(|r| {
-            Ok(Row::new(
-                projs
-                    .iter()
-                    .map(|(e, _)| eval(e, r, &inter_binding))
-                    .collect::<Result<Vec<_>>>()?,
-            ))
-        })
+        .map(|r| out.project(r))
         .collect::<Result<_>>()?;
     let out_bytes = codec::batch_encoded_size(&rows);
     trace.push(Phase::new("root").task(Task::on(submitter).cpu(out_bytes)));
     let mut rs = ResultSet {
-        columns: projs.into_iter().map(|(_, n)| n).collect(),
+        columns: out.columns,
         rows,
     };
     if bestpeer_sql::apply_order_limit(stmt, &mut rs) {
@@ -322,41 +270,6 @@ fn push_if_residuals(
     }
     out.push(row);
     Ok(())
-}
-
-fn collect_agg_items(stmt: &SelectStmt) -> Vec<AggItem> {
-    fn walk(e: &bestpeer_sql::Expr, out: &mut Vec<AggItem>) {
-        use bestpeer_sql::Expr;
-        match e {
-            Expr::Agg { func, arg } => {
-                let name = e.to_string();
-                if !out.iter().any(|a| a.name == name) {
-                    out.push(AggItem {
-                        func: *func,
-                        arg: arg.as_deref().cloned(),
-                        name,
-                    });
-                }
-            }
-            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Expr::Column(_) | Expr::Literal(_) => {}
-        }
-    }
-    let mut out = Vec::new();
-    for it in &stmt.projections {
-        walk(&it.expr, &mut out);
-    }
-    for k in &stmt.order_by {
-        walk(&k.expr, &mut out);
-    }
-    out
 }
 
 /// Group-key → partition hash. Must be the workspace's stable hash:

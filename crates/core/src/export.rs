@@ -174,10 +174,14 @@ mod tests {
         let engine = MapReduceEngine::new(ids, MrConfig::default());
         let job = MapReduceJob {
             name: "sum-exported".into(),
-            map: Box::new(|row, out| out.push((Value::Int(0), row.clone()))),
+            map: Box::new(|row, out| {
+                out.push((Value::Int(0), row.clone()));
+                Ok(())
+            }),
             reduce: Some(Box::new(|_, rows, out| {
                 let total: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap_or(0)).sum();
                 out.push(Row::new(vec![Value::Int(total)]));
+                Ok(())
             })),
             input: exported_input("sales"),
             reducers: 1,

@@ -119,6 +119,72 @@ fn mapreduce_engine_matches_centralized_on_all_queries() {
     }
 }
 
+/// An ill-typed or misspelt query fails on every engine with the same
+/// error kind: a failing map or reduce task fails the MapReduce query
+/// instead of dropping the rows it was computing.
+#[test]
+fn every_engine_rejects_bad_queries_with_the_same_error_kind() {
+    let (mut net, _) = setup(3, 400);
+    let submitter = net.peer_ids()[0];
+    for (sql, want) in [
+        (
+            "SELECT SUM(o_orderstatus) AS s FROM lineitem, orders WHERE l_orderkey = o_orderkey",
+            "type",
+        ),
+        (
+            "SELECT o_orderstatus, SUM(c_name) AS s FROM orders, customer \
+             WHERE o_custkey = c_custkey GROUP BY o_orderstatus",
+            "type",
+        ),
+        (
+            "SELECT l_orderkey, o_orderdate FROM lineitem, orders \
+             WHERE l_orderkey = o_orderkey AND l_quantity + o_orderstatus > 3",
+            "type",
+        ),
+        (
+            "SELECT l_orderkey, o_orderstatus + 1 AS x FROM lineitem, orders \
+             WHERE l_orderkey = o_orderkey",
+            "type",
+        ),
+        (
+            "SELECT SUM(o_orderpriority) AS s FROM lineitem, orders WHERE l_orderkey = o_orderkey",
+            "plan",
+        ),
+    ] {
+        for engine in [
+            EngineChoice::Basic,
+            EngineChoice::ParallelP2P,
+            EngineChoice::MapReduce,
+        ] {
+            match net.submit_query(submitter, sql, "R", engine, 0) {
+                Ok(out) => panic!("{engine:?} answered {sql} with {:?}", out.result.rows),
+                Err(e) => assert_eq!(e.kind(), want, "{engine:?} on {sql}: {e}"),
+            }
+        }
+    }
+}
+
+/// `ORDER BY … LIMIT k` over a join is answered by the bounded top-K
+/// heap exactly once on every engine, and the metric counts it.
+#[test]
+fn every_engine_counts_its_topk_short_circuit_once() {
+    let (mut net, _) = setup(3, 400);
+    let submitter = net.peer_ids()[0];
+    let sql = "SELECT l_orderkey, o_totalprice FROM lineitem, orders \
+               WHERE l_orderkey = o_orderkey ORDER BY o_totalprice DESC LIMIT 5";
+    for engine in [
+        EngineChoice::Basic,
+        EngineChoice::ParallelP2P,
+        EngineChoice::MapReduce,
+    ] {
+        let before = net.metrics().counter("exec.topk_short_circuits");
+        let out = net.submit_query(submitter, sql, "R", engine, 0).unwrap();
+        assert_eq!(out.result.len(), 5, "{engine:?}");
+        let added = net.metrics().counter("exec.topk_short_circuits") - before;
+        assert_eq!(added, 1, "{engine:?}");
+    }
+}
+
 #[test]
 fn adaptive_engine_matches_and_reports_decision() {
     let (mut net, central) = setup(3, 2000);

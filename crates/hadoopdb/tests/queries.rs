@@ -159,3 +159,16 @@ fn order_by_and_limit_apply_at_coordinator() {
     let ck: Vec<_> = cent.rows.iter().map(|r| r.get(0).clone()).collect();
     assert_eq!(dk, ck);
 }
+
+#[test]
+fn ill_typed_join_aggregate_is_an_error() {
+    // The reducer's SUM over a string column fails the job, and so the
+    // query — it must not come back as one NULL row.
+    let (mut cluster, _) = setup(3, 400);
+    let err = cluster
+        .execute(
+            "SELECT SUM(o_orderstatus) AS s FROM lineitem, orders WHERE l_orderkey = o_orderkey",
+        )
+        .unwrap_err();
+    assert_eq!(err.kind(), "type", "{err}");
+}

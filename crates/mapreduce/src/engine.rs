@@ -73,6 +73,7 @@ impl MapReduceEngine {
     }
 
     /// Execute one job; output rows are written to HDFS and returned.
+    /// The first map or reduce error fails the job.
     pub fn run_job(&self, job: &MapReduceJob, hdfs: &mut Hdfs) -> Result<JobOutcome> {
         // (worker, rows, explicit disk bytes or None = encoded row bytes)
         let inputs: Vec<(PeerId, Vec<Row>, Option<u64>)> = match &job.input {
@@ -105,7 +106,7 @@ impl MapReduceEngine {
             let in_bytes = disk_override.unwrap_or(row_bytes);
             let mut emitted: Vec<(Value, Row)> = Vec::new();
             for row in rows {
-                (job.map)(row, &mut emitted);
+                (job.map)(row, &mut emitted)?;
             }
             let out_bytes: u64 = emitted
                 .iter()
@@ -167,7 +168,7 @@ impl MapReduceEngine {
                 }
                 let mut out_rows = Vec::new();
                 for (k, rows) in &groups {
-                    reduce(k, rows, &mut out_rows);
+                    reduce(k, rows, &mut out_rows)?;
                 }
                 let out_bytes = codec::batch_encoded_size(&out_rows);
                 // CPU: read + sort (2x) + emit.
@@ -266,10 +267,14 @@ mod tests {
     fn sum_by_key_job(reducers: usize) -> MapReduceJob {
         MapReduceJob {
             name: "sum".into(),
-            map: Box::new(|row, out| out.push((row.get(0).clone(), row.clone()))),
+            map: Box::new(|row, out| {
+                out.push((row.get(0).clone(), row.clone()));
+                Ok(())
+            }),
             reduce: Some(Box::new(|key, rows, out| {
                 let total: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap()).sum();
                 out.push(Row::new(vec![key.clone(), Value::Int(total)]));
+                Ok(())
             })),
             input: local_input(),
             reducers,
@@ -333,6 +338,7 @@ mod tests {
                 if row.get(1).as_int().unwrap() >= 10 {
                     out.push((Value::Int(0), row.clone()));
                 }
+                Ok(())
             }),
             reduce: None,
             input: local_input(),
@@ -353,10 +359,14 @@ mod tests {
         // Second job: global sum over the per-key sums.
         let second = MapReduceJob {
             name: "total".into(),
-            map: Box::new(|row, out| out.push((Value::Int(0), row.clone()))),
+            map: Box::new(|row, out| {
+                out.push((Value::Int(0), row.clone()));
+                Ok(())
+            }),
             reduce: Some(Box::new(|_, rows, out| {
                 let total: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap()).sum();
                 out.push(Row::new(vec![Value::Int(total)]));
+                Ok(())
             })),
             input: JobInput::HdfsFile(MapReduceEngine::output_path("sum")),
             reducers: 1,

@@ -1,14 +1,14 @@
 //! Job descriptions: map and reduce as closures over rows.
 
-use bestpeer_common::{PeerId, Row, Value};
+use bestpeer_common::{PeerId, Result, Row, Value};
 
 /// Map function: called once per input row; emits zero or more
-/// `(shuffle key, tuple)` pairs into `out`.
-pub type MapFn = Box<dyn Fn(&Row, &mut Vec<(Value, Row)>) + Send + Sync>;
+/// `(shuffle key, tuple)` pairs into `out`. An error fails the job.
+pub type MapFn = Box<dyn Fn(&Row, &mut Vec<(Value, Row)>) -> Result<()> + Send + Sync>;
 
 /// Reduce function: called once per distinct shuffle key with all tuples
-/// for the key; emits output rows into `out`.
-pub type ReduceFn = Box<dyn Fn(&Value, &[Row], &mut Vec<Row>) + Send + Sync>;
+/// for the key; emits output rows into `out`. An error fails the job.
+pub type ReduceFn = Box<dyn Fn(&Value, &[Row], &mut Vec<Row>) -> Result<()> + Send + Sync>;
 
 /// Where a job's map tasks read their input.
 #[derive(Debug, Clone)]
@@ -43,20 +43,6 @@ pub struct MapReduceJob {
     pub reducers: usize,
 }
 
-impl MapReduceJob {
-    /// An identity-map job skeleton; callers replace the pieces they
-    /// need. Useful in tests.
-    pub fn identity(name: impl Into<String>, input: JobInput) -> Self {
-        MapReduceJob {
-            name: name.into(),
-            map: Box::new(|row, out| out.push((Value::Int(0), row.clone()))),
-            reduce: None,
-            input,
-            reducers: 1,
-        }
-    }
-}
-
 impl std::fmt::Debug for MapReduceJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MapReduceJob")
@@ -64,24 +50,5 @@ impl std::fmt::Debug for MapReduceJob {
             .field("reduce", &self.reduce.is_some())
             .field("reducers", &self.reducers)
             .finish_non_exhaustive()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn identity_job_shape() {
-        let j = MapReduceJob::identity("j", JobInput::HdfsFile("/x".into()));
-        assert_eq!(j.name, "j");
-        assert!(j.reduce.is_none());
-        assert_eq!(j.reducers, 1);
-        let mut out = Vec::new();
-        (j.map)(&Row::new(vec![Value::Int(7)]), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1, Row::new(vec![Value::Int(7)]));
-        let dbg = format!("{j:?}");
-        assert!(dbg.contains("MapReduceJob"));
     }
 }

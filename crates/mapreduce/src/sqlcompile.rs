@@ -14,18 +14,25 @@
 //!   join per key (Q3, §6.1.8);
 //! - a trailing **aggregation job** evaluates GROUP BY over the joined
 //!   tuples (Q4 = 2 jobs, Q5 = 4 jobs — §6.1.9, §6.1.10).
+//!
+//! The per-table pushdown and the left-deep join order come from
+//! [`bestpeer_sql::decompose`] in FROM order, and the aggregate calls and
+//! output projection from [`OutputStage`], the same decisions the P2P
+//! engines and the local planner use. A map or reduce error fails the
+//! job and so the query.
 
 use bestpeer_common::{Error, PeerId, Result, Row, TableSchema, Value};
 use bestpeer_simnet::Trace;
-use bestpeer_sql::ast::{ColumnRef, Expr, SelectStmt};
+use bestpeer_sql::ast::{Expr, SelectStmt};
+use bestpeer_sql::decompose::decompose;
 use bestpeer_sql::dist::split_aggregate;
 use bestpeer_sql::exec::{aggregate_rows, ResultSet};
-use bestpeer_sql::parse_select;
-use bestpeer_sql::plan::{eval, eval_bool, rewrite_post_agg, AggItem, Binding};
+use bestpeer_sql::plan::{eval, eval_bool, Binding, OutputStage};
+use bestpeer_sql::{apply_order_limit, parse_select};
 
 use crate::engine::MapReduceEngine;
 use crate::hdfs::Hdfs;
-use crate::job::{JobInput, MapReduceJob};
+use crate::job::{JobInput, MapFn, MapReduceJob, ReduceFn};
 
 /// Where the compiled jobs read base-table tuples: any collection of
 /// nodes that can evaluate a single-table SQL statement locally.
@@ -45,7 +52,8 @@ pub trait LocalSource {
     fn table_schema(&self, table: &str) -> Result<TableSchema>;
 }
 
-/// Compile `sql` and run the resulting job chain on the cluster.
+/// Compile `sql`, run the resulting job chain on the cluster, and apply
+/// its ORDER BY / LIMIT to the output.
 pub fn compile_and_run(
     sql: &str,
     workers: &dyn LocalSource,
@@ -53,10 +61,14 @@ pub fn compile_and_run(
     hdfs: &mut Hdfs,
 ) -> Result<(ResultSet, Trace)> {
     let stmt = parse_select(sql)?;
-    run_stmt(&stmt, workers, engine, hdfs)
+    let (mut rs, trace) = run_stmt(&stmt, workers, engine, hdfs)?;
+    apply_order_limit(&stmt, &mut rs);
+    Ok((rs, trace))
 }
 
-/// Compile an already-parsed statement and run the job chain.
+/// Compile an already-parsed statement and run the job chain. The rows
+/// come back unordered and untruncated: the caller applies ORDER BY /
+/// LIMIT once, with [`apply_order_limit`].
 pub fn run_stmt(
     stmt: &SelectStmt,
     workers: &dyn LocalSource,
@@ -66,15 +78,13 @@ pub fn run_stmt(
     if stmt.from.is_empty() {
         return Err(Error::Plan("empty FROM".into()));
     }
-    let (mut rs, trace) = if stmt.join_count() == 0 && !stmt.is_aggregate() {
-        map_only_query(stmt, workers, engine, hdfs)?
+    if stmt.join_count() == 0 && !stmt.is_aggregate() {
+        map_only_query(stmt, workers, engine, hdfs)
     } else if stmt.join_count() == 0 {
-        single_job_aggregate(stmt, workers, engine, hdfs)?
+        single_job_aggregate(stmt, workers, engine, hdfs)
     } else {
-        join_pipeline(stmt, workers, engine, hdfs)?
-    };
-    bestpeer_sql::apply_order_limit(stmt, &mut rs);
-    Ok((rs, trace))
+        join_pipeline(stmt, workers, engine, hdfs)
+    }
 }
 
 /// One node's contribution to a job: `(peer, rows, disk bytes scanned)`.
@@ -106,7 +116,10 @@ fn map_only_query(
     let (parts, columns) = local_results(stmt, workers)?;
     let job = MapReduceJob {
         name: "select".into(),
-        map: Box::new(|row, out| out.push((Value::Int(0), row.clone()))),
+        map: Box::new(|row, out| {
+            out.push((Value::Int(0), row.clone()));
+            Ok(())
+        }),
         reduce: None,
         input: JobInput::LocalWithCost(parts),
         reducers: workers.peers().len(),
@@ -128,15 +141,17 @@ fn single_job_aggregate(
     let k = dist.combine.group_cols.len();
     let combine = dist.combine.clone();
     let partial_cols_for_reduce = partial_cols.clone();
-    let columns: Vec<String> = combine.final_projs.iter().map(|(_, n)| n.clone()).collect();
+    let columns = combine.output.columns.clone();
     let job = MapReduceJob {
         name: "aggregate".into(),
-        map: Box::new(move |row, out| out.push((group_key_of(row, k), row.clone()))),
+        map: Box::new(move |row, out| {
+            out.push((group_key_of(row, k), row.clone()));
+            Ok(())
+        }),
         reduce: Some(Box::new(move |_key, rows, out| {
             // Combine partials for this one group.
-            if let Ok(rs) = combine.apply(&partial_cols_for_reduce, rows) {
-                out.extend(rs.rows);
-            }
+            out.extend(combine.apply(&partial_cols_for_reduce, rows)?.rows);
+            Ok(())
         })),
         input: JobInput::LocalWithCost(parts),
         reducers: workers.peers().len(),
@@ -152,19 +167,6 @@ fn single_job_aggregate(
     Ok((ResultSet { columns, rows }, trace))
 }
 
-/// One step of the join pipeline.
-struct JoinStep {
-    /// Index into `stmt.from` of the table joined in at this step.
-    table_idx: usize,
-    /// `(left key position, right key position)` — positions within the
-    /// untagged row of each side; `None` = cross join.
-    keys: Option<(usize, usize)>,
-    /// Residual predicates applicable once this step's output exists.
-    residuals: Vec<Expr>,
-    /// Binding of this step's output rows.
-    out_binding: Binding,
-}
-
 /// Q3/Q4/Q5 class: one repartition-join job per join, then (when the
 /// query aggregates) one aggregation job.
 fn join_pipeline(
@@ -173,126 +175,28 @@ fn join_pipeline(
     engine: &MapReduceEngine,
     hdfs: &mut Hdfs,
 ) -> Result<(ResultSet, Trace)> {
-    // Per-table subqueries with selection/projection pushdown.
-    let mut table_stmts = Vec::with_capacity(stmt.from.len());
-    let mut table_bindings = Vec::with_capacity(stmt.from.len());
-    let mut pushed = vec![false; stmt.predicates.len()];
-    for t in &stmt.from {
-        let schema = workers.table_schema(t)?;
-        let binding = Binding::from_cols(
-            needed_columns(stmt, &schema)
-                .into_iter()
-                .map(|c| (Some(t.clone()), c))
-                .collect(),
-        );
-        let mut preds = Vec::new();
-        for (i, p) in stmt.predicates.iter().enumerate() {
-            if !pushed[i] && p.as_equi_join().is_none() && binding.covers(p) {
-                preds.push(p.clone());
-                pushed[i] = true;
-            }
-        }
-        let projections = (0..binding.arity())
-            .map(|i| {
-                let (tbl, name) = binding.col(i).clone();
-                bestpeer_sql::ast::SelectItem {
-                    expr: Expr::Column(match tbl {
-                        Some(t) => ColumnRef::qualified(t, name.clone()),
-                        None => ColumnRef::new(name.clone()),
-                    }),
-                    alias: Some(name),
-                }
-            })
-            .collect();
-        table_stmts.push(SelectStmt {
-            projections,
-            from: vec![t.clone()],
-            predicates: preds,
-            group_by: Vec::new(),
-            order_by: Vec::new(),
-            limit: None,
-        });
-        table_bindings.push(binding);
-    }
-    let mut residual: Vec<Expr> = stmt
-        .predicates
+    // Per-table subqueries with selection/projection pushdown, and the
+    // left-deep join order with per-level residuals, in FROM order.
+    let schemas = stmt
+        .from
         .iter()
-        .enumerate()
-        .filter(|(i, _)| !pushed[*i])
-        .map(|(_, p)| p.clone())
-        .collect();
-
-    // Greedy left-deep join order over the table bindings.
-    let mut current = table_bindings[0].clone();
-    let mut remaining: Vec<usize> = (1..stmt.from.len()).collect();
-    let mut steps: Vec<JoinStep> = Vec::new();
-    while !remaining.is_empty() {
-        let mut chosen: Option<(usize, usize, usize, usize)> = None; // (rem idx, pred idx, lpos, rpos)
-        'outer: for (ri, &ti) in remaining.iter().enumerate() {
-            for (pi, p) in residual.iter().enumerate() {
-                if let Some((a, b)) = p.as_equi_join() {
-                    if let (Ok(l), Ok(r)) = (current.resolve(a), table_bindings[ti].resolve(b)) {
-                        chosen = Some((ri, pi, l, r));
-                        break 'outer;
-                    }
-                    if let (Ok(l), Ok(r)) = (current.resolve(b), table_bindings[ti].resolve(a)) {
-                        chosen = Some((ri, pi, l, r));
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        let (ri, keys) = match chosen {
-            Some((ri, pi, l, r)) => {
-                residual.remove(pi);
-                (ri, Some((l, r)))
-            }
-            None => (0, None),
-        };
-        let ti = remaining.remove(ri);
-        let out_binding = current.concat(&table_bindings[ti]);
-        // Residuals that become evaluable at this level.
-        let mut level_residuals = Vec::new();
-        residual.retain(|p| {
-            if out_binding.covers(p) {
-                level_residuals.push(p.clone());
-                false
-            } else {
-                true
-            }
-        });
-        current = out_binding.clone();
-        steps.push(JoinStep {
-            table_idx: ti,
-            keys,
-            residuals: level_residuals,
-            out_binding,
-        });
-    }
-    if !residual.is_empty() {
-        return Err(Error::Plan(format!(
-            "unresolvable predicates: {}",
-            residual
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )));
-    }
+        .map(|t| workers.table_schema(t))
+        .collect::<Result<Vec<_>>>()?;
+    let decomp = decompose(stmt, &schemas)?;
+    let final_binding = decomp.final_binding();
+    let output = OutputStage::new(stmt, final_binding);
 
     // Build and run one repartition-join job per step.
     let mut trace = Trace::new();
     let mut prev_path: Option<String> = None;
-    let mut left_binding = table_bindings[0].clone();
     let n_workers = workers.peers().len();
-    let final_step = steps.len() - 1;
-    for (k, step) in steps.iter().enumerate() {
+    for (k, step) in decomp.joins.iter().enumerate() {
         // Assemble tagged input: left side (base table or previous HDFS
         // output) tagged 0, right side (base table) tagged 1.
-        let mut parts: Vec<(PeerId, Vec<Row>, u64)> = Vec::new();
+        let mut parts: Vec<LocalPart> = Vec::new();
         match &prev_path {
             None => {
-                let (base, _) = local_results(&table_stmts[0], workers)?;
+                let (base, _) = local_results(&decomp.parts[0].subquery, workers)?;
                 for (peer, rows, scanned) in base {
                     parts.push((peer, tag_rows(rows, 0), scanned));
                 }
@@ -304,73 +208,54 @@ fn join_pipeline(
                 }
             }
         }
-        let (right, _) = local_results(&table_stmts[step.table_idx], workers)?;
+        let (right, _) = local_results(&decomp.parts[step.part].subquery, workers)?;
         for (peer, rows, scanned) in right {
             parts.push((peer, tag_rows(rows, 1), scanned));
         }
 
-        let left_arity = left_binding.arity();
         let keys = step.keys;
-        let map: crate::job::MapFn = Box::new(move |row, out| {
+        let map: MapFn = Box::new(move |row, out| {
             let key = match keys {
                 Some((l, r)) => {
-                    let tag = row.get(0).as_int().unwrap_or(0);
-                    let idx = 1 + if tag == 0 { l } else { r };
-                    row.get(idx).clone()
+                    let side = if row.get(0).as_int()? == 0 { l } else { r };
+                    row.get(1 + side).clone()
                 }
                 None => Value::Int(0),
             };
             out.push((key, row.clone()));
+            Ok(())
         });
         let residuals = step.residuals.clone();
         let out_binding = step.out_binding.clone();
         // The last join of a non-aggregate query projects in the reducer.
-        let project: Option<(Vec<Expr>, Binding)> = if k == final_step && !stmt.is_aggregate() {
-            let exprs: Vec<Expr> = final_projections(stmt, &out_binding)?
-                .into_iter()
-                .map(|(e, _)| e)
-                .collect();
-            Some((exprs, out_binding.clone()))
-        } else {
-            None
-        };
-        let reduce: crate::job::ReduceFn = Box::new(move |_key, rows, out| {
+        let project = (k + 1 == decomp.joins.len() && !stmt.is_aggregate()).then(|| output.clone());
+        let reduce: ReduceFn = Box::new(move |_key, rows, out| {
             let mut left = Vec::new();
             let mut right = Vec::new();
             for r in rows {
-                let tag = r.get(0).as_int().unwrap_or(0);
                 let stripped = Row::new(r.values()[1..].to_vec());
-                if tag == 0 {
+                if r.get(0).as_int()? == 0 {
                     left.push(stripped);
                 } else {
                     right.push(stripped);
                 }
             }
             for a in &left {
-                for b in &right {
+                'pairs: for b in &right {
                     let joined = a.concat(b);
-                    let keep = residuals
-                        .iter()
-                        .all(|p| eval_bool(p, &joined, &out_binding).unwrap_or(false));
-                    if !keep {
-                        continue;
-                    }
-                    match &project {
-                        Some((exprs, binding)) => {
-                            if let Ok(vals) = exprs
-                                .iter()
-                                .map(|e| eval(e, &joined, binding))
-                                .collect::<Result<Vec<_>>>()
-                            {
-                                out.push(Row::new(vals));
-                            }
+                    for p in &residuals {
+                        if !eval_bool(p, &joined, &out_binding)? {
+                            continue 'pairs;
                         }
-                        None => out.push(joined),
                     }
+                    out.push(match &project {
+                        Some(stage) => stage.project(&joined)?,
+                        None => joined,
+                    });
                 }
             }
+            Ok(())
         });
-        let _ = left_arity;
         let job = MapReduceJob {
             name: format!("join{k}"),
             map,
@@ -382,108 +267,69 @@ fn join_pipeline(
         // before the next job reads it.
         let outcome = engine.run_job(&job, hdfs)?;
         prev_path = Some(outcome.output_path);
-        left_binding = step.out_binding.clone();
         for p in outcome.phases {
             trace.push(p);
         }
     }
-
-    let final_binding = steps[final_step].out_binding.clone();
     let last_path = prev_path.expect("at least one join job ran");
-
-    if stmt.is_aggregate() {
-        // Final aggregation job over the joined tuples.
-        let group = stmt.group_by.clone();
-        let aggs = collect_agg_items(stmt);
-        let map_binding = final_binding.clone();
-        let map_group = group.clone();
-        let map: crate::job::MapFn = Box::new(move |row, out| {
-            let key = composite_group_key(&map_group, row, &map_binding);
-            out.push((key, row.clone()));
-        });
-        let red_binding = final_binding.clone();
-        let red_group = group.clone();
-        let red_aggs = aggs.clone();
-        let projs = final_agg_projections(stmt, &group, &aggs);
-        let reduce: crate::job::ReduceFn = Box::new(move |_key, rows, out| {
-            if let Ok(agg_rows) = aggregate_rows(rows, &red_binding, &red_group, &red_aggs) {
-                // Binding of aggregate output: group displays + agg names.
-                let mut cols: Vec<(Option<String>, String)> =
-                    red_group.iter().map(|g| (None, g.to_string())).collect();
-                cols.extend(red_aggs.iter().map(|a| (None, a.name.clone())));
-                let b = Binding::from_cols(cols);
-                for r in agg_rows {
-                    if let Ok(vals) = projs
-                        .iter()
-                        .map(|(e, _)| eval(e, &r, &b))
-                        .collect::<Result<Vec<_>>>()
-                    {
-                        out.push(Row::new(vals));
-                    }
-                }
-            }
-        });
-        let agg_job = MapReduceJob {
-            name: "final-agg".into(),
-            map,
-            reduce: Some(reduce),
-            input: JobInput::HdfsFile(last_path),
-            reducers: n_workers,
-        };
-        let outcome = engine.run_job(&agg_job, hdfs)?;
-        for p in outcome.phases {
-            trace.push(p);
-        }
-        let mut rows = outcome.output;
-        if rows.is_empty() && stmt.group_by.is_empty() {
-            // SQL semantics: a global aggregate over an empty join still
-            // yields one row (COUNT = 0, SUM = NULL, ...). No tuple ever
-            // reached a reducer, so synthesize it here.
-            let agg_rows = aggregate_rows(&[], &final_binding, &group, &aggs)?;
-            let mut cols: Vec<(Option<String>, String)> = Vec::new();
-            cols.extend(aggs.iter().map(|a| (None, a.name.clone())));
-            let b = Binding::from_cols(cols);
-            let projs = final_agg_projections(stmt, &group, &aggs);
-            for r in agg_rows {
-                let vals: Result<Vec<Value>> = projs.iter().map(|(e, _)| eval(e, &r, &b)).collect();
-                rows.push(Row::new(vals?));
-            }
-        }
-        let columns = final_agg_projections(stmt, &group, &aggs)
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect();
-        Ok((ResultSet { columns, rows }, trace))
-    } else {
-        let columns = final_projections(stmt, &final_binding)?
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect();
+    if !stmt.is_aggregate() {
         let rows = hdfs.read(&last_path)?;
-        Ok((ResultSet { columns, rows }, trace))
+        return Ok((
+            ResultSet {
+                columns: output.columns,
+                rows,
+            },
+            trace,
+        ));
     }
+
+    // Final aggregation job over the joined tuples.
+    let map_group = stmt.group_by.clone();
+    let map_binding = final_binding.clone();
+    let map: MapFn = Box::new(move |row, out| {
+        let key = composite_group_key(&map_group, row, &map_binding)?;
+        out.push((key, row.clone()));
+        Ok(())
+    });
+    let red_group = stmt.group_by.clone();
+    let red_binding = final_binding.clone();
+    let stage = output.clone();
+    let reduce: ReduceFn = Box::new(move |_key, rows, out| {
+        for r in aggregate_rows(rows, &red_binding, &red_group, &stage.aggs)? {
+            out.push(stage.project(&r)?);
+        }
+        Ok(())
+    });
+    let agg_job = MapReduceJob {
+        name: "final-agg".into(),
+        map,
+        reduce: Some(reduce),
+        input: JobInput::HdfsFile(last_path),
+        reducers: n_workers,
+    };
+    let outcome = engine.run_job(&agg_job, hdfs)?;
+    for p in outcome.phases {
+        trace.push(p);
+    }
+    let mut rows = outcome.output;
+    if rows.is_empty() && stmt.group_by.is_empty() {
+        // SQL semantics: a global aggregate over an empty join still
+        // yields one row (COUNT = 0, SUM = NULL, ...). No tuple ever
+        // reached a reducer, so synthesize it here.
+        for r in aggregate_rows(&[], final_binding, &[], &output.aggs)? {
+            rows.push(output.project(&r)?);
+        }
+    }
+    Ok((
+        ResultSet {
+            columns: output.columns,
+            rows,
+        },
+        trace,
+    ))
 }
 
 // --- small helpers ------------------------------------------------------
-
-/// Columns of `schema` referenced anywhere in the query, in schema
-/// order; the first column when nothing is referenced.
-fn needed_columns(stmt: &SelectStmt, schema: &bestpeer_common::TableSchema) -> Vec<String> {
-    let refs = stmt.all_referenced_columns();
-    let mut out: Vec<String> = schema
-        .columns
-        .iter()
-        .filter(|c| {
-            refs.iter()
-                .any(|r| r.column == c.name && r.table.as_deref().is_none_or(|t| t == schema.name))
-        })
-        .map(|c| c.name.clone())
-        .collect();
-    if out.is_empty() {
-        out.push(schema.columns[0].name.clone());
-    }
-    out
-}
 
 fn tag_rows(rows: Vec<Row>, tag: i64) -> Vec<Row> {
     rows.into_iter()
@@ -513,88 +359,17 @@ fn group_key_of(row: &Row, k: usize) -> Value {
 }
 
 /// Evaluate group expressions and pack them into one shuffle key.
-fn composite_group_key(group: &[Expr], row: &Row, b: &Binding) -> Value {
-    match group.len() {
+fn composite_group_key(group: &[Expr], row: &Row, b: &Binding) -> Result<Value> {
+    Ok(match group.len() {
         0 => Value::Int(0),
-        1 => eval(&group[0], row, b).unwrap_or(Value::Null),
+        1 => eval(&group[0], row, b)?,
         _ => {
             let mut s = String::new();
             for g in group {
-                s.push_str(&eval(g, row, b).unwrap_or(Value::Null).to_string());
+                s.push_str(&eval(g, row, b)?.to_string());
                 s.push('\u{1}');
             }
             Value::Str(s)
         }
-    }
-}
-
-/// The final projection expressions and names for a non-aggregate query
-/// against the joined binding (`SELECT *` expands).
-fn final_projections(stmt: &SelectStmt, binding: &Binding) -> Result<Vec<(Expr, String)>> {
-    if stmt.projections.is_empty() {
-        Ok((0..binding.arity())
-            .map(|i| {
-                let (tbl, name) = binding.col(i).clone();
-                let e = Expr::Column(match tbl {
-                    Some(t) => ColumnRef::qualified(t, name.clone()),
-                    None => ColumnRef::new(name.clone()),
-                });
-                (e, name)
-            })
-            .collect())
-    } else {
-        Ok(stmt
-            .projections
-            .iter()
-            .map(|it| (it.expr.clone(), it.output_name()))
-            .collect())
-    }
-}
-
-/// Distinct aggregate calls across the statement, as executor AggItems.
-fn collect_agg_items(stmt: &SelectStmt) -> Vec<AggItem> {
-    fn walk(e: &Expr, out: &mut Vec<AggItem>) {
-        match e {
-            Expr::Agg { func, arg } => {
-                let name = e.to_string();
-                if !out.iter().any(|a| a.name == name) {
-                    out.push(AggItem {
-                        func: *func,
-                        arg: arg.as_deref().cloned(),
-                        name,
-                    });
-                }
-            }
-            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Expr::Column(_) | Expr::Literal(_) => {}
-        }
-    }
-    let mut out = Vec::new();
-    for it in &stmt.projections {
-        walk(&it.expr, &mut out);
-    }
-    for k in &stmt.order_by {
-        walk(&k.expr, &mut out);
-    }
-    out
-}
-
-/// Projections of an aggregate query, rewritten to reference the
-/// aggregate output columns.
-fn final_agg_projections(
-    stmt: &SelectStmt,
-    group: &[Expr],
-    _aggs: &[AggItem],
-) -> Vec<(Expr, String)> {
-    stmt.projections
-        .iter()
-        .map(|it| (rewrite_post_agg(&it.expr, group), it.output_name()))
-        .collect()
+    })
 }

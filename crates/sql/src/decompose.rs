@@ -1,15 +1,19 @@
 //! Query decomposition helpers for the distributed engines.
 //!
-//! Both BestPeer++'s fetch-and-process strategy and HadoopDB's SMS
-//! planner start the same way: each base table of the query is reduced
-//! to a single-table subquery with its selection predicates and the
-//! referenced columns pushed down, executed wherever the table's data
-//! lives. [`decompose`] performs that split and reports the greedy
-//! left-deep join order with per-level residual predicates.
+//! BestPeer++'s fetch-and-process and parallel strategies and the SMS
+//! planner (`bestpeer_mapreduce::sqlcompile`, shared by HadoopDB and the
+//! MapReduce engine) all start the same way: each base table of the
+//! query is reduced to a single-table subquery with its selection
+//! predicates and the referenced columns pushed down, executed wherever
+//! the table's data lives. [`decompose`] performs that split for all of
+//! them and reports the greedy left-deep join order with per-level
+//! residual predicates. The P2P engines first move the most selective
+//! table to the front ([`reorder_for_selectivity`]); the SMS planner
+//! keeps FROM order.
 
 use bestpeer_common::{Result, TableSchema};
 
-use crate::ast::{ColumnRef, Expr, SelectItem, SelectStmt};
+use crate::ast::{Expr, SelectStmt};
 use crate::plan::Binding;
 
 /// One base table's share of a distributed query.
@@ -135,22 +139,10 @@ pub fn decompose(stmt: &SelectStmt, schemas: &[TableSchema]) -> Result<Decomposi
                 pushed[i] = true;
             }
         }
-        let projections: Vec<SelectItem> = (0..binding.arity())
-            .map(|i| {
-                let (tbl, name) = binding.col(i).clone();
-                SelectItem {
-                    expr: Expr::Column(match tbl {
-                        Some(tq) => ColumnRef::qualified(tq, name.clone()),
-                        None => ColumnRef::new(name.clone()),
-                    }),
-                    alias: Some(name),
-                }
-            })
-            .collect();
         parts.push(TablePart {
             table: t.clone(),
             subquery: SelectStmt {
-                projections,
+                projections: binding.select_items(),
                 from: vec![t.clone()],
                 predicates: preds,
                 group_by: Vec::new(),

@@ -11,9 +11,9 @@
 
 use bestpeer_common::{Error, Result, Row, Value};
 
-use crate::ast::{AggFunc, ColumnRef, Expr, SelectItem, SelectStmt};
+use crate::ast::{AggFunc, Expr, SelectItem, SelectStmt};
 use crate::exec::ResultSet;
-use crate::plan::{eval, Binding};
+use crate::plan::{Binding, OutputStage};
 
 /// How one final aggregate is reassembled from partial columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,10 +38,11 @@ pub enum CombineSpec {
 pub struct Combine {
     /// Names of the group-key columns in the partial output (prefix).
     pub group_cols: Vec<String>,
-    /// One spec per original aggregate call, producing columns `A0..`.
+    /// One spec per aggregate call of [`OutputStage::aggs`], in order.
     pub specs: Vec<CombineSpec>,
-    /// Final projections over `[g0.., A0..]`, with output names.
-    pub final_projs: Vec<(Expr, String)>,
+    /// The statement's output stage; its binding names the combined
+    /// row `[group keys.., one value per spec..]`.
+    pub output: OutputStage,
 }
 
 /// A distributed aggregate: run `partial` at every source, then
@@ -65,15 +66,10 @@ pub fn split_aggregate(stmt: &SelectStmt) -> Result<DistAgg> {
     if stmt.projections.is_empty() {
         return Err(Error::Plan("aggregate query cannot use SELECT *".into()));
     }
-    // Distinct aggregate calls, in first-appearance order.
-    let mut agg_calls: Vec<(AggFunc, Option<Expr>)> = Vec::new();
-    let mut seen: Vec<String> = Vec::new();
-    for item in &stmt.projections {
-        collect_aggs(&item.expr, &mut agg_calls, &mut seen);
-    }
-    for key in &stmt.order_by {
-        collect_aggs(&key.expr, &mut agg_calls, &mut seen);
-    }
+    // The combine step evaluates the final projections over group keys
+    // then one value per aggregate call: the statement's aggregate
+    // output, laid out by its output stage.
+    let output = OutputStage::new(stmt, &Binding::new());
 
     // Partial projection list: group keys first, then partial aggregates.
     let mut partial_projs: Vec<SelectItem> = Vec::new();
@@ -87,66 +83,30 @@ pub fn split_aggregate(stmt: &SelectStmt) -> Result<DistAgg> {
         });
     }
     let mut specs = Vec::new();
-    for (j, (func, arg)) in agg_calls.iter().enumerate() {
-        match func {
-            AggFunc::Sum => {
-                let col = format!("a{j}");
-                partial_projs.push(SelectItem {
-                    expr: Expr::Agg {
-                        func: AggFunc::Sum,
-                        arg: arg.clone().map(Box::new),
-                    },
-                    alias: Some(col.clone()),
-                });
-                specs.push(CombineSpec::Sum(col));
-            }
-            AggFunc::Count => {
-                let col = format!("a{j}");
-                partial_projs.push(SelectItem {
-                    expr: Expr::Agg {
-                        func: AggFunc::Count,
-                        arg: arg.clone().map(Box::new),
-                    },
-                    alias: Some(col.clone()),
-                });
-                // Counts are merged by summation.
-                specs.push(CombineSpec::Sum(col));
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let col = format!("a{j}");
-                partial_projs.push(SelectItem {
-                    expr: Expr::Agg {
-                        func: *func,
-                        arg: arg.clone().map(Box::new),
-                    },
-                    alias: Some(col.clone()),
-                });
-                specs.push(if *func == AggFunc::Min {
-                    CombineSpec::Min(col)
-                } else {
-                    CombineSpec::Max(col)
-                });
-            }
-            AggFunc::Avg => {
-                let sum_col = format!("a{j}_s");
-                let cnt_col = format!("a{j}_c");
-                partial_projs.push(SelectItem {
-                    expr: Expr::Agg {
-                        func: AggFunc::Sum,
-                        arg: arg.clone().map(Box::new),
-                    },
-                    alias: Some(sum_col.clone()),
-                });
-                partial_projs.push(SelectItem {
-                    expr: Expr::Agg {
-                        func: AggFunc::Count,
-                        arg: arg.clone().map(Box::new),
-                    },
-                    alias: Some(cnt_col.clone()),
-                });
-                specs.push(CombineSpec::AvgPair { sum_col, cnt_col });
-            }
+    for (j, agg) in output.aggs.iter().enumerate() {
+        let partial = |func, alias: &str| SelectItem {
+            expr: Expr::Agg {
+                func,
+                arg: agg.arg.clone().map(Box::new),
+            },
+            alias: Some(alias.to_string()),
+        };
+        if agg.func == AggFunc::Avg {
+            let sum_col = format!("a{j}_s");
+            let cnt_col = format!("a{j}_c");
+            partial_projs.push(partial(AggFunc::Sum, &sum_col));
+            partial_projs.push(partial(AggFunc::Count, &cnt_col));
+            specs.push(CombineSpec::AvgPair { sum_col, cnt_col });
+            continue;
         }
+        let col = format!("a{j}");
+        partial_projs.push(partial(agg.func, &col));
+        specs.push(match agg.func {
+            AggFunc::Min => CombineSpec::Min(col),
+            AggFunc::Max => CombineSpec::Max(col),
+            // Sums and counts are both merged by summation.
+            _ => CombineSpec::Sum(col),
+        });
     }
 
     let partial = SelectStmt {
@@ -158,87 +118,20 @@ pub fn split_aggregate(stmt: &SelectStmt) -> Result<DistAgg> {
         limit: None,
     };
 
-    // Final projections: group exprs -> g{i}, agg calls -> A{j}.
-    let final_projs: Vec<(Expr, String)> = stmt
-        .projections
-        .iter()
-        .map(|it| {
-            (
-                rewrite_final(&it.expr, &stmt.group_by, &seen),
-                it.output_name(),
-            )
-        })
-        .collect();
-
     Ok(DistAgg {
         partial,
         combine: Combine {
             group_cols,
             specs,
-            final_projs,
+            output,
         },
     })
-}
-
-fn collect_aggs(e: &Expr, out: &mut Vec<(AggFunc, Option<Expr>)>, seen: &mut Vec<String>) {
-    match e {
-        Expr::Agg { func, arg } => {
-            let key = e.to_string();
-            if !seen.contains(&key) {
-                seen.push(key);
-                out.push((*func, arg.as_deref().cloned()));
-            }
-        }
-        Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-            collect_aggs(left, out, seen);
-            collect_aggs(right, out, seen);
-        }
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            collect_aggs(a, out, seen);
-            collect_aggs(b, out, seen);
-        }
-        Expr::Column(_) | Expr::Literal(_) => {}
-    }
-}
-
-fn rewrite_final(e: &Expr, group: &[Expr], agg_names: &[String]) -> Expr {
-    if let Some(i) = group.iter().position(|g| g == e) {
-        return Expr::Column(ColumnRef::new(format!("g{i}")));
-    }
-    if let Expr::Agg { .. } = e {
-        if let Some(j) = agg_names.iter().position(|n| *n == e.to_string()) {
-            return Expr::Column(ColumnRef::new(format!("A{j}")));
-        }
-    }
-    match e {
-        Expr::Cmp { left, op, right } => Expr::Cmp {
-            left: Box::new(rewrite_final(left, group, agg_names)),
-            op: *op,
-            right: Box::new(rewrite_final(right, group, agg_names)),
-        },
-        Expr::Arith { left, op, right } => Expr::Arith {
-            left: Box::new(rewrite_final(left, group, agg_names)),
-            op: *op,
-            right: Box::new(rewrite_final(right, group, agg_names)),
-        },
-        Expr::And(a, b) => Expr::And(
-            Box::new(rewrite_final(a, group, agg_names)),
-            Box::new(rewrite_final(b, group, agg_names)),
-        ),
-        Expr::Or(a, b) => Expr::Or(
-            Box::new(rewrite_final(a, group, agg_names)),
-            Box::new(rewrite_final(b, group, agg_names)),
-        ),
-        other => other.clone(),
-    }
 }
 
 impl Combine {
     /// Merge partial rows (with the given column names, as produced by
     /// the partial statement) into the final result set.
     pub fn apply(&self, partial_columns: &[String], rows: &[Row]) -> Result<ResultSet> {
-        let binding =
-            Binding::from_cols(partial_columns.iter().map(|c| (None, c.clone())).collect());
         let col_idx = |name: &str| -> Result<usize> {
             partial_columns
                 .iter()
@@ -262,14 +155,6 @@ impl Combine {
             order.push(Vec::new());
             groups.insert(Vec::new(), Vec::new());
         }
-
-        // Combined binding: g0..g{k-1}, A0..A{m-1}.
-        let mut combined_cols: Vec<(Option<String>, String)> =
-            self.group_cols.iter().map(|g| (None, g.clone())).collect();
-        for j in 0..self.specs.len() {
-            combined_cols.push((None, format!("A{j}")));
-        }
-        let combined_binding = Binding::from_cols(combined_cols);
 
         let mut out_rows = Vec::with_capacity(order.len());
         for key in order {
@@ -327,17 +212,10 @@ impl Combine {
                 };
                 combined.push(v);
             }
-            let crow = Row::new(combined);
-            let final_vals: Vec<Value> = self
-                .final_projs
-                .iter()
-                .map(|(e, _)| eval(e, &crow, &combined_binding))
-                .collect::<Result<_>>()?;
-            out_rows.push(Row::new(final_vals));
+            out_rows.push(self.output.project(&Row::new(combined))?);
         }
-        let _ = binding; // partial binding retained for clarity/debugging
         Ok(ResultSet {
-            columns: self.final_projs.iter().map(|(_, n)| n.clone()).collect(),
+            columns: self.output.columns.clone(),
             rows: out_rows,
         })
     }

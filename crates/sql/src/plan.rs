@@ -12,8 +12,6 @@
 //! [`crate::phys`] lowers this tree to access paths; the executor in
 //! [`crate::exec`] runs it.
 
-use std::collections::HashSet;
-
 use bestpeer_common::{Error, Result, Row, Value};
 use bestpeer_storage::Database;
 
@@ -40,11 +38,6 @@ impl Binding {
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.cols.len()
-    }
-
-    /// Append a column.
-    pub fn push(&mut self, table: Option<String>, name: String) {
-        self.cols.push((table, name));
     }
 
     /// Concatenate two bindings (join output).
@@ -84,6 +77,22 @@ impl Binding {
         e.referenced_columns()
             .iter()
             .all(|c| self.resolve(c).is_ok())
+    }
+
+    /// The binding as a SELECT list: one column reference per position,
+    /// aliased to its bare name. `SELECT *` expands to this, and a
+    /// pushed-down subquery projects its pruned columns with it.
+    pub fn select_items(&self) -> Vec<SelectItem> {
+        self.cols
+            .iter()
+            .map(|(t, n)| SelectItem {
+                expr: Expr::Column(match t {
+                    Some(t) => ColumnRef::qualified(t.clone(), n.clone()),
+                    None => ColumnRef::new(n.clone()),
+                }),
+                alias: Some(n.clone()),
+            })
+            .collect()
     }
 }
 
@@ -213,6 +222,73 @@ pub struct AggItem {
     pub arg: Option<Expr>,
     /// The output column name (display form of the original call).
     pub name: String,
+}
+
+/// What a statement outputs, decided once for every planner: the local
+/// planner's Aggregate and Project nodes, the partial/final aggregate
+/// split, ParallelP2P's group-by and root levels, and the MapReduce
+/// compiler's reducers all read it from here.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OutputStage {
+    /// The distinct aggregate calls the statement computes, by display
+    /// form, in first-appearance order over the projections and then
+    /// ORDER BY; empty for a non-aggregate statement.
+    pub aggs: Vec<AggItem>,
+    /// What `exprs` evaluate against: the aggregate output (group
+    /// displays, then aggregate names) for an aggregate statement, the
+    /// input binding otherwise.
+    pub binding: Binding,
+    /// The output expressions, with `SELECT *` expanded and, for an
+    /// aggregate statement, rewritten by [`rewrite_post_agg`].
+    pub exprs: Vec<Expr>,
+    /// The output column names.
+    pub columns: Vec<String>,
+}
+
+impl OutputStage {
+    /// The output stage of `stmt` over rows bound by `input`.
+    pub fn new(stmt: &SelectStmt, input: &Binding) -> OutputStage {
+        let star;
+        let items = if stmt.projections.is_empty() {
+            star = input.select_items();
+            &star
+        } else {
+            &stmt.projections
+        };
+        let columns = items.iter().map(SelectItem::output_name).collect();
+        if !stmt.is_aggregate() {
+            return OutputStage {
+                aggs: Vec::new(),
+                binding: input.clone(),
+                exprs: items.iter().map(|it| it.expr.clone()).collect(),
+                columns,
+            };
+        }
+        let mut aggs = Vec::new();
+        let order_keys = stmt.order_by.iter().map(|k| &k.expr);
+        for e in items.iter().map(|it| &it.expr).chain(order_keys) {
+            collect_aggs(e, &mut aggs);
+        }
+        let groups = stmt.group_by.iter().map(|g| g.to_string());
+        let names = groups.chain(aggs.iter().map(|a| a.name.clone()));
+        let binding = Binding::from_cols(names.map(|n| (None, n)).collect());
+        OutputStage {
+            aggs,
+            binding,
+            exprs: items
+                .iter()
+                .map(|it| rewrite_post_agg(&it.expr, &stmt.group_by))
+                .collect(),
+            columns,
+        }
+    }
+
+    /// Evaluate the output expressions over one row bound by
+    /// [`OutputStage::binding`].
+    pub fn project(&self, row: &Row) -> Result<Row> {
+        let vals = self.exprs.iter().map(|e| eval(e, row, &self.binding));
+        Ok(Row::new(vals.collect::<Result<_>>()?))
+    }
 }
 
 /// A logical plan node. Every node carries its output [`Binding`].
@@ -599,92 +675,38 @@ pub fn plan_select_with(
         )));
     }
 
-    // 3. Aggregation, projection, ordering, limit.
-    let projections: Vec<SelectItem> = if stmt.projections.is_empty() {
-        // SELECT * — expand from the current binding.
-        plan.binding()
-            .cols
-            .iter()
-            .map(|(t, n)| SelectItem {
-                expr: Expr::Column(match t {
-                    Some(t) => ColumnRef::qualified(t.clone(), n.clone()),
-                    None => ColumnRef::new(n.clone()),
-                }),
-                alias: Some(n.clone()),
-            })
-            .collect()
-    } else {
-        stmt.projections.clone()
-    };
-
-    if stmt.is_aggregate() {
-        // Collect distinct aggregate calls across projections and order keys.
-        let mut aggs: Vec<AggItem> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        for item in &projections {
-            collect_aggs(&item.expr, &mut aggs, &mut seen);
-        }
-        for (key, _) in &order_by {
-            collect_aggs(key, &mut aggs, &mut seen);
-        }
-        let mut agg_binding = Binding::new();
-        for g in &stmt.group_by {
-            agg_binding.push(None, g.to_string());
-        }
-        for a in &aggs {
-            agg_binding.push(None, a.name.clone());
-        }
+    // 3. Aggregation, ordering, projection, limit.
+    let out = OutputStage::new(stmt, plan.binding());
+    let keys = if stmt.is_aggregate() {
         plan = Plan::Aggregate {
             input: Box::new(plan),
             group: stmt.group_by.clone(),
-            aggs,
-            binding: agg_binding,
+            aggs: out.aggs,
+            binding: out.binding,
         };
-        // Rewrite projections / order keys to reference aggregate output.
-        let rewritten: Vec<(Expr, String)> = projections
+        // Order keys reference the aggregate output, like the projections.
+        order_by
             .iter()
-            .map(|it| (rewrite_post_agg(&it.expr, &stmt.group_by), it.output_name()))
-            .collect();
-        if !order_by.is_empty() {
-            let keys: Vec<(Expr, bool)> = order_by
-                .iter()
-                .map(|(e, d)| (rewrite_post_agg(e, &stmt.group_by), *d))
-                .collect();
-            let binding = plan.binding().clone();
-            plan = Plan::Sort {
-                input: Box::new(plan),
-                keys,
-                binding,
-            };
-        }
-        let names: Vec<String> = rewritten.iter().map(|(_, n)| n.clone()).collect();
-        let exprs: Vec<Expr> = rewritten.into_iter().map(|(e, _)| e).collect();
-        let binding = Binding::from_cols(names.iter().map(|n| (None, n.clone())).collect());
-        plan = Plan::Project {
-            input: Box::new(plan),
-            exprs,
-            names,
-            binding,
-        };
+            .map(|(e, d)| (rewrite_post_agg(e, &stmt.group_by), *d))
+            .collect()
     } else {
-        if !order_by.is_empty() {
-            let binding = plan.binding().clone();
-            plan = Plan::Sort {
-                input: Box::new(plan),
-                keys: order_by,
-                binding,
-            };
-        }
-        let names: Vec<String> = projections.iter().map(SelectItem::output_name).collect();
-        let exprs: Vec<Expr> = projections.into_iter().map(|it| it.expr).collect();
-        let binding = Binding::from_cols(names.iter().map(|n| (None, n.clone())).collect());
-        plan = Plan::Project {
+        order_by
+    };
+    if !keys.is_empty() {
+        let binding = plan.binding().clone();
+        plan = Plan::Sort {
             input: Box::new(plan),
-            exprs,
-            names,
+            keys,
             binding,
         };
     }
+    let binding = Binding::from_cols(out.columns.iter().map(|n| (None, n.clone())).collect());
+    plan = Plan::Project {
+        input: Box::new(plan),
+        exprs: out.exprs,
+        names: out.columns,
+        binding,
+    };
 
     if let Some(n) = stmt.limit {
         let binding = plan.binding().clone();
@@ -732,12 +754,13 @@ fn substitute_aliases(e: &Expr, items: &[SelectItem]) -> Expr {
     }
 }
 
-/// Collect distinct aggregate calls (by display form) within `e`.
-fn collect_aggs(e: &Expr, out: &mut Vec<AggItem>, seen: &mut HashSet<String>) {
+/// Append the aggregate calls within `e` not already in `out` (by
+/// display form), in first-appearance order.
+fn collect_aggs(e: &Expr, out: &mut Vec<AggItem>) {
     match e {
         Expr::Agg { func, arg } => {
             let name = e.to_string();
-            if seen.insert(name.clone()) {
+            if !out.iter().any(|a| a.name == name) {
                 out.push(AggItem {
                     func: *func,
                     arg: arg.as_deref().cloned(),
@@ -746,12 +769,12 @@ fn collect_aggs(e: &Expr, out: &mut Vec<AggItem>, seen: &mut HashSet<String>) {
             }
         }
         Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-            collect_aggs(left, out, seen);
-            collect_aggs(right, out, seen);
+            collect_aggs(left, out);
+            collect_aggs(right, out);
         }
         Expr::And(a, b) | Expr::Or(a, b) => {
-            collect_aggs(a, out, seen);
-            collect_aggs(b, out, seen);
+            collect_aggs(a, out);
+            collect_aggs(b, out);
         }
         Expr::Column(_) | Expr::Literal(_) => {}
     }
@@ -962,6 +985,67 @@ mod tests {
             .predicates[0]
             .clone();
         assert!(eval_bool(&p, &row, &b).unwrap());
+    }
+
+    fn unqualified(names: &[&str]) -> Binding {
+        Binding::from_cols(names.iter().map(|n| (None, n.to_string())).collect())
+    }
+
+    #[test]
+    fn output_stage_collects_each_aggregate_once_in_order() {
+        let stmt = parse_select(
+            "SELECT l_orderkey, SUM(l_quantity) AS q, SUM(l_quantity) + COUNT(*) AS m \
+             FROM lineitem GROUP BY l_orderkey ORDER BY q DESC, MAX(l_quantity), COUNT(*)",
+        )
+        .unwrap();
+        let out = OutputStage::new(&stmt, &Binding::new());
+        // The repeated SUM collapses; projections come before ORDER BY;
+        // `ORDER BY q` names an alias and adds nothing.
+        let names: Vec<&str> = out.aggs.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, ["SUM(l_quantity)", "COUNT(*)", "MAX(l_quantity)"]);
+        // Aggregate output: group displays, then aggregate names.
+        assert_eq!(
+            out.binding,
+            unqualified(&[
+                "l_orderkey",
+                "SUM(l_quantity)",
+                "COUNT(*)",
+                "MAX(l_quantity)"
+            ])
+        );
+        assert_eq!(out.columns, ["l_orderkey", "q", "m"]);
+        let agg_row = Row::new(vec![
+            Value::Int(7),
+            Value::Int(30),
+            Value::Int(4),
+            Value::Int(9),
+        ]);
+        assert_eq!(
+            out.project(&agg_row).unwrap(),
+            Row::new(vec![Value::Int(7), Value::Int(30), Value::Int(34)])
+        );
+    }
+
+    #[test]
+    fn output_stage_expands_select_star_over_the_input() {
+        let input = Binding::from_cols(vec![
+            (Some("lineitem".into()), "l_orderkey".into()),
+            (Some("orders".into()), "o_totalprice".into()),
+        ]);
+        let stmt = parse_select("SELECT * FROM lineitem, orders").unwrap();
+        let out = OutputStage::new(&stmt, &input);
+        assert!(out.aggs.is_empty());
+        assert_eq!(out.binding, input);
+        assert_eq!(out.columns, ["l_orderkey", "o_totalprice"]);
+        assert_eq!(
+            out.exprs,
+            [
+                Expr::Column(ColumnRef::qualified("lineitem", "l_orderkey")),
+                Expr::Column(ColumnRef::qualified("orders", "o_totalprice")),
+            ]
+        );
+        let row = Row::new(vec![Value::Int(1), Value::Float(2.5)]);
+        assert_eq!(out.project(&row).unwrap(), row);
     }
 
     fn ambiguous_db() -> Database {

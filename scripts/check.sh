@@ -69,9 +69,15 @@ run_test() {
   cmp BENCH_scale.json BENCH_scale_seq.json
   rm -f BENCH_scale_seq.json
 
-  echo "==> figures smoke run (writes figures_output.txt)"
+  echo "==> figures smoke run (must be byte-identical to the committed figures_output.txt; a change that moves simulated latencies commits the new file)"
+  figures_out="$(mktemp)"
   cargo run --release -q -p bestpeer-bench --bin figures -- \
-    --all --sizes 4,8 --rows 1200 --steps 3 | tee figures_output.txt
+    --all --sizes 4,8 --rows 1200 --steps 3 > "$figures_out"
+  if ! cmp "$figures_out" figures_output.txt; then
+    echo "figures output differs from figures_output.txt (new output: $figures_out)" >&2
+    exit 1
+  fi
+  rm -f "$figures_out"
 
   echo "==> TCP loopback smoke (bestpeer-node processes must agree with the in-process network)"
   cargo test -q --test net_cluster
