@@ -6,7 +6,7 @@
 //! consuming reader over an immutable buffer. Both dereference to the
 //! unread byte slice.
 
-use std::ops::{Deref, RangeTo};
+use std::ops::{Deref, DerefMut, RangeTo};
 
 /// A growable write buffer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -89,12 +89,23 @@ impl BytesMut {
             pos: 0,
         }
     }
+
+    /// The bytes written, as their own `Vec` (no copy).
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.buf
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
     }
 }
 
@@ -178,6 +189,13 @@ impl Bytes {
         out
     }
 
+    /// Skip the next `n` bytes (read them in place through `Deref`
+    /// first).
+    pub fn advance(&mut self, n: usize) {
+        assert!(n <= self.remaining(), "advance past the end");
+        self.pos += n;
+    }
+
     /// Consume the next `n` bytes into their own buffer.
     pub fn split_to(&mut self, n: usize) -> Bytes {
         let out = Bytes {
@@ -255,6 +273,23 @@ mod tests {
         assert_eq!(&head[..], &[1, 2]);
         assert_eq!(&r[..], &[3, 4, 5]);
         assert_eq!(&r.slice(..1)[..], &[3]);
+    }
+
+    #[test]
+    fn advance_skips_bytes_read_in_place() {
+        let mut r = BytesMut::from(&b"abcde"[..]).freeze();
+        assert_eq!(&r[..2], b"ab");
+        r.advance(2);
+        assert_eq!(&r[..], b"cde");
+    }
+
+    #[test]
+    fn writer_patches_in_place_and_yields_its_bytes() {
+        let mut w = BytesMut::with_capacity(8);
+        w.put_u32_le(0);
+        w.put_u8(9);
+        w[..4].copy_from_slice(&7u32.to_le_bytes());
+        assert_eq!(w.into_vec(), vec![7, 0, 0, 0, 9]);
     }
 
     #[test]

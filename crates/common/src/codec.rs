@@ -66,10 +66,11 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
             ensure(buf, 4)?;
             let len = buf.get_u32_le() as usize;
             ensure(buf, len)?;
-            let bytes = buf.split_to(len);
-            let s = std::str::from_utf8(&bytes)
-                .map_err(|_| Error::Codec("invalid utf-8 in string value".into()))?;
-            Ok(Value::Str(s.to_owned()))
+            let s = std::str::from_utf8(&buf[..len])
+                .map_err(|_| Error::Codec("invalid utf-8 in string value".into()))?
+                .to_owned();
+            buf.advance(len);
+            Ok(Value::Str(s))
         }
         TAG_DATE => {
             ensure(buf, 4)?;
@@ -120,14 +121,22 @@ pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
     Ok(Row::new(values))
 }
 
-/// Encode a whole batch of rows into one buffer.
+/// Encode a whole batch of rows into one buffer, sized exactly by
+/// [`batch_encoded_size`].
 pub fn encode_batch(rows: &[Row]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + rows.len() * 32);
+    let mut buf = BytesMut::with_capacity(batch_encoded_size(rows) as usize);
+    encode_batch_into(&mut buf, rows);
+    buf.freeze()
+}
+
+/// Append the encoding of a whole batch of rows to `buf` (the bytes
+/// [`encode_batch`] produces), so a message that embeds a batch is
+/// built in one buffer.
+pub fn encode_batch_into(buf: &mut BytesMut, rows: &[Row]) {
     buf.put_u32_le(rows.len() as u32);
     for row in rows {
-        encode_row(&mut buf, row);
+        encode_row(buf, row);
     }
-    buf.freeze()
 }
 
 /// Decode a batch previously produced by [`encode_batch`].
@@ -201,6 +210,16 @@ mod tests {
         let rows = sample_rows();
         let encoded = encode_batch(&rows);
         assert_eq!(encoded.len() as u64, batch_encoded_size(&rows));
+    }
+
+    #[test]
+    fn batch_appends_after_a_prefix_unchanged() {
+        let rows = sample_rows();
+        let mut buf = BytesMut::new();
+        buf.put_u8(0xAB);
+        encode_batch_into(&mut buf, &rows);
+        assert_eq!(buf[0], 0xAB);
+        assert_eq!(&buf[1..], &encode_batch(&rows)[..]);
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl Role {
                 }
             }
         }
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     /// Decode a role encoded by [`Role::encode`]. Counts and lengths

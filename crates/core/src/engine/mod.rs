@@ -180,7 +180,7 @@ impl EngineCtx<'_> {
                             owner,
                             fp,
                             stmt.from.clone(),
-                            rs.clone(),
+                            &rs,
                             load_ts,
                         );
                     }

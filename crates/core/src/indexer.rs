@@ -119,7 +119,7 @@ pub fn encode_entries(entries: &[(Key, IndexEntry)]) -> Vec<u8> {
             }
         }
     }
-    buf.freeze().to_vec()
+    buf.into_vec()
 }
 
 /// Decode an entry set encoded by [`encode_entries`]. Every count and

@@ -23,6 +23,14 @@
 //! Determinism: recency is a logical counter (no wall clock), eviction
 //! order is therefore a pure function of the access sequence, and equal
 //! workloads produce equal hit/miss/eviction streams.
+//!
+//! Residency: an entry holds the result's compact
+//! [`ResultSet::encode`] bytes — the encoding the wire carries — rather
+//! than a `Vec<Row>` of heap-allocated `Value`s, which takes about four
+//! times the bytes the budget charges. The charge stays
+//! [`ResultSet::byte_size`]; the encoding adds only a tag byte per value
+//! and two arity bytes per row, so resident bytes stay within about
+//! 1.1–1.3× of the budget. A hit decodes a fresh `ResultSet`.
 
 use std::collections::BTreeMap;
 
@@ -53,7 +61,9 @@ pub struct CacheStats {
 struct CacheEntry {
     /// The global tables the cached statement read (invalidation scope).
     tables: Vec<String>,
-    rs: ResultSet,
+    /// The result's [`ResultSet::encode`] bytes.
+    encoded: Vec<u8>,
+    /// The budget charge: the result's [`ResultSet::byte_size`].
     bytes: u64,
     /// The owner's `load_timestamp` when the entry was filled.
     load_ts: u64,
@@ -106,7 +116,8 @@ impl ResultCache {
 
     /// Look up a cached result for (`owner`, `fingerprint`), valid only
     /// if the owner's current `load_ts` equals the entry's fill-time
-    /// snapshot. A snapshot mismatch drops the entry and misses.
+    /// snapshot. A snapshot mismatch drops the entry and misses. A hit
+    /// decodes the stored encoding into a fresh result.
     pub fn get(&mut self, owner: PeerId, fingerprint: u64, load_ts: u64) -> Option<ResultSet> {
         if !self.enabled {
             return None;
@@ -117,7 +128,7 @@ impl ResultCache {
                 self.clock += 1;
                 e.last_used = self.clock;
                 self.stats.hits += 1;
-                Some(e.rs.clone())
+                Some(ResultSet::decode(&e.encoded).expect("cache holds its own encodings"))
             }
             Some(_) => {
                 let e = self.entries.remove(&key).expect("present");
@@ -133,15 +144,15 @@ impl ResultCache {
         }
     }
 
-    /// Admit a result fetched from `owner`. Results larger than the
-    /// whole budget are not admitted; otherwise least-recently-used
-    /// entries are evicted until the new entry fits.
+    /// Admit a result fetched from `owner`, keeping its encoding.
+    /// Results larger than the whole budget are not admitted; otherwise
+    /// least-recently-used entries are evicted until the new entry fits.
     pub fn insert(
         &mut self,
         owner: PeerId,
         fingerprint: u64,
         tables: Vec<String>,
-        rs: ResultSet,
+        rs: &ResultSet,
         load_ts: u64,
     ) {
         if !self.enabled {
@@ -171,7 +182,7 @@ impl ResultCache {
             key,
             CacheEntry {
                 tables,
-                rs,
+                encoded: rs.encode(),
                 bytes,
                 load_ts,
                 last_used: self.clock,
@@ -246,7 +257,7 @@ mod tests {
     #[test]
     fn hit_returns_the_inserted_result() {
         let mut c = ResultCache::new(true, 1 << 20);
-        c.insert(peer(1), 7, vec!["t".into()], rs(3), 5);
+        c.insert(peer(1), 7, vec!["t".into()], &rs(3), 5);
         let got = c.get(peer(1), 7, 5).expect("hit");
         assert_eq!(got.rows, rs(3).rows);
         assert_eq!(c.stats().hits, 1);
@@ -254,9 +265,48 @@ mod tests {
     }
 
     #[test]
+    fn hits_decode_every_value_kind_and_shape_exactly() {
+        let every_kind = ResultSet {
+            columns: vec!["v".to_owned(), "w".to_owned()],
+            rows: vec![
+                Row::new(vec![Value::Null, Value::Int(i64::MIN)]),
+                Row::new(vec![Value::Int(i64::MAX), Value::Float(-0.0)]),
+                Row::new(vec![Value::Float(f64::NAN), Value::Date(-719_162)]),
+                Row::new(vec![Value::str(""), Value::str("añ€😀")]),
+            ],
+        };
+        let zero_rows = ResultSet {
+            columns: vec!["a".to_owned(), "b".to_owned()],
+            rows: vec![],
+        };
+        let zero_columns = ResultSet {
+            columns: vec![],
+            rows: vec![Row::new(vec![]), Row::new(vec![])],
+        };
+        let mut c = ResultCache::new(true, 1 << 20);
+        for (fp, want) in [&every_kind, &zero_rows, &zero_columns]
+            .into_iter()
+            .enumerate()
+        {
+            c.insert(peer(1), fp as u64, vec![], want, 0);
+            let got = c.get(peer(1), fp as u64, 0).expect("hit");
+            // Digests, not `==`: NaN is unequal to itself.
+            assert_eq!(got.digest(), want.digest());
+            assert_eq!(got.columns, want.columns);
+            assert_eq!(got.len(), want.len());
+        }
+        assert_eq!(c.stats().hits, 3);
+        let charged: u64 = [&every_kind, &zero_rows, &zero_columns]
+            .iter()
+            .map(|r| r.byte_size())
+            .sum();
+        assert_eq!(c.stats().bytes, charged, "the charge stays byte_size");
+    }
+
+    #[test]
     fn snapshot_advance_invalidates_on_lookup() {
         let mut c = ResultCache::new(true, 1 << 20);
-        c.insert(peer(1), 7, vec!["t".into()], rs(3), 5);
+        c.insert(peer(1), 7, vec!["t".into()], &rs(3), 5);
         assert!(c.get(peer(1), 7, 6).is_none(), "stale load_ts must miss");
         assert_eq!(c.stats().invalidations, 1);
         assert!(c.get(peer(1), 7, 5).is_none(), "entry is gone");
@@ -267,10 +317,10 @@ mod tests {
     fn lru_evicts_the_least_recently_used_within_budget() {
         let one = rs(1).byte_size();
         let mut c = ResultCache::new(true, 2 * one);
-        c.insert(peer(1), 1, vec![], rs(1), 0);
-        c.insert(peer(1), 2, vec![], rs(1), 0);
+        c.insert(peer(1), 1, vec![], &rs(1), 0);
+        c.insert(peer(1), 2, vec![], &rs(1), 0);
         assert!(c.get(peer(1), 1, 0).is_some()); // touch 1; 2 is now LRU
-        c.insert(peer(1), 3, vec![], rs(1), 0);
+        c.insert(peer(1), 3, vec![], &rs(1), 0);
         assert_eq!(c.stats().evictions, 1);
         assert!(c.get(peer(1), 2, 0).is_none(), "LRU victim");
         assert!(c.get(peer(1), 1, 0).is_some());
@@ -281,7 +331,7 @@ mod tests {
     #[test]
     fn oversized_results_are_not_admitted() {
         let mut c = ResultCache::new(true, 8);
-        c.insert(peer(1), 1, vec![], rs(100), 0);
+        c.insert(peer(1), 1, vec![], &rs(100), 0);
         assert_eq!(c.stats().insertions, 0);
         assert_eq!(c.stats().bytes, 0);
     }
@@ -289,9 +339,9 @@ mod tests {
     #[test]
     fn invalidation_is_scoped_to_peer_and_tables() {
         let mut c = ResultCache::new(true, 1 << 20);
-        c.insert(peer(1), 1, vec!["orders".into()], rs(1), 0);
-        c.insert(peer(1), 2, vec!["customer".into()], rs(1), 0);
-        c.insert(peer(2), 3, vec!["orders".into()], rs(1), 0);
+        c.insert(peer(1), 1, vec!["orders".into()], &rs(1), 0);
+        c.insert(peer(1), 2, vec!["customer".into()], &rs(1), 0);
+        c.insert(peer(2), 3, vec!["orders".into()], &rs(1), 0);
         c.invalidate_peer_tables(peer(1), &["orders".to_owned()]);
         assert!(c.get(peer(1), 1, 0).is_none(), "peer 1 orders dropped");
         assert!(c.get(peer(1), 2, 0).is_some(), "peer 1 customer kept");
@@ -303,8 +353,8 @@ mod tests {
     #[test]
     fn purge_drops_everything_and_zeroes_residency() {
         let mut c = ResultCache::new(true, 1 << 20);
-        c.insert(peer(1), 1, vec![], rs(2), 0);
-        c.insert(peer(2), 2, vec![], rs(2), 0);
+        c.insert(peer(1), 1, vec![], &rs(2), 0);
+        c.insert(peer(2), 2, vec![], &rs(2), 0);
         c.purge_all();
         assert_eq!(c.stats().bytes, 0);
         assert_eq!(c.stats().invalidations, 2);
@@ -314,7 +364,7 @@ mod tests {
     #[test]
     fn disabled_cache_never_hits_or_admits() {
         let mut c = ResultCache::new(false, 1 << 20);
-        c.insert(peer(1), 1, vec![], rs(1), 0);
+        c.insert(peer(1), 1, vec![], &rs(1), 0);
         assert!(c.get(peer(1), 1, 0).is_none());
         assert_eq!(c.stats(), CacheStats::default());
     }

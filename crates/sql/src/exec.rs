@@ -33,7 +33,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use bestpeer_common::{mix64, pool, stable_hash, Error, Result, Row, SharedRow, Value};
+use bestpeer_common::{codec, mix64, pool, stable_hash, Error, Result, Row, SharedRow, Value};
 use bestpeer_storage::{Database, RowId, Table};
 
 use crate::ast::{AggFunc, Expr, SelectStmt};
@@ -70,16 +70,20 @@ impl ResultSet {
     /// `codec::encode_batch` batch. Deterministic — the same logical
     /// result always produces the same bytes, which is what makes
     /// [`ResultSet::digest`] comparable across transports and
-    /// processes.
+    /// processes. Built in one pass into a buffer of exactly the
+    /// encoded size, so a caller that keeps it holds no growth slack.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = bestpeer_common::bytes::BytesMut::with_capacity(64);
+        let header: usize = 4 + self.columns.iter().map(|c| 4 + c.len()).sum::<usize>();
+        let mut buf = bestpeer_common::bytes::BytesMut::with_capacity(
+            header + codec::batch_encoded_size(&self.rows) as usize,
+        );
         buf.put_u32_le(self.columns.len() as u32);
         for c in &self.columns {
             buf.put_u32_le(c.len() as u32);
             buf.put_slice(c.as_bytes());
         }
-        buf.put_slice(&bestpeer_common::codec::encode_batch(&self.rows));
-        buf.freeze().to_vec()
+        codec::encode_batch_into(&mut buf, &self.rows);
+        buf.into_vec()
     }
 
     /// Decode an encoding produced by [`ResultSet::encode`]. Counts and
@@ -117,7 +121,7 @@ impl ResultSet {
                 .map_err(|_| Error::Codec("invalid utf-8 in column name".into()))?;
             columns.push(name.to_owned());
         }
-        let rows = bestpeer_common::codec::decode_batch(buf)?;
+        let rows = codec::decode_batch(buf)?;
         Ok(ResultSet { columns, rows })
     }
 
@@ -1579,5 +1583,26 @@ mod tests {
         for cut in 0..encoded.len() {
             assert!(ResultSet::decode(&encoded[..cut]).is_err());
         }
+    }
+
+    #[test]
+    fn result_set_encoding_layout_is_pinned_and_exactly_sized() {
+        let rs = ResultSet {
+            columns: vec!["a".into()],
+            rows: vec![
+                Row::new(vec![Value::Int(-2)]),
+                Row::new(vec![Value::str("xy")]),
+            ],
+        };
+        let encoded = rs.encode();
+        #[rustfmt::skip]
+        let want: Vec<u8> = vec![
+            1, 0, 0, 0, 1, 0, 0, 0, b'a',                // one column, "a"
+            2, 0, 0, 0,                                   // two rows
+            1, 0, 1, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // [Int(-2)]
+            1, 0, 3, 2, 0, 0, 0, b'x', b'y',              // [Str("xy")]
+        ];
+        assert_eq!(encoded, want);
+        assert_eq!(encoded.capacity(), encoded.len(), "no growth slack");
     }
 }

@@ -456,14 +456,14 @@ pub(crate) mod payload {
         let mut buf = BytesMut::new();
         buf.put_u8(OP_CREATE_TABLE);
         encode_schema(&mut buf, schema);
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     pub(crate) fn drop_table(name: &str) -> Vec<u8> {
         let mut buf = BytesMut::new();
         buf.put_u8(OP_DROP_TABLE);
         put_str(&mut buf, name);
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     pub(crate) fn insert(table: &str, row: &Row) -> Vec<u8> {
@@ -471,7 +471,7 @@ pub(crate) mod payload {
         buf.put_u8(OP_INSERT);
         put_str(&mut buf, table);
         codec::encode_row(&mut buf, row);
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     pub(crate) fn delete_by_key(table: &str, key: &[Value]) -> Vec<u8> {
@@ -482,7 +482,7 @@ pub(crate) mod payload {
         for v in key {
             codec::encode_value(&mut buf, v);
         }
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     pub(crate) fn delete_exact(table: &str, row: &Row) -> Vec<u8> {
@@ -490,14 +490,14 @@ pub(crate) mod payload {
         buf.put_u8(OP_DELETE_EXACT);
         put_str(&mut buf, table);
         codec::encode_row(&mut buf, row);
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     pub(crate) fn truncate(name: &str) -> Vec<u8> {
         let mut buf = BytesMut::new();
         buf.put_u8(OP_TRUNCATE);
         put_str(&mut buf, name);
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     pub(crate) fn create_index(table: &str, column: &str) -> Vec<u8> {
@@ -505,14 +505,14 @@ pub(crate) mod payload {
         buf.put_u8(OP_CREATE_INDEX);
         put_str(&mut buf, table);
         put_str(&mut buf, column);
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     pub(crate) fn set_load_timestamp(ts: u64) -> Vec<u8> {
         let mut buf = BytesMut::new();
         buf.put_u8(OP_SET_LOAD_TS);
         buf.put_i64_le(ts as i64);
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 }
 
@@ -627,11 +627,9 @@ impl CheckpointImage {
                 codec::encode_row(&mut buf, r);
             }
         }
-        let body = buf.freeze().to_vec();
-        let mut out = BytesMut::with_capacity(body.len() + 8);
-        out.put_slice(&body);
-        out.put_i64_le(stable_hash_bytes(&body) as i64);
-        out.freeze().to_vec()
+        let checksum = stable_hash_bytes(&buf);
+        buf.put_i64_le(checksum as i64);
+        buf.into_vec()
     }
 
     /// Decode and verify. Any mismatch — bad magic, short buffer, failed
@@ -1137,7 +1135,7 @@ mod tests {
             frame.put_i64_le(lsn as i64);
             frame.put_i64_le(stable_hash_bytes(&checked) as i64);
             frame.put_slice(&payload);
-            frame.freeze().to_vec()
+            frame.into_vec()
         };
         wal.device_mut().append(&dup).unwrap();
         wal.device_mut().sync().unwrap();

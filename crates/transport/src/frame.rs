@@ -39,13 +39,16 @@ impl Default for FrameConfig {
     }
 }
 
-/// Write one frame (header + payload) to `w` and flush it.
+/// Write one frame (header + payload) to `w` with a single `write_all`,
+/// then flush it. Header and payload leave in one write so a frame never
+/// waits behind Nagle's algorithm for the peer's delayed ACK of its own
+/// header, whatever the socket's `TCP_NODELAY` setting.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&stable_hash_bytes(payload).to_le_bytes());
-    w.write_all(&header).map_err(map_io_error)?;
-    w.write_all(payload).map_err(map_io_error)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&stable_hash_bytes(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame).map_err(map_io_error)?;
     w.flush().map_err(map_io_error)?;
     Ok(())
 }
@@ -101,6 +104,36 @@ mod tests {
             read_frame(&mut r, &FrameConfig::default()).unwrap(),
             payload
         );
+    }
+
+    /// A sink that accepts every byte and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        for payload in [&b""[..], b"x", b"hello frames"] {
+            let before = w.writes;
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes - before, 1, "header and payload in one write");
+        }
+        assert_eq!(w.bytes, 3 * FRAME_HEADER_BYTES + 1 + 12);
     }
 
     #[test]

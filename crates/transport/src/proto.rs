@@ -147,10 +147,11 @@ fn get_string(buf: &mut Bytes) -> Result<String> {
     ensure(buf, 4)?;
     let len = buf.get_u32_le() as usize;
     ensure(buf, len)?;
-    let bytes = buf.split_to(len);
-    std::str::from_utf8(&bytes)
+    let s = std::str::from_utf8(&buf[..len])
         .map(str::to_owned)
-        .map_err(|_| Error::Codec("invalid utf-8 in protocol string".into()))
+        .map_err(|_| Error::Codec("invalid utf-8 in protocol string".into()))?;
+    buf.advance(len);
+    Ok(s)
 }
 
 fn put_blob(buf: &mut BytesMut, b: &[u8]) {
@@ -162,17 +163,30 @@ fn get_blob(buf: &mut Bytes) -> Result<Vec<u8>> {
     ensure(buf, 4)?;
     let len = buf.get_u32_le() as usize;
     ensure(buf, len)?;
-    Ok(buf.split_to(len).to_vec())
+    let blob = buf[..len].to_vec();
+    buf.advance(len);
+    Ok(blob)
 }
 
+/// Append `rows` as a length-prefixed `codec` batch (the layout
+/// `put_blob` gives an encoded batch), encoding the rows in place and
+/// patching the length prefix afterwards.
 fn put_rows(buf: &mut BytesMut, rows: &[Row]) {
-    let batch = codec::encode_batch(rows);
-    put_blob(buf, &batch);
+    let at = buf.len();
+    buf.put_u32_le(0);
+    codec::encode_batch_into(buf, rows);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 fn get_rows(buf: &mut Bytes) -> Result<Vec<Row>> {
     let blob = get_blob(buf)?;
     codec::decode_batch(Bytes::from(blob))
+}
+
+/// Encoded size of a `u32` count followed by length-prefixed strings.
+fn strings_len<'s>(strings: impl Iterator<Item = &'s String>) -> usize {
+    4 + strings.map(|s| 4 + s.len()).sum::<usize>()
 }
 
 fn ensure(buf: &Bytes, n: usize) -> Result<()> {
@@ -251,7 +265,7 @@ impl Request {
             Request::Stats => buf.put_u8(REQ_STATS),
             Request::Shutdown => buf.put_u8(REQ_SHUTDOWN),
         }
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     /// Decode a request from one frame payload.
@@ -317,9 +331,24 @@ impl Request {
 }
 
 impl Response {
-    /// Encode this response as one frame payload.
+    /// Encode this response as one frame payload. A `Rows` reply is
+    /// written in one pass into a buffer of exactly its encoded size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
+        let capacity = match self {
+            Response::Rows {
+                columns,
+                rows,
+                stats,
+            } => {
+                1 + strings_len(columns.iter())
+                    + 4
+                    + codec::batch_encoded_size(rows) as usize
+                    + strings_len(stats.iter().map(|(name, _)| name))
+                    + 8 * stats.len()
+            }
+            _ => 64,
+        };
+        let mut buf = BytesMut::with_capacity(capacity);
         match self {
             Response::Pong => buf.put_u8(RESP_PONG),
             Response::Rows {
@@ -366,7 +395,7 @@ impl Response {
                 }
             }
         }
-        buf.freeze().to_vec()
+        buf.into_vec()
     }
 
     /// Decode a response from one frame payload.
@@ -531,6 +560,34 @@ mod tests {
             let bytes = resp.encode();
             assert_eq!(Response::decode(&bytes).unwrap(), resp, "{resp:?}");
         }
+    }
+
+    #[test]
+    fn rows_reply_is_built_once_in_an_exactly_sized_buffer() {
+        let columns: Vec<String> = vec!["a".into(), "bé".into()];
+        let stats: Vec<(String, u64)> = vec![("bytes_scanned".into(), 128)];
+        let bytes = Response::Rows {
+            columns: columns.clone(),
+            rows: sample_rows(),
+            stats: stats.clone(),
+        }
+        .encode();
+        // The layout: tag, columns, the batch as a length-prefixed
+        // blob, then the named counters.
+        let mut want = BytesMut::new();
+        want.put_u8(RESP_ROWS);
+        want.put_u32_le(columns.len() as u32);
+        for c in &columns {
+            put_string(&mut want, c);
+        }
+        put_blob(&mut want, &codec::encode_batch(&sample_rows()));
+        want.put_u32_le(stats.len() as u32);
+        for (name, v) in &stats {
+            put_string(&mut want, name);
+            want.put_u64_le(*v);
+        }
+        assert_eq!(bytes, want.into_vec());
+        assert_eq!(bytes.capacity(), bytes.len(), "no growth slack");
     }
 
     #[test]

@@ -72,16 +72,22 @@ impl TcpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_accept = Arc::clone(&stop);
         let accept_thread = std::thread::spawn(move || {
-            let mut conn_threads = Vec::new();
+            let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
             for stream in self.listener.incoming() {
                 if stop_accept.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
                 let _ = stream.set_read_timeout(Some(STOP_POLL_INTERVAL));
+                // Replies go out as soon as they are written, as on the
+                // client side (`TcpTransport::connect`).
+                let _ = stream.set_nodelay(true);
                 let handler = Arc::clone(&self.handler);
                 let frame_cfg = self.frame_cfg;
                 let stop_conn = Arc::clone(&stop_accept);
+                // Finished connections' handles would otherwise pile up
+                // until shutdown.
+                conn_threads.retain(|t| !t.is_finished());
                 conn_threads.push(std::thread::spawn(move || {
                     serve_connection(stream, handler, frame_cfg, stop_conn);
                 }));

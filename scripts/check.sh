@@ -40,7 +40,7 @@ run_test() {
   echo "==> wal bench (writes BENCH_wal.json; asserts digest-identical replay, group-commit batching)"
   cargo run --release -q -p bestpeer-bench --bin wal_bench
 
-  echo "==> net bench (writes BENCH_net.json; asserts wire results digest-identical to in-process; latency informational only)"
+  echo "==> net bench (writes BENCH_net.json; asserts wire results digest-identical to in-process and subquery p50 RTT under 10 ms)"
   cargo run --release -q -p bestpeer-bench --bin net_bench
 
   echo "==> scale bench (writes BENCH_scale.json; 10^5+ open-loop sessions vs 120 peers; asserts shedding bounds p99 under 2x overload, elastic scale-out/in, same-seed determinism)"
