@@ -165,18 +165,6 @@ impl Role {
             .any(|r| r.table == table && r.column == column && r.privileges.write)
     }
 
-    /// Mask one value of `table.column` per this role: NULL when the
-    /// role cannot read the column at all or the value falls outside
-    /// every granting rule's range.
-    pub fn mask_value(&self, table: &str, column: &str, v: &Value) -> Value {
-        for rule in self.read_rules(table, column) {
-            if rule.admits(v) {
-                return v.clone();
-            }
-        }
-        Value::Null
-    }
-
     /// Encode this role for the wire. Subqueries shipped to remote
     /// nodes carry the submitter's role so the data owner can enforce
     /// it (enforcement always happens at the owner); the transport
@@ -262,40 +250,38 @@ impl Role {
         Ok(Role { name, rules })
     }
 
-    /// Rewrite a result fetched from `table` in place: every column is
-    /// masked per the role. `columns` are the (global) column names of
-    /// the rows.
-    pub fn mask_rows(&self, table: &str, columns: &[String], rows: &mut [Row]) {
-        // Precompute per-column handling to keep the row loop tight.
-        enum Col<'a> {
-            Open,
-            Deny,
-            Ranged(Vec<&'a AccessRule>),
+    /// Mask fetched rows in place per this role. `columns` lists, for
+    /// each output position to mask, the `(table, column)` it carries;
+    /// other positions pass through. Each column's read rules are
+    /// sorted once: an open column (some rule has no range) is never
+    /// touched, a denied column (no read rule) becomes NULL, and a
+    /// ranged column keeps a value only inside some rule's range.
+    pub fn mask_rows<'a>(
+        &self,
+        columns: impl IntoIterator<Item = (usize, &'a str, &'a str)>,
+        rows: &mut [Row],
+    ) {
+        // `None` denies the column; `Some(rules)` admits their ranges.
+        let mut masked: Vec<(usize, Option<Vec<&AccessRule>>)> = Vec::new();
+        for (i, table, column) in columns {
+            let rules: Vec<&AccessRule> = self.read_rules(table, column).collect();
+            if rules.is_empty() {
+                masked.push((i, None));
+            } else if rules.iter().all(|r| r.range.is_some()) {
+                masked.push((i, Some(rules)));
+            }
         }
-        let plan: Vec<Col<'_>> = columns
-            .iter()
-            .map(|c| {
-                let rules: Vec<&AccessRule> = self.read_rules(table, c).collect();
-                if rules.is_empty() {
-                    Col::Deny
-                } else if rules.iter().any(|r| r.range.is_none()) {
-                    Col::Open
-                } else {
-                    Col::Ranged(rules)
-                }
-            })
-            .collect();
+        if masked.is_empty() {
+            return;
+        }
         for row in rows {
-            for (i, col) in plan.iter().enumerate() {
-                match col {
-                    Col::Open => {}
-                    Col::Deny => row.values_mut()[i] = Value::Null,
-                    Col::Ranged(rules) => {
-                        let v = &row.values_mut()[i];
-                        if !rules.iter().any(|r| r.admits(v)) {
-                            row.values_mut()[i] = Value::Null;
-                        }
-                    }
+            let values = row.values_mut();
+            for (i, rules) in &masked {
+                let admitted = rules
+                    .as_ref()
+                    .is_some_and(|rules| rules.iter().any(|r| r.admits(&values[*i])));
+                if !admitted {
+                    values[*i] = Value::Null;
                 }
             }
         }
@@ -349,32 +335,61 @@ mod tests {
         assert!(!r.can_read("lineitem", "l_quantity"));
         // In-range value passes; out-of-range masked.
         assert_eq!(
-            r.mask_value("lineitem", "l_extendedprice", &Value::Float(50.0)),
+            mask_one(&r, "lineitem", "l_extendedprice", Value::Float(50.0)),
             Value::Float(50.0)
         );
         assert_eq!(
-            r.mask_value("lineitem", "l_extendedprice", &Value::Float(250.0)),
+            mask_one(&r, "lineitem", "l_extendedprice", Value::Float(250.0)),
             Value::Null
         );
+    }
+
+    /// What `role` lets through of `v`, read from `table.column`.
+    fn mask_one(role: &Role, table: &str, column: &str, v: Value) -> Value {
+        let mut rows = [Row::new(vec![v])];
+        role.mask_rows([(0, table, column)], &mut rows);
+        rows[0].get(0).clone()
     }
 
     #[test]
     fn mask_rows_masks_inaccessible_columns() {
         let r = role_sales();
-        let columns = vec![
-            "l_extendedprice".to_string(),
-            "l_shipdate".to_string(),
-            "l_quantity".to_string(),
+        let columns = [
+            (0, "lineitem", "l_extendedprice"),
+            (1, "lineitem", "l_shipdate"),
+            (2, "lineitem", "l_quantity"),
         ];
         let mut rows = vec![
             Row::new(vec![Value::Float(50.0), Value::Date(100), Value::Int(7)]),
             Row::new(vec![Value::Float(500.0), Value::Date(200), Value::Int(9)]),
         ];
-        r.mask_rows("lineitem", &columns, &mut rows);
+        r.mask_rows(columns, &mut rows);
         assert_eq!(rows[0].get(0), &Value::Float(50.0));
         assert_eq!(rows[0].get(2), &Value::Null, "no rule on l_quantity");
         assert_eq!(rows[1].get(0), &Value::Null, "500 outside [0,100]");
         assert_eq!(rows[1].get(1), &Value::Date(200), "shipdate fully readable");
+    }
+
+    #[test]
+    fn mask_rows_touches_only_the_listed_positions() {
+        let r = role_sales();
+        // Position 1 is not listed, so it passes through unmasked.
+        let mut rows = vec![Row::new(vec![
+            Value::Int(7),
+            Value::Int(8),
+            Value::Float(500.0),
+        ])];
+        r.mask_rows(
+            [
+                (0, "lineitem", "l_quantity"),
+                (2, "lineitem", "l_extendedprice"),
+            ],
+            &mut rows,
+        );
+        assert_eq!(
+            rows[0],
+            Row::new(vec![Value::Null, Value::Int(8), Value::Null])
+        );
     }
 
     #[test]
@@ -432,8 +447,8 @@ mod tests {
         let r = Role::new("u")
             .plus(AccessRule::read("t", "c").with_range(Value::Int(0), Value::Int(10)))
             .plus(AccessRule::read("t", "c").with_range(Value::Int(100), Value::Int(110)));
-        assert_eq!(r.mask_value("t", "c", &Value::Int(5)), Value::Int(5));
-        assert_eq!(r.mask_value("t", "c", &Value::Int(105)), Value::Int(105));
-        assert_eq!(r.mask_value("t", "c", &Value::Int(50)), Value::Null);
+        assert_eq!(mask_one(&r, "t", "c", Value::Int(5)), Value::Int(5));
+        assert_eq!(mask_one(&r, "t", "c", Value::Int(105)), Value::Int(105));
+        assert_eq!(mask_one(&r, "t", "c", Value::Int(50)), Value::Null);
     }
 }

@@ -20,7 +20,7 @@ use bestpeer_simnet::{Phase, Task, Trace};
 use bestpeer_sql::ast::SelectStmt;
 use bestpeer_sql::decompose::decompose;
 use bestpeer_sql::exec::{aggregate_rows, ResultSet};
-use bestpeer_sql::plan::{eval, eval_bool, Binding, OutputStage};
+use bestpeer_sql::plan::{Binding, OutputStage, ResolvedExpr};
 
 use super::{EngineCtx, EngineOutput};
 
@@ -99,14 +99,9 @@ pub fn execute(
         // Each owner's probe of the broadcast intermediate against its
         // partition is independent CPU work — fan the joins out to pool
         // workers and merge their outputs back in owner order.
+        let residuals = ResolvedExpr::bind_all(&step.residuals, &step.out_binding);
         let joined_parts = bestpeer_common::pool::run_tasks(&served, |_, (rs, _, _)| {
-            local_join(
-                &inter_rows,
-                &rs.rows,
-                step.keys,
-                &step.residuals,
-                &step.out_binding,
-            )
+            local_join(&inter_rows, &rs.rows, step.keys, &residuals)
         });
         for ((&owner, (_, stats, warm)), joined) in
             owners.iter().zip(served.iter()).zip(joined_parts)
@@ -163,12 +158,10 @@ pub fn execute(
         // Hash-partition the joined tuples by group key across the
         // group-level nodes; each node aggregates disjoint groups.
         let mut partitions: Vec<Vec<Row>> = vec![Vec::new(); n];
+        let first_key = group.first().map(|g| ResolvedExpr::bind(g, &inter_binding));
         for row in inter_rows {
-            let slot = match group.first() {
-                Some(g) => {
-                    let v = eval(g, &row, &inter_binding)?;
-                    (hash_of(&v) % n as u64) as usize
-                }
+            let slot = match &first_key {
+                Some(g) => (hash_of(&*g.value(&row)?) % n as u64) as usize,
                 None => 0,
             };
             partitions[slot].push(row);
@@ -222,12 +215,12 @@ pub fn execute(
 }
 
 /// Hash join of the broadcast intermediate against one local partition.
+/// `residuals` are bound to the joined rows.
 fn local_join(
     left: &[Row],
     right: &[Row],
     keys: Option<(usize, usize)>,
-    residuals: &[bestpeer_sql::Expr],
-    out_binding: &Binding,
+    residuals: &[ResolvedExpr],
 ) -> Result<Vec<Row>> {
     let mut out = Vec::new();
     match keys {
@@ -241,7 +234,7 @@ fn local_join(
             for r in right {
                 if let Some(matches) = ht.get(r.get(rk)) {
                     for l in matches {
-                        push_if_residuals(l.concat(r), residuals, out_binding, &mut out)?;
+                        push_if_residuals(l.concat(r), residuals, &mut out)?;
                     }
                 }
             }
@@ -249,7 +242,7 @@ fn local_join(
         None => {
             for l in left {
                 for r in right {
-                    push_if_residuals(l.concat(r), residuals, out_binding, &mut out)?;
+                    push_if_residuals(l.concat(r), residuals, &mut out)?;
                 }
             }
         }
@@ -257,14 +250,9 @@ fn local_join(
     Ok(out)
 }
 
-fn push_if_residuals(
-    row: Row,
-    residuals: &[bestpeer_sql::Expr],
-    binding: &Binding,
-    out: &mut Vec<Row>,
-) -> Result<()> {
+fn push_if_residuals(row: Row, residuals: &[ResolvedExpr], out: &mut Vec<Row>) -> Result<()> {
     for p in residuals {
-        if !eval_bool(p, &row, binding)? {
+        if !p.holds(&row)? {
             return Ok(());
         }
     }

@@ -169,12 +169,8 @@ impl NormalPeer {
                 }
             }
         }
-        for row in &mut rs.rows {
-            for (i, table, column) in &plain {
-                let masked = role.mask_value(table, column, row.get(*i));
-                row.values_mut()[*i] = masked;
-            }
-        }
+        let columns = plain.iter().map(|(i, t, c)| (*i, t.as_str(), c.as_str()));
+        role.mask_rows(columns, &mut rs.rows);
         Ok(())
     }
 
@@ -204,7 +200,7 @@ impl NormalPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessRule;
+    use crate::access::{AccessRule, Privilege};
     use bestpeer_common::{ColumnDef, ColumnType, Row, TableSchema, Value};
     use bestpeer_sql::parse_select;
 
@@ -317,6 +313,100 @@ mod tests {
         );
         assert!(rs.rows.iter().all(|r| r.get(0).is_null()));
         assert!(rs.rows.iter().any(|r| !r.get(1).is_null()));
+    }
+
+    /// `column` of every row `role` gets back from `SELECT column, l_shipdate`.
+    fn served_column(p: &NormalPeer, role: &Role, column: &str) -> Vec<Value> {
+        let stmt = parse_select(&format!("SELECT {column}, l_shipdate FROM lineitem")).unwrap();
+        let (rs, _) = p.serve_subquery(&stmt, role, 0).unwrap();
+        assert!(rs.rows.iter().all(|r| !r.get(1).is_null()));
+        rs.rows.iter().map(|r| r.get(0).clone()).collect()
+    }
+
+    fn price_rule(lo: f64, hi: f64) -> AccessRule {
+        AccessRule::read("lineitem", "l_extendedprice")
+            .with_range(Value::Float(lo), Value::Float(hi))
+    }
+
+    #[test]
+    fn two_ranged_rules_admit_the_union_of_their_ranges() {
+        let p = peer();
+        let role = Role::new("split")
+            .plus(price_rule(0.0, 60.0))
+            .plus(price_rule(400.0, 600.0))
+            .plus(AccessRule::read("lineitem", "l_shipdate"));
+        assert_eq!(
+            served_column(&p, &role, "l_extendedprice"),
+            [Value::Float(50.0), Value::Float(500.0), Value::Null]
+        );
+    }
+
+    #[test]
+    fn a_whole_column_rule_opens_a_ranged_column() {
+        let p = peer();
+        let role = sales_role().plus(AccessRule::read("lineitem", "l_extendedprice"));
+        assert_eq!(
+            served_column(&p, &role, "l_extendedprice"),
+            [Value::Float(50.0), Value::Float(500.0), Value::Float(80.0)]
+        );
+    }
+
+    #[test]
+    fn a_write_only_rule_grants_no_read() {
+        let p = peer();
+        let write_only = AccessRule {
+            privileges: Privilege {
+                read: false,
+                write: true,
+            },
+            ..AccessRule::read("lineitem", "l_orderkey")
+        };
+        let role = sales_role().plus(write_only);
+        assert!(role.can_write("lineitem", "l_orderkey"));
+        assert!(served_column(&p, &role, "l_orderkey")
+            .iter()
+            .all(Value::is_null));
+        let stmt = parse_select("SELECT SUM(l_orderkey) FROM lineitem").unwrap();
+        let err = p.serve_subquery(&stmt, &role, 0).unwrap_err();
+        assert_eq!(err.kind(), "access-denied");
+    }
+
+    #[test]
+    fn ranged_string_column_masked_value_wise() {
+        let mut p = peer();
+        p.db.create_table(
+            TableSchema::new(
+                "part",
+                vec![
+                    ColumnDef::new("p_partkey", ColumnType::Int),
+                    ColumnDef::new("p_type", ColumnType::Str),
+                ],
+                vec![0],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        for (k, ty) in [(1, "ANODIZED"), (2, "ECONOMY"), (3, "M"), (4, "MEDIUM")] {
+            p.db.insert("part", Row::new(vec![Value::Int(k), Value::str(ty)]))
+                .unwrap();
+        }
+        let role = Role::new("types")
+            .plus(AccessRule::read("part", "p_type").with_range(Value::str("B"), Value::str("M")))
+            .plus(AccessRule::read("part", "p_partkey"));
+        let stmt = parse_select("SELECT p_partkey, p_type FROM part").unwrap();
+        let (rs, _) = p.serve_subquery(&stmt, &role, 0).unwrap();
+        let types: Vec<&Value> = rs.rows.iter().map(|r| r.get(1)).collect();
+        // The range is inclusive, and strings order lexicographically.
+        assert_eq!(
+            types,
+            [
+                &Value::Null,
+                &Value::str("ECONOMY"),
+                &Value::str("M"),
+                &Value::Null
+            ]
+        );
+        assert!(rs.rows.iter().all(|r| !r.get(0).is_null()));
     }
 
     #[test]

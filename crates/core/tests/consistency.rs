@@ -11,6 +11,7 @@
 //! (byte-for-byte, microsecond-for-microsecond), including through the
 //! JSON export and under injected faults.
 
+use bestpeer_common::pool::MORSEL_ROWS;
 use bestpeer_common::{ColumnDef, ColumnType, Row, TableSchema, Value};
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig};
 use bestpeer_core::Role;
@@ -198,7 +199,9 @@ fn topk_equals_full_sort_truncate_on_random_rows() {
     // — including under heavy duplicate keys and NULLs, where only the
     // shared tie-break (original row order) separates equal rows. The
     // no-LIMIT statement takes the full-sort path, so truncating its
-    // output *is* the reference.
+    // output *is* the reference. The last round spans more than two
+    // morsels, so its per-morsel heaps and their merge heap are checked
+    // too.
     let schema = TableSchema::new(
         "obs",
         vec![
@@ -210,10 +213,10 @@ fn topk_equals_full_sort_truncate_on_random_rows() {
     )
     .unwrap();
     let mut next = lcg(0xBE57_9EE2);
-    for round in 0..8u32 {
+    for round in 0..9u32 {
         let mut db = Database::new();
         db.create_table(schema.clone()).unwrap();
-        let n = 50 + (next() % 400) as usize;
+        let n = (next() % 400) as usize + if round == 8 { 2 * MORSEL_ROWS + 1 } else { 50 };
         let mut rows = Vec::with_capacity(n);
         for i in 0..n {
             // ~7 distinct keys over hundreds of rows → ties everywhere;
@@ -234,7 +237,7 @@ fn topk_equals_full_sort_truncate_on_random_rows() {
         for order in ["ORDER BY k DESC, v", "ORDER BY k, v DESC", "ORDER BY v, k"] {
             let full = parse_select(&format!("SELECT k, v, id FROM obs {order}")).unwrap();
             let (want_all, _) = execute_select(&full, &db).unwrap();
-            for limit in [1usize, 2, 7, 25, 10_000] {
+            for limit in [0usize, 1, 2, 7, 25, 10_000] {
                 let stmt = parse_select(&format!("SELECT k, v, id FROM obs {order} LIMIT {limit}"))
                     .unwrap();
                 let (got, _) = execute_select(&stmt, &db).unwrap();

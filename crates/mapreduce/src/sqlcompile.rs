@@ -23,11 +23,11 @@
 
 use bestpeer_common::{Error, PeerId, Result, Row, TableSchema, Value};
 use bestpeer_simnet::Trace;
-use bestpeer_sql::ast::{Expr, SelectStmt};
+use bestpeer_sql::ast::SelectStmt;
 use bestpeer_sql::decompose::decompose;
 use bestpeer_sql::dist::split_aggregate;
 use bestpeer_sql::exec::{aggregate_rows, ResultSet};
-use bestpeer_sql::plan::{eval, eval_bool, Binding, OutputStage};
+use bestpeer_sql::plan::{OutputStage, ResolvedExpr};
 use bestpeer_sql::{apply_order_limit, parse_select};
 
 use crate::engine::MapReduceEngine;
@@ -225,8 +225,7 @@ fn join_pipeline(
             out.push((key, row.clone()));
             Ok(())
         });
-        let residuals = step.residuals.clone();
-        let out_binding = step.out_binding.clone();
+        let residuals = ResolvedExpr::bind_all(&step.residuals, &step.out_binding);
         // The last join of a non-aggregate query projects in the reducer.
         let project = (k + 1 == decomp.joins.len() && !stmt.is_aggregate()).then(|| output.clone());
         let reduce: ReduceFn = Box::new(move |_key, rows, out| {
@@ -244,7 +243,7 @@ fn join_pipeline(
                 'pairs: for b in &right {
                     let joined = a.concat(b);
                     for p in &residuals {
-                        if !eval_bool(p, &joined, &out_binding)? {
+                        if !p.holds(&joined)? {
                             continue 'pairs;
                         }
                     }
@@ -284,10 +283,9 @@ fn join_pipeline(
     }
 
     // Final aggregation job over the joined tuples.
-    let map_group = stmt.group_by.clone();
-    let map_binding = final_binding.clone();
+    let map_group = ResolvedExpr::bind_all(&stmt.group_by, final_binding);
     let map: MapFn = Box::new(move |row, out| {
-        let key = composite_group_key(&map_group, row, &map_binding)?;
+        let key = composite_group_key(&map_group, row)?;
         out.push((key, row.clone()));
         Ok(())
     });
@@ -358,15 +356,15 @@ fn group_key_of(row: &Row, k: usize) -> Value {
     }
 }
 
-/// Evaluate group expressions and pack them into one shuffle key.
-fn composite_group_key(group: &[Expr], row: &Row, b: &Binding) -> Result<Value> {
-    Ok(match group.len() {
-        0 => Value::Int(0),
-        1 => eval(&group[0], row, b)?,
+/// Evaluate bound group expressions and pack them into one shuffle key.
+fn composite_group_key(group: &[ResolvedExpr], row: &Row) -> Result<Value> {
+    Ok(match group {
+        [] => Value::Int(0),
+        [g] => g.value(row)?.into_owned(),
         _ => {
             let mut s = String::new();
             for g in group {
-                s.push_str(&eval(g, row, b)?.to_string());
+                s.push_str(&g.value(row)?.to_string());
                 s.push('\u{1}');
             }
             Value::Str(s)

@@ -28,7 +28,7 @@
 //! telemetry layer consume. Byte accounting always charges *logical*
 //! row bytes, independent of how many handles share an allocation.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -38,7 +38,7 @@ use bestpeer_storage::{Database, RowId, Table};
 
 use crate::ast::{AggFunc, Expr, SelectStmt};
 use crate::phys::{plan_physical, PhysPlan};
-use crate::plan::{eval, eval_bool, AggItem, Binding, NoStats, SelectivityEstimator};
+use crate::plan::{AggItem, Binding, NoStats, ResolvedExpr, SelectivityEstimator};
 
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -388,13 +388,9 @@ fn project_rows(
     b: &Binding,
     stats: &mut ExecStats,
 ) -> Result<Vec<SharedRow>> {
+    let exprs = ResolvedExpr::bind_all(exprs, b);
     let project_one = |row: &SharedRow| -> Result<SharedRow> {
-        Ok(SharedRow::new(Row::new(
-            exprs
-                .iter()
-                .map(|e| eval(e, row, b))
-                .collect::<Result<Vec<_>>>()?,
-        )))
+        Ok(SharedRow::new(Row::new(key_values(&exprs, row)?)))
     };
     let chunks = pool::morsels(rows.len());
     if chunks.len() <= 1 {
@@ -424,11 +420,12 @@ fn filter_rows(
     b: &Binding,
     stats: &mut ExecStats,
 ) -> Result<Vec<SharedRow>> {
+    let preds = &ResolvedExpr::bind_all(preds, b);
     let chunks = pool::morsels(rows.len());
     if chunks.len() <= 1 {
         let mut out = Vec::new();
         for row in rows {
-            if all_true(preds, &row, b)? {
+            if all_true(preds, &row)? {
                 out.push(row);
             }
         }
@@ -438,7 +435,7 @@ fn filter_rows(
     let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| -> Result<Vec<SharedRow>> {
         let mut kept = Vec::new();
         for row in &rows[lo..hi] {
-            if all_true(preds, row, b)? {
+            if all_true(preds, row)? {
                 kept.push(row.clone());
             }
         }
@@ -451,13 +448,22 @@ fn filter_rows(
     Ok(out)
 }
 
-fn all_true(preds: &[Expr], row: &Row, b: &Binding) -> Result<bool> {
+fn all_true(preds: &[ResolvedExpr], row: &Row) -> Result<bool> {
     for p in preds {
-        if !eval_bool(p, row, b)? {
+        if !p.holds(row)? {
             return Ok(false);
         }
     }
     Ok(true)
+}
+
+/// Evaluate `exprs` over one row into owned values (an output row, a
+/// sort key, or a group key).
+fn key_values(exprs: &[ResolvedExpr], row: &Row) -> Result<Vec<Value>> {
+    exprs
+        .iter()
+        .map(|e| e.value(row).map(Cow::into_owned))
+        .collect()
 }
 
 /// Fetch `ids` (pre-sorted ascending) and apply every filter except the
@@ -471,6 +477,12 @@ fn index_scan_rows(
     binding: &Binding,
     stats: &mut ExecStats,
 ) -> Result<Vec<SharedRow>> {
+    let residuals: Vec<ResolvedExpr> = filters
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != driving)
+        .map(|(_, p)| ResolvedExpr::bind(p, binding))
+        .collect();
     let mut out = Vec::new();
     for &rid in ids {
         let row = table
@@ -478,14 +490,7 @@ fn index_scan_rows(
             .ok_or_else(|| Error::Internal(format!("dangling index row id {rid}")))?;
         stats.rows_scanned += 1;
         stats.bytes_scanned += row.byte_size();
-        let mut ok = true;
-        for (i, p) in filters.iter().enumerate() {
-            if i != driving && !eval_bool(p, &row, binding)? {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
+        if all_true(&residuals, &row)? {
             stats.rows_shared += 1;
             out.push(row);
         }
@@ -502,6 +507,7 @@ fn seq_scan_rows(
     binding: &Binding,
     stats: &mut ExecStats,
 ) -> Result<Vec<SharedRow>> {
+    let filters = &ResolvedExpr::bind_all(filters, binding);
     let mut out = Vec::new();
     let rows: Vec<SharedRow> = table.scan_shared().collect();
     let chunks = pool::morsels(rows.len());
@@ -509,7 +515,7 @@ fn seq_scan_rows(
         for row in rows {
             stats.rows_scanned += 1;
             stats.bytes_scanned += row.byte_size();
-            if all_true(filters, &row, binding)? {
+            if all_true(filters, &row)? {
                 stats.rows_shared += 1;
                 out.push(row);
             }
@@ -527,7 +533,7 @@ fn seq_scan_rows(
                 let (mut bytes, mut shared) = (0u64, 0u64);
                 for row in &rows[lo..hi] {
                     bytes += row.byte_size();
-                    if all_true(filters, row, binding)? {
+                    if all_true(filters, row)? {
                         shared += 1;
                         kept.push(row.clone());
                     }
@@ -787,6 +793,28 @@ fn fingerprint_key(key: &[Value]) -> u64 {
         .fold(0x9E37_79B9_7F4A_7C15u64, |h, v| mix64(h ^ stable_hash(v)))
 }
 
+/// An aggregation bound to its input once per execution: the group
+/// keys, and each aggregate's function and argument (`None` for
+/// `COUNT(*)`).
+struct BoundAggs {
+    group: Vec<ResolvedExpr>,
+    aggs: Vec<(AggFunc, Option<ResolvedExpr>)>,
+}
+
+impl BoundAggs {
+    fn new(input_binding: &Binding, group: &[Expr], aggs: &[AggItem]) -> BoundAggs {
+        let arg = |a: &AggItem| a.arg.as_ref().map(|e| ResolvedExpr::bind(e, input_binding));
+        BoundAggs {
+            group: ResolvedExpr::bind_all(group, input_binding),
+            aggs: aggs.iter().map(|a| (a.func, arg(a))).collect(),
+        }
+    }
+
+    fn fresh_accs(&self) -> Vec<Acc> {
+        self.aggs.iter().map(|(func, _)| Acc::new(*func)).collect()
+    }
+}
+
 /// Grouping state keyed by key fingerprints, preserving first-seen
 /// group order. Fingerprint collisions chain through `index` and are
 /// resolved by comparing against the stored key tuples.
@@ -796,25 +824,24 @@ struct GroupTable {
 }
 
 impl GroupTable {
-    fn new(group: &[Expr], aggs: &[AggItem]) -> GroupTable {
+    fn new(bound: &BoundAggs) -> GroupTable {
         let mut t = GroupTable {
             index: HashMap::new(),
             states: Vec::new(),
         };
-        if group.is_empty() {
+        if bound.group.is_empty() {
             // Global aggregate: exactly one group even over zero rows.
             // (Per-morsel tables seed it too — `Acc::new` is the merge
             // identity, so extra seeds are harmless.)
             t.index.insert(fingerprint_key(&[]), vec![0]);
-            t.states
-                .push((Vec::new(), aggs.iter().map(|a| Acc::new(a.func)).collect()));
+            t.states.push((Vec::new(), bound.fresh_accs()));
         }
         t
     }
 
     /// The slot for `key`, creating one with fresh accumulators if the
     /// group is new.
-    fn slot(&mut self, key: Vec<Value>, aggs: &[AggItem]) -> usize {
+    fn slot(&mut self, key: Vec<Value>, bound: &BoundAggs) -> usize {
         let fp = fingerprint_key(&key);
         let chain = self.index.entry(fp).or_default();
         for &s in chain.iter() {
@@ -824,29 +851,15 @@ impl GroupTable {
         }
         let s = self.states.len();
         chain.push(s);
-        self.states
-            .push((key, aggs.iter().map(|a| Acc::new(a.func)).collect()));
+        self.states.push((key, bound.fresh_accs()));
         s
     }
 
-    fn update_row(
-        &mut self,
-        row: &Row,
-        input_binding: &Binding,
-        group: &[Expr],
-        aggs: &[AggItem],
-    ) -> Result<()> {
-        let key: Vec<Value> = group
-            .iter()
-            .map(|g| eval(g, row, input_binding))
-            .collect::<Result<_>>()?;
-        let slot = self.slot(key, aggs);
-        for (acc, item) in self.states[slot].1.iter_mut().zip(aggs) {
-            match &item.arg {
-                Some(argexpr) => {
-                    let v = eval(argexpr, row, input_binding)?;
-                    acc.update(Some(&v))?;
-                }
+    fn update_row(&mut self, row: &Row, bound: &BoundAggs) -> Result<()> {
+        let slot = self.slot(key_values(&bound.group, row)?, bound);
+        for (acc, (_, arg)) in self.states[slot].1.iter_mut().zip(&bound.aggs) {
+            match arg {
+                Some(e) => acc.update(Some(&*e.value(row)?))?,
                 None => acc.update(None)?,
             }
         }
@@ -857,9 +870,9 @@ impl GroupTable {
     /// here are appended in `other`'s first-seen order, so absorbing
     /// partials in morsel order reproduces the sequential pass's global
     /// first-seen group order exactly.
-    fn absorb(&mut self, other: GroupTable, aggs: &[AggItem]) -> Result<()> {
+    fn absorb(&mut self, other: GroupTable, bound: &BoundAggs) -> Result<()> {
         for (key, accs) in other.states {
-            let s = self.slot(key, aggs);
+            let s = self.slot(key, bound);
             for (mine, theirs) in self.states[s].1.iter_mut().zip(&accs) {
                 mine.merge(theirs)?;
             }
@@ -893,38 +906,34 @@ fn aggregate_slice<R>(
 where
     R: Borrow<Row> + Sync,
 {
+    let bound = &BoundAggs::new(input_binding, group, aggs);
     let chunks = pool::morsels(rows.len());
     if chunks.len() <= 1 {
-        return aggregate_iter(rows.iter().map(|r| r.borrow()), input_binding, group, aggs);
+        return aggregate_iter(rows.iter().map(|r| r.borrow()), bound);
     }
     let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| -> Result<GroupTable> {
-        let mut t = GroupTable::new(group, aggs);
+        let mut t = GroupTable::new(bound);
         for row in &rows[lo..hi] {
-            t.update_row(row.borrow(), input_binding, group, aggs)?;
+            t.update_row(row.borrow(), bound)?;
         }
         Ok(t)
     });
-    let mut total = GroupTable::new(group, aggs);
+    let mut total = GroupTable::new(bound);
     for p in parts {
-        total.absorb(p?, aggs)?;
+        total.absorb(p?, bound)?;
     }
     Ok(total.finish())
 }
 
 /// Iterator-based aggregation core, shared by the slice entry point
 /// above (sequential path) and callers holding non-contiguous rows.
-fn aggregate_iter<'a, I>(
-    rows: I,
-    input_binding: &Binding,
-    group: &[Expr],
-    aggs: &[AggItem],
-) -> Result<Vec<Row>>
+fn aggregate_iter<'a, I>(rows: I, bound: &BoundAggs) -> Result<Vec<Row>>
 where
     I: IntoIterator<Item = &'a Row>,
 {
-    let mut t = GroupTable::new(group, aggs);
+    let mut t = GroupTable::new(bound);
     for row in rows {
-        t.update_row(row, input_binding, group, aggs)?;
+        t.update_row(row, bound)?;
     }
     Ok(t.finish())
 }
@@ -948,19 +957,21 @@ fn cmp_keys(a: &[Value], b: &[Value], desc: &[bool]) -> Ordering {
 /// the executor's historical stable-sort semantics.
 #[inline(never)]
 fn sort_shared(rows: &mut Vec<SharedRow>, keys: &[(Expr, bool)], b: &Binding) -> Result<()> {
-    let desc: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
+    let (exprs, desc) = bind_sort_keys(keys, b);
     // Precompute key tuples to keep comparisons fallible-free.
     let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        let kv: Vec<Value> = keys
-            .iter()
-            .map(|(e, _)| eval(e, row, b))
-            .collect::<Result<_>>()?;
-        keyed.push((kv, i));
+        keyed.push((key_values(&exprs, row)?, i));
     }
     keyed.sort_by(|(ka, ia), (kb, ib)| cmp_keys(ka, kb, &desc).then(ia.cmp(ib)));
     *rows = keyed.into_iter().map(|(_, i)| rows[i].clone()).collect();
     Ok(())
+}
+
+/// Bind sort keys to `b`, split from their descending flags.
+fn bind_sort_keys(keys: &[(Expr, bool)], b: &Binding) -> (Vec<ResolvedExpr>, Arc<[bool]>) {
+    let exprs = keys.iter().map(|(e, _)| ResolvedExpr::bind(e, b)).collect();
+    (exprs, keys.iter().map(|(_, d)| *d).collect())
 }
 
 /// One candidate in the bounded top-K heap. Ordering follows the sort
@@ -992,8 +1003,9 @@ impl<T> Ord for TopKEntry<T> {
 }
 
 /// Keep the first `k` rows of the sorted sequence using a bounded binary
-/// heap: push each candidate, evict the current worst when the heap
-/// exceeds `k`. O(n log k) time, O(k) space; output is byte-identical to
+/// heap: once the heap holds `k` entries, a candidate that sorts after
+/// its current worst is skipped, and any other replaces that worst.
+/// O(n log k) time, O(k) space; output is byte-identical to
 /// full-sort-then-truncate because the comparator is total (original
 /// position breaks every tie).
 fn bounded_top_k<T>(
@@ -1020,6 +1032,16 @@ fn bounded_top_k_entries<T>(
 ) -> Vec<(Vec<Value>, usize, T)> {
     let mut heap: BinaryHeap<TopKEntry<T>> = BinaryHeap::with_capacity(k + 1);
     for (key, idx, payload) in items {
+        if heap.len() == k {
+            // Full (or k = 0): only a candidate that sorts before the
+            // current worst can enter.
+            let enters = heap.peek().is_some_and(|worst| {
+                cmp_keys(&key, &worst.key, &desc).then(idx.cmp(&worst.idx)) == Ordering::Less
+            });
+            if !enters {
+                continue;
+            }
+        }
         heap.push(TopKEntry {
             key,
             idx,
@@ -1053,16 +1075,12 @@ fn top_k_shared(
     if rows.len() > k {
         stats.topk_short_circuits += 1;
     }
-    let desc: Arc<[bool]> = keys.iter().map(|(_, d)| *d).collect::<Vec<_>>().into();
+    let (exprs, desc) = bind_sort_keys(keys, b);
     let chunks = pool::morsels(rows.len());
     if chunks.len() <= 1 {
         let mut items = Vec::with_capacity(rows.len());
         for row in rows {
-            let kv: Vec<Value> = keys
-                .iter()
-                .map(|(e, _)| eval(e, &row, b))
-                .collect::<Result<_>>()?;
-            items.push((kv, row));
+            items.push((key_values(&exprs, &row)?, row));
         }
         return Ok(bounded_top_k(items.into_iter(), desc, k));
     }
@@ -1072,11 +1090,7 @@ fn top_k_shared(
         |_, &(lo, hi)| -> Result<Vec<(Vec<Value>, usize, SharedRow)>> {
             let mut items = Vec::with_capacity(hi - lo);
             for (off, row) in rows[lo..hi].iter().enumerate() {
-                let kv: Vec<Value> = keys
-                    .iter()
-                    .map(|(e, _)| eval(e, row, b))
-                    .collect::<Result<_>>()?;
-                items.push((kv, lo + off, row.clone()));
+                items.push((key_values(&exprs, row)?, lo + off, row.clone()));
             }
             Ok(bounded_top_k_entries(
                 items.into_iter(),
@@ -1128,15 +1142,16 @@ pub fn apply_order_limit(stmt: &SelectStmt, rs: &mut ResultSet) -> bool {
             .iter()
             .map(|k| (order_key_expr(&k.expr, stmt, &rs.columns), k.desc))
             .collect();
-        let desc: Arc<[bool]> = keys.iter().map(|(_, d)| *d).collect::<Vec<_>>().into();
+        let (exprs, desc) = bind_sort_keys(&keys, &binding);
         let n_in = rs.rows.len();
         let rows = std::mem::take(&mut rs.rows);
         // Key evaluation is infallible here (failures sort as NULL), so
         // it fans out per morsel; the heap/sort consumes the keyed rows
         // sequentially in assembled order either way.
         let eval_keys = |r: &Row| -> Vec<Value> {
-            keys.iter()
-                .map(|(e, _)| eval(e, r, &binding).unwrap_or(Value::Null))
+            exprs
+                .iter()
+                .map(|e| e.value(r).map_or(Value::Null, Cow::into_owned))
                 .collect()
         };
         let chunks = pool::morsels(rows.len());
@@ -1553,6 +1568,64 @@ mod tests {
         let rs = query("SELECT COUNT(*), COUNT(x) FROM t", &db);
         assert_eq!(rs.rows[0].get(0), &Value::Int(2));
         assert_eq!(rs.rows[0].get(1), &Value::Int(1));
+    }
+
+    fn small_db() -> Database {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::new("a", ColumnType::Int),
+                    ColumnDef::new("b", ColumnType::Int),
+                ],
+                vec![],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        for (a, b) in [(3, 30), (1, 10), (2, 20)] {
+            db.insert("t", Row::new(vec![Value::Int(a), Value::Int(b)]))
+                .unwrap();
+        }
+        db
+    }
+
+    fn try_query(sql: &str, db: &Database) -> Result<ResultSet> {
+        Ok(execute_select(&parse_select(sql).unwrap(), db)?.0)
+    }
+
+    #[test]
+    fn unresolved_projection_fails_only_when_a_row_reaches_it() {
+        let db = small_db();
+        let rs = try_query("SELECT zzz FROM t WHERE a > 100", &db).unwrap();
+        assert!(rs.is_empty());
+        let err = try_query("SELECT zzz FROM t", &db).unwrap_err();
+        assert_eq!(err.kind(), "plan", "{err}");
+    }
+
+    #[test]
+    fn ill_typed_conjunct_fails_only_when_the_left_one_holds() {
+        let db = small_db();
+        let rs = try_query("SELECT a FROM t WHERE a > 100 AND b + 'x' > 1", &db).unwrap();
+        assert!(rs.is_empty());
+        let err = try_query("SELECT a FROM t WHERE a > 1 AND b + 'x' > 1", &db).unwrap_err();
+        assert_eq!(err.kind(), "type", "{err}");
+    }
+
+    #[test]
+    fn unresolved_order_key_keeps_the_assembled_order() {
+        let rows: Vec<Row> = (0..6)
+            .map(|i| Row::new(vec![Value::Int(5 - i), Value::Int(i)]))
+            .collect();
+        let mut rs = ResultSet {
+            columns: vec!["a".into(), "b".into()],
+            rows: rows.clone(),
+        };
+        let stmt = parse_select("SELECT a, b FROM t ORDER BY zzz LIMIT 3").unwrap();
+        // Every key sorts as NULL, so position breaks every tie.
+        assert!(apply_order_limit(&stmt, &mut rs));
+        assert_eq!(rs.rows, rows[..3]);
     }
 
     #[test]

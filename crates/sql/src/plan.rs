@@ -12,6 +12,8 @@
 //! [`crate::phys`] lowers this tree to access paths; the executor in
 //! [`crate::exec`] runs it.
 
+use std::borrow::Cow;
+
 use bestpeer_common::{Error, Result, Row, Value};
 use bestpeer_storage::Database;
 
@@ -156,61 +158,114 @@ pub(crate) fn estimated_scan_rows(
     table_rows as f64 * sel
 }
 
-/// Evaluate a scalar expression against a row under a binding.
-/// Booleans are encoded as `Int(1)` / `Int(0)`.
-pub fn eval(e: &Expr, row: &Row, b: &Binding) -> Result<Value> {
-    match e {
-        Expr::Column(c) => Ok(row.get(b.resolve(c)?).clone()),
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Cmp { left, op, right } => {
-            let l = eval(left, row, b)?;
-            let r = eval(right, row, b)?;
-            Ok(Value::Int(op.eval(&l, &r) as i64))
-        }
-        Expr::Arith { left, op, right } => {
-            let l = eval(left, row, b)?;
-            let r = eval(right, row, b)?;
-            match op {
-                ArithOp::Add => l.checked_add(&r),
-                ArithOp::Sub => l.checked_sub(&r),
-                ArithOp::Mul => l.checked_mul(&r),
-                ArithOp::Div => {
-                    if l.is_null() || r.is_null() {
-                        Ok(Value::Null)
-                    } else {
-                        let d = r.as_f64()?;
-                        if d == 0.0 {
-                            Ok(Value::Null)
-                        } else {
-                            Ok(Value::Float(l.as_f64()? / d))
-                        }
-                    }
-                }
-            }
-        }
-        Expr::And(x, y) => Ok(Value::Int(
-            (eval_bool(x, row, b)? && eval_bool(y, row, b)?) as i64,
-        )),
-        Expr::Or(x, y) => Ok(Value::Int(
-            (eval_bool(x, row, b)? || eval_bool(y, row, b)?) as i64,
-        )),
-        Expr::Agg { .. } => Err(Error::Plan(format!(
-            "aggregate `{e}` evaluated outside an aggregation context"
-        ))),
-    }
+/// A scalar [`Expr`] bound to a [`Binding`]: every column reference is
+/// a row position, so evaluating it never looks up a name. Operators
+/// bind their expressions once per execution and evaluate the bound
+/// form on every row.
+///
+/// Binding never fails. A reference that does not resolve, and an
+/// aggregate call outside an aggregation, bind to a [`ResolvedExpr::Fail`]
+/// node that raises the error only when a row evaluates it. An operator
+/// over zero rows, or a conjunct that an earlier one short-circuits,
+/// therefore succeeds exactly as name-by-name evaluation would.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResolvedExpr {
+    /// The value at this position of the row.
+    Column(usize),
+    /// A literal constant.
+    Literal(Value),
+    /// Comparison producing a boolean.
+    Cmp(Box<ResolvedExpr>, CmpOp, Box<ResolvedExpr>),
+    /// Arithmetic over numerics.
+    Arith(Box<ResolvedExpr>, ArithOp, Box<ResolvedExpr>),
+    /// Conjunction.
+    And(Box<ResolvedExpr>, Box<ResolvedExpr>),
+    /// Disjunction.
+    Or(Box<ResolvedExpr>, Box<ResolvedExpr>),
+    /// Raises this error whenever a row evaluates it.
+    Fail(Error),
 }
 
-/// Evaluate an expression as a predicate.
-pub fn eval_bool(e: &Expr, row: &Row, b: &Binding) -> Result<bool> {
-    Ok(match eval(e, row, b)? {
-        Value::Int(v) => v != 0,
-        Value::Null => false,
-        other => {
-            return Err(Error::Type(format!(
-                "predicate evaluated to non-boolean {other:?}"
-            )))
+impl ResolvedExpr {
+    /// Bind `e` to the rows described by `b`.
+    pub fn bind(e: &Expr, b: &Binding) -> ResolvedExpr {
+        let pair = |l: &Expr, r: &Expr| (Box::new(Self::bind(l, b)), Box::new(Self::bind(r, b)));
+        match e {
+            Expr::Column(c) => b.resolve(c).map_or_else(Self::Fail, Self::Column),
+            Expr::Literal(v) => Self::Literal(v.clone()),
+            Expr::Cmp { left, op, right } => {
+                let (l, r) = pair(left, right);
+                Self::Cmp(l, *op, r)
+            }
+            Expr::Arith { left, op, right } => {
+                let (l, r) = pair(left, right);
+                Self::Arith(l, *op, r)
+            }
+            Expr::And(x, y) => {
+                let (l, r) = pair(x, y);
+                Self::And(l, r)
+            }
+            Expr::Or(x, y) => {
+                let (l, r) = pair(x, y);
+                Self::Or(l, r)
+            }
+            Expr::Agg { .. } => Self::Fail(Error::Plan(format!(
+                "aggregate `{e}` evaluated outside an aggregation context"
+            ))),
         }
-    })
+    }
+
+    /// Bind each of `exprs` to `b`.
+    pub fn bind_all(exprs: &[Expr], b: &Binding) -> Vec<ResolvedExpr> {
+        exprs.iter().map(|e| Self::bind(e, b)).collect()
+    }
+
+    /// Evaluate over one row of the bound binding. Columns and literals
+    /// are borrowed, never cloned; booleans are `Int(1)` / `Int(0)`.
+    pub fn value<'a>(&'a self, row: &'a Row) -> Result<Cow<'a, Value>> {
+        Ok(match self {
+            Self::Column(i) => Cow::Borrowed(row.get(*i)),
+            Self::Literal(v) => Cow::Borrowed(v),
+            Self::Cmp(..) | Self::And(..) | Self::Or(..) => {
+                Cow::Owned(Value::Int(self.holds(row)? as i64))
+            }
+            Self::Arith(l, op, r) => {
+                let (l, r) = (l.value(row)?, r.value(row)?);
+                Cow::Owned(match op {
+                    ArithOp::Add => l.checked_add(&r)?,
+                    ArithOp::Sub => l.checked_sub(&r)?,
+                    ArithOp::Mul => l.checked_mul(&r)?,
+                    ArithOp::Div if l.is_null() || r.is_null() => Value::Null,
+                    ArithOp::Div => {
+                        let d = r.as_f64()?;
+                        if d == 0.0 {
+                            Value::Null
+                        } else {
+                            Value::Float(l.as_f64()? / d)
+                        }
+                    }
+                })
+            }
+            Self::Fail(err) => return Err(err.clone()),
+        })
+    }
+
+    /// Evaluate as a predicate: NULL is false, and a value that is not
+    /// a boolean is a type error.
+    pub fn holds(&self, row: &Row) -> Result<bool> {
+        match self {
+            Self::Cmp(l, op, r) => Ok(op.eval(&*l.value(row)?, &*r.value(row)?)),
+            Self::And(x, y) => Ok(x.holds(row)? && y.holds(row)?),
+            Self::Or(x, y) => Ok(x.holds(row)? || y.holds(row)?),
+            _ => match &*self.value(row)? {
+                Value::Int(v) => Ok(*v != 0),
+                Value::Null => Ok(false),
+                other => Err(Error::Type(format!(
+                    "predicate evaluated to non-boolean {other:?}"
+                ))),
+            },
+        }
+    }
 }
 
 /// One aggregate computed by an [`Plan::Aggregate`] node.
@@ -243,6 +298,8 @@ pub struct OutputStage {
     pub exprs: Vec<Expr>,
     /// The output column names.
     pub columns: Vec<String>,
+    /// `exprs` bound to `binding`, for [`OutputStage::project`].
+    resolved: Vec<ResolvedExpr>,
 }
 
 impl OutputStage {
@@ -256,29 +313,28 @@ impl OutputStage {
             &stmt.projections
         };
         let columns = items.iter().map(SelectItem::output_name).collect();
-        if !stmt.is_aggregate() {
-            return OutputStage {
-                aggs: Vec::new(),
-                binding: input.clone(),
-                exprs: items.iter().map(|it| it.expr.clone()).collect(),
-                columns,
-            };
-        }
-        let mut aggs = Vec::new();
-        let order_keys = stmt.order_by.iter().map(|k| &k.expr);
-        for e in items.iter().map(|it| &it.expr).chain(order_keys) {
-            collect_aggs(e, &mut aggs);
-        }
-        let groups = stmt.group_by.iter().map(|g| g.to_string());
-        let names = groups.chain(aggs.iter().map(|a| a.name.clone()));
-        let binding = Binding::from_cols(names.map(|n| (None, n)).collect());
+        let (aggs, binding, exprs) = if stmt.is_aggregate() {
+            let mut aggs = Vec::new();
+            let order_keys = stmt.order_by.iter().map(|k| &k.expr);
+            for e in items.iter().map(|it| &it.expr).chain(order_keys) {
+                collect_aggs(e, &mut aggs);
+            }
+            let groups = stmt.group_by.iter().map(|g| g.to_string());
+            let names = groups.chain(aggs.iter().map(|a| a.name.clone()));
+            let binding = Binding::from_cols(names.map(|n| (None, n)).collect());
+            let exprs = items
+                .iter()
+                .map(|it| rewrite_post_agg(&it.expr, &stmt.group_by));
+            (aggs, binding, exprs.collect())
+        } else {
+            let exprs = items.iter().map(|it| it.expr.clone());
+            (Vec::new(), input.clone(), exprs.collect::<Vec<_>>())
+        };
         OutputStage {
+            resolved: ResolvedExpr::bind_all(&exprs, &binding),
             aggs,
             binding,
-            exprs: items
-                .iter()
-                .map(|it| rewrite_post_agg(&it.expr, &stmt.group_by))
-                .collect(),
+            exprs,
             columns,
         }
     }
@@ -286,7 +342,7 @@ impl OutputStage {
     /// Evaluate the output expressions over one row bound by
     /// [`OutputStage::binding`].
     pub fn project(&self, row: &Row) -> Result<Row> {
-        let vals = self.exprs.iter().map(|e| eval(e, row, &self.binding));
+        let vals = self.resolved.iter().map(|e| Ok(e.value(row)?.into_owned()));
         Ok(Row::new(vals.collect::<Result<_>>()?))
     }
 }
@@ -979,12 +1035,43 @@ mod tests {
             .projections[0]
             .expr
             .clone();
-        assert_eq!(eval(&e, &row, &b).unwrap(), Value::Float(2.0));
+        let e = ResolvedExpr::bind(&e, &b);
+        assert_eq!(e.value(&row).unwrap().into_owned(), Value::Float(2.0));
         let p = parse_select("SELECT a FROM t WHERE x >= 4 AND y < 1")
             .unwrap()
             .predicates[0]
             .clone();
-        assert!(eval_bool(&p, &row, &b).unwrap());
+        assert!(ResolvedExpr::bind(&p, &b).holds(&row).unwrap());
+        // Columns and literals are borrowed, never cloned.
+        let x = ResolvedExpr::bind(&Expr::col("x"), &b);
+        assert!(matches!(
+            x.value(&row).unwrap(),
+            Cow::Borrowed(Value::Int(4))
+        ));
+    }
+
+    #[test]
+    fn binding_defers_errors_to_the_rows_that_evaluate_them() {
+        let b = Binding::from_cols(vec![(None, "x".into())]);
+        let row = Row::new(vec![Value::Int(1)]);
+        let stmt = parse_select("SELECT zzz, SUM(x) FROM t WHERE x > 5 AND zzz = 1").unwrap();
+        // Binding succeeds; each failing node raises its error per row.
+        let unresolved = ResolvedExpr::bind(&stmt.projections[0].expr, &b);
+        assert_eq!(unresolved.value(&row).unwrap_err().kind(), "plan");
+        let agg = ResolvedExpr::bind(&stmt.projections[1].expr, &b);
+        let err = agg.value(&row).unwrap_err();
+        assert!(err.to_string().contains("outside an aggregation"), "{err}");
+        // A false left conjunct never reaches the failing right one.
+        let p = ResolvedExpr::bind(&stmt.predicates[0], &b);
+        let q = ResolvedExpr::bind(&stmt.predicates[1], &b);
+        assert!(!p.holds(&row).unwrap());
+        let both = ResolvedExpr::And(Box::new(p), Box::new(q.clone()));
+        assert!(!both.holds(&row).unwrap());
+        assert_eq!(q.holds(&row).unwrap_err().kind(), "plan");
+        // A non-boolean predicate is a type error; NULL is false.
+        let lit = |v| ResolvedExpr::Literal(v);
+        assert_eq!(lit(Value::str("x")).holds(&row).unwrap_err().kind(), "type");
+        assert!(!lit(Value::Null).holds(&row).unwrap());
     }
 
     fn unqualified(names: &[&str]) -> Binding {
