@@ -174,10 +174,7 @@ mod tests {
         let engine = MapReduceEngine::new(ids, MrConfig::default());
         let job = MapReduceJob {
             name: "sum-exported".into(),
-            map: Box::new(|row, out| {
-                out.push((Value::Int(0), row.clone()));
-                Ok(())
-            }),
+            map: Box::new(|_| Ok(Some(Value::Int(0)))),
             reduce: Some(Box::new(|_, rows, out| {
                 let total: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap_or(0)).sum();
                 out.push(Row::new(vec![Value::Int(total)]));
@@ -186,9 +183,12 @@ mod tests {
             input: exported_input("sales"),
             reducers: 1,
         };
-        let outcome = engine.run_job(&job, &mut hdfs).unwrap();
+        let outcome = engine.run_job(job, &mut hdfs).unwrap();
         // 3 peers × (0+10+20+30)
-        assert_eq!(outcome.output, vec![Row::new(vec![Value::Int(180)])]);
+        assert_eq!(
+            hdfs.read(&outcome.output_path).unwrap(),
+            vec![Row::new(vec![Value::Int(180)])]
+        );
     }
 
     #[test]

@@ -237,6 +237,54 @@ fn bloom_join_reduces_network_volume_without_changing_results() {
 }
 
 #[test]
+fn null_join_keys_match_nothing_on_every_engine() {
+    // Ranged read rules mask every order key above 20 to NULL, so most
+    // join keys arrive NULL. NULL = NULL is not true, so those rows must
+    // not pair up, whichever engine joins them.
+    let run = |engine: EngineChoice, bloom_join: bool| {
+        let cfg = NetworkConfig {
+            bloom_join,
+            result_cache: false,
+            ..NetworkConfig::default()
+        };
+        let mut net = BestPeerNetwork::new(schema::all_tables(), cfg);
+        let ranged = |t: &str, c: &str| {
+            bestpeer_core::AccessRule::read(t, c).with_range(Value::Int(0), Value::Int(20))
+        };
+        net.define_role(
+            Role::new("ranged")
+                .plus(ranged("orders", "o_orderkey"))
+                .plus(ranged("lineitem", "l_orderkey")),
+        );
+        for node in 0..2u64 {
+            let id = net.join(&format!("b{node}")).unwrap();
+            let data = DbGen::new(TpchConfig::tiny(node).with_rows(200)).generate();
+            net.load_peer(id, data, 1).unwrap();
+        }
+        let submitter = net.peer_ids()[0];
+        let sql = "SELECT COUNT(*) AS n FROM lineitem, orders WHERE l_orderkey = o_orderkey";
+        let out = net
+            .submit_query(submitter, sql, "ranged", engine, 0)
+            .unwrap();
+        out.result.rows[0].get(0).as_int().unwrap()
+    };
+    let want = run(EngineChoice::ParallelP2P, true);
+    assert!(want > 0, "some keys stay in range");
+    for (engine, bloom_join) in [
+        (EngineChoice::Basic, true),
+        (EngineChoice::Basic, false),
+        (EngineChoice::MapReduce, true),
+        (EngineChoice::Adaptive, true),
+    ] {
+        assert_eq!(
+            run(engine, bloom_join),
+            want,
+            "{engine:?}, bloom join {bloom_join}"
+        );
+    }
+}
+
+#[test]
 fn single_peer_optimization_skips_processing_phase() {
     let mut net = BestPeerNetwork::new(
         schema::all_tables(),

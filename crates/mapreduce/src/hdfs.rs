@@ -83,8 +83,9 @@ impl Hdfs {
         Ok(file.parts.iter().flatten().cloned().collect())
     }
 
-    /// The rows and primary location of each part (map-side locality).
-    pub fn parts(&self, path: &str) -> Result<Vec<(PeerId, Vec<Row>)>> {
+    /// The primary location and rows of each part (map-side locality),
+    /// borrowed in write order.
+    pub fn parts(&self, path: &str) -> Result<Vec<(PeerId, &[Row])>> {
         let file = self
             .files
             .get(path)
@@ -93,7 +94,7 @@ impl Hdfs {
             .parts
             .iter()
             .zip(&file.placement)
-            .map(|(rows, loc)| (loc[0], rows.clone()))
+            .map(|(rows, loc)| (loc[0], rows.as_slice()))
             .collect())
     }
 

@@ -2,26 +2,25 @@
 
 use bestpeer_common::{PeerId, Result, Row, Value};
 
-/// Map function: called once per input row; emits zero or more
-/// `(shuffle key, tuple)` pairs into `out`. An error fails the job.
-pub type MapFn = Box<dyn Fn(&Row, &mut Vec<(Value, Row)>) -> Result<()> + Send + Sync>;
+/// Map function: called once per input row; returns the row's shuffle
+/// key, or `None` to drop the row. The engine then moves the row itself
+/// into the shuffle (or, in a map-only job, into HDFS). An error fails
+/// the job.
+pub type MapFn = Box<dyn Fn(&Row) -> Result<Option<Value>> + Send + Sync>;
 
 /// Reduce function: called once per distinct shuffle key with all tuples
-/// for the key; emits output rows into `out`. An error fails the job.
+/// for the key, in arrival order; emits output rows into `out`. An error
+/// fails the job.
 pub type ReduceFn = Box<dyn Fn(&Value, &[Row], &mut Vec<Row>) -> Result<()> + Send + Sync>;
 
 /// Where a job's map tasks read their input.
 #[derive(Debug, Clone)]
 pub enum JobInput {
-    /// Per-worker in-place data: `(worker, rows)` — the HadoopDB pattern
-    /// where each map task queries its local database.
-    Local(Vec<(PeerId, Vec<Row>)>),
-    /// Per-worker rows that were produced by a local SQL query whose
-    /// scan touched more bytes than it returned: `(worker, rows,
-    /// disk_bytes_scanned)`. The engine charges the explicit disk cost
-    /// instead of the row bytes, so index-assisted local scans are
-    /// billed honestly.
-    LocalWithCost(Vec<(PeerId, Vec<Row>, u64)>),
+    /// Per-worker in-place data, `(worker, rows, disk_bytes_scanned)`:
+    /// the HadoopDB pattern where each map task queries its local
+    /// database. The engine charges the scan's disk bytes, not the row
+    /// bytes, so index-assisted local scans are billed honestly.
+    Local(Vec<(PeerId, Vec<Row>, u64)>),
     /// A file produced by a previous job, read from HDFS.
     HdfsFile(String),
 }

@@ -116,15 +116,12 @@ fn map_only_query(
     let (parts, columns) = local_results(stmt, workers)?;
     let job = MapReduceJob {
         name: "select".into(),
-        map: Box::new(|row, out| {
-            out.push((Value::Int(0), row.clone()));
-            Ok(())
-        }),
+        map: Box::new(|_| Ok(Some(Value::Int(0)))),
         reduce: None,
-        input: JobInput::LocalWithCost(parts),
+        input: JobInput::Local(parts),
         reducers: workers.peers().len(),
     };
-    let (rows, trace) = engine.run_chain(std::slice::from_ref(&job), hdfs)?;
+    let (rows, trace) = engine.run_chain(vec![job], hdfs)?;
     Ok((ResultSet { columns, rows }, trace))
 }
 
@@ -144,19 +141,16 @@ fn single_job_aggregate(
     let columns = combine.output.columns.clone();
     let job = MapReduceJob {
         name: "aggregate".into(),
-        map: Box::new(move |row, out| {
-            out.push((group_key_of(row, k), row.clone()));
-            Ok(())
-        }),
+        map: Box::new(move |row| Ok(Some(group_key_of(row, k)))),
         reduce: Some(Box::new(move |_key, rows, out| {
             // Combine partials for this one group.
             out.extend(combine.apply(&partial_cols_for_reduce, rows)?.rows);
             Ok(())
         })),
-        input: JobInput::LocalWithCost(parts),
+        input: JobInput::Local(parts),
         reducers: workers.peers().len(),
     };
-    let (mut rows, trace) = engine.run_chain(std::slice::from_ref(&job), hdfs)?;
+    let (mut rows, trace) = engine.run_chain(vec![job], hdfs)?;
     // A global aggregate over an entirely-empty cluster still returns
     // one row (SQL semantics); partials always exist per worker, so the
     // only truly-empty case is zero workers, which the constructor
@@ -203,8 +197,9 @@ fn join_pipeline(
             }
             Some(path) => {
                 for (peer, rows) in hdfs.parts(path)? {
-                    let bytes = bestpeer_common::codec::batch_encoded_size(&rows);
-                    parts.push((peer, tag_rows(rows, 0), bytes));
+                    let bytes = bestpeer_common::codec::batch_encoded_size(rows);
+                    let tagged = rows.iter().map(|r| tagged(0, r.values().iter().cloned()));
+                    parts.push((peer, tagged.collect(), bytes));
                 }
             }
         }
@@ -213,35 +208,35 @@ fn join_pipeline(
             parts.push((peer, tag_rows(rows, 1), scanned));
         }
 
+        // A NULL join key matches nothing, so its row is never shuffled.
         let keys = step.keys;
-        let map: MapFn = Box::new(move |row, out| {
-            let key = match keys {
+        let map: MapFn = Box::new(move |row| {
+            Ok(match keys {
                 Some((l, r)) => {
                     let side = if row.get(0).as_int()? == 0 { l } else { r };
-                    row.get(1 + side).clone()
+                    Some(row.get(1 + side)).filter(|k| !k.is_null()).cloned()
                 }
-                None => Value::Int(0),
-            };
-            out.push((key, row.clone()));
-            Ok(())
+                None => Some(Value::Int(0)),
+            })
         });
         let residuals = ResolvedExpr::bind_all(&step.residuals, &step.out_binding);
         // The last join of a non-aggregate query projects in the reducer.
         let project = (k + 1 == decomp.joins.len() && !stmt.is_aggregate()).then(|| output.clone());
         let reduce: ReduceFn = Box::new(move |_key, rows, out| {
+            // Each side's values, past the tag.
             let mut left = Vec::new();
             let mut right = Vec::new();
             for r in rows {
-                let stripped = Row::new(r.values()[1..].to_vec());
+                let values = &r.values()[1..];
                 if r.get(0).as_int()? == 0 {
-                    left.push(stripped);
+                    left.push(values);
                 } else {
-                    right.push(stripped);
+                    right.push(values);
                 }
             }
             for a in &left {
                 'pairs: for b in &right {
-                    let joined = a.concat(b);
+                    let joined = Row::new([*a, *b].concat());
                     for p in &residuals {
                         if !p.holds(&joined)? {
                             continue 'pairs;
@@ -259,12 +254,12 @@ fn join_pipeline(
             name: format!("join{k}"),
             map,
             reduce: Some(reduce),
-            input: JobInput::LocalWithCost(parts),
+            input: JobInput::Local(parts),
             reducers: n_workers,
         };
         // Jobs run one at a time so each job's HDFS output exists
         // before the next job reads it.
-        let outcome = engine.run_job(&job, hdfs)?;
+        let outcome = engine.run_job(job, hdfs)?;
         prev_path = Some(outcome.output_path);
         for p in outcome.phases {
             trace.push(p);
@@ -284,11 +279,7 @@ fn join_pipeline(
 
     // Final aggregation job over the joined tuples.
     let map_group = ResolvedExpr::bind_all(&stmt.group_by, final_binding);
-    let map: MapFn = Box::new(move |row, out| {
-        let key = composite_group_key(&map_group, row)?;
-        out.push((key, row.clone()));
-        Ok(())
-    });
+    let map: MapFn = Box::new(move |row| composite_group_key(&map_group, row).map(Some));
     let red_group = stmt.group_by.clone();
     let red_binding = final_binding.clone();
     let stage = output.clone();
@@ -305,11 +296,11 @@ fn join_pipeline(
         input: JobInput::HdfsFile(last_path),
         reducers: n_workers,
     };
-    let outcome = engine.run_job(&agg_job, hdfs)?;
+    let outcome = engine.run_job(agg_job, hdfs)?;
     for p in outcome.phases {
         trace.push(p);
     }
-    let mut rows = outcome.output;
+    let mut rows = hdfs.read(&outcome.output_path)?;
     if rows.is_empty() && stmt.group_by.is_empty() {
         // SQL semantics: a global aggregate over an empty join still
         // yields one row (COUNT = 0, SUM = NULL, ...). No tuple ever
@@ -331,13 +322,16 @@ fn join_pipeline(
 
 fn tag_rows(rows: Vec<Row>, tag: i64) -> Vec<Row> {
     rows.into_iter()
-        .map(|r| {
-            let mut vals = Vec::with_capacity(r.arity() + 1);
-            vals.push(Value::Int(tag));
-            vals.extend(r.into_values());
-            Row::new(vals)
-        })
+        .map(|r| tagged(tag, r.into_values().into_iter()))
         .collect()
+}
+
+/// A row of `values` prefixed with a join-side tag, in one allocation.
+fn tagged(tag: i64, values: impl ExactSizeIterator<Item = Value>) -> Row {
+    let mut vals = Vec::with_capacity(values.len() + 1);
+    vals.push(Value::Int(tag));
+    vals.extend(values);
+    Row::new(vals)
 }
 
 /// The first `k` columns of a partial row, packed into one shuffle key.

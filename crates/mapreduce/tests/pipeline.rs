@@ -153,3 +153,95 @@ fn projection_order_is_preserved_through_the_pipeline() {
         assert!(matches!(r.get(1), Value::Int(_)));
     }
 }
+
+#[test]
+fn null_foreign_keys_join_nothing() {
+    // An employee without a department and a department without an id:
+    // NULL = NULL is not true, so neither joins.
+    let mut src = source(2);
+    let db = &mut src.0[0].1;
+    db.insert(
+        "emp",
+        Row::new(vec![Value::Int(999), Value::Null, Value::Int(5000)]),
+    )
+    .unwrap();
+    db.insert("dept", Row::new(vec![Value::Null, Value::str("void")]))
+        .unwrap();
+    let peers = src.peers();
+    let engine = MapReduceEngine::new(peers.clone(), MrConfig::default());
+    let mut hdfs = Hdfs::new(peers, 3);
+    let sql = "SELECT eid, dname FROM emp, dept WHERE dept = did";
+    let (rs, _) = compile_and_run(sql, &src, &engine, &mut hdfs).unwrap();
+    assert_eq!(rs.rows.len(), 12, "six employees per worker");
+    assert!(rs.rows.iter().all(|r| r.get(0) != &Value::Int(999)));
+    assert!(rs.rows.iter().all(|r| r.get(1) != &Value::str("void")));
+}
+
+/// Each phase's label and its summed disk, CPU and sent bytes.
+fn phase_bytes(trace: &bestpeer_simnet::Trace) -> Vec<(String, u64, u64, u64)> {
+    trace
+        .phases
+        .iter()
+        .map(|p| {
+            let disk = p.tasks.iter().map(|t| t.disk_bytes).sum();
+            let cpu = p.tasks.iter().map(|t| t.cpu_bytes).sum();
+            let sent = p.tasks.iter().flat_map(|t| &t.sends).map(|s| s.bytes).sum();
+            (p.label.clone(), disk, cpu, sent)
+        })
+        .collect()
+}
+
+/// Pins the SMS pipeline's cost trace and row order, one query per
+/// compiled shape: every phase's summed disk, CPU and sent bytes, and
+/// the result digest (no ORDER BY, so the digest sees reducer order).
+#[test]
+fn charged_bytes_and_row_order_are_pinned_per_compiled_shape() {
+    type Phases = &'static [(&'static str, u64, u64, u64)];
+    let cases: [(&str, Phases, u64); 4] = [
+        (
+            "SELECT eid, salary FROM emp WHERE salary > 1200",
+            &[("select:map", 432, 408, 384)],
+            0x500f07ef81104c38,
+        ),
+        (
+            "SELECT dept, SUM(salary) AS s, COUNT(*) AS n FROM emp GROUP BY dept",
+            &[
+                ("aggregate:map", 432, 561, 288),
+                ("aggregate:reduce", 99, 675, 198),
+            ],
+            0x7b91a80421441d7d,
+        ),
+        (
+            "SELECT eid, dname, salary FROM emp, dept WHERE dept = did",
+            &[
+                ("join0:map", 476, 1603, 812),
+                ("join0:reduce", 510, 2134, 1020),
+            ],
+            0x53b8902c7776988a,
+        ),
+        (
+            "SELECT dname, COUNT(*) AS n, SUM(salary) AS s FROM emp, dept \
+             WHERE dept = did GROUP BY dname",
+            &[
+                ("join0:map", 476, 1297, 668),
+                ("join0:reduce", 672, 2008, 1344),
+                ("final-agg:map", 672, 1344, 672),
+                ("final-agg:reduce", 95, 1439, 190),
+            ],
+            0x792602515d5bbb85,
+        ),
+    ];
+    for (sql, phases, digest) in cases {
+        let src = source(3);
+        let peers = src.peers();
+        let engine = MapReduceEngine::new(peers.clone(), MrConfig::default());
+        let mut hdfs = Hdfs::new(peers, 3);
+        let (rs, trace) = compile_and_run(sql, &src, &engine, &mut hdfs).unwrap();
+        let want: Vec<(String, u64, u64, u64)> = phases
+            .iter()
+            .map(|&(l, d, c, s)| (l.to_string(), d, c, s))
+            .collect();
+        assert_eq!(phase_bytes(&trace), want, "{sql}");
+        assert_eq!(rs.digest(), digest, "{sql}: {:#018x}", rs.digest());
+    }
+}

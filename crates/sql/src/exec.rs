@@ -559,7 +559,9 @@ fn seq_scan_rows(
 const JOIN_PARTITIONS: usize = 16;
 
 /// In-memory hash join (build on the smaller side; output rows always
-/// carry left fields first). Empty inputs return immediately without
+/// carry left fields first). A NULL key matches nothing, as in a
+/// `WHERE a = b` filter, so build rows with one are left out of the
+/// table. Empty inputs return immediately without
 /// building a table. When the probe side spans more than one morsel the
 /// join runs partitioned-parallel: a parallel hash pass over the build
 /// side, a cheap in-order distribution into [`JOIN_PARTITIONS`]
@@ -590,7 +592,7 @@ fn hash_join(
     let probe_chunks = pool::morsels(probe.len());
     if probe_chunks.len() <= 1 {
         let mut ht: HashMap<&Value, Vec<&SharedRow>> = HashMap::with_capacity(build.len());
-        for row in build {
+        for row in build.iter().filter(|r| !r.get(bkey).is_null()) {
             ht.entry(row.get(bkey)).or_default().push(row);
         }
         let mut out = Vec::with_capacity(build.len().min(probe.len()));
@@ -618,7 +620,10 @@ fn hash_join(
     let mut buckets: Vec<Vec<&SharedRow>> = vec![Vec::new(); JOIN_PARTITIONS];
     for (chunk, &(lo, _)) in hashed.iter().zip(&build_chunks) {
         for (off, h) in chunk.iter().enumerate() {
-            buckets[(*h as usize) % JOIN_PARTITIONS].push(&build[lo + off]);
+            let row = &build[lo + off];
+            if !row.get(bkey).is_null() {
+                buckets[(*h as usize) % JOIN_PARTITIONS].push(row);
+            }
         }
     }
     let tables: Vec<HashMap<&Value, Vec<&SharedRow>>> = pool::run_tasks(&buckets, |_, bucket| {
@@ -1337,6 +1342,41 @@ mod tests {
             let ok = row.get(0).as_int().unwrap();
             let expected = if ok == 2 { "done" } else { "open" };
             assert_eq!(row.get(1).as_str().unwrap(), expected);
+        }
+    }
+
+    /// `l` and `r` hold `x` and `y` for `0..n`, with every tenth key NULL.
+    fn null_key_db(n: i64) -> Database {
+        let mut db = Database::new();
+        for (t, c) in [("l", "x"), ("r", "y")] {
+            let schema =
+                TableSchema::new(t, vec![ColumnDef::new(c, ColumnType::Int)], vec![]).unwrap();
+            db.create_table(schema).unwrap();
+            let rows = (0..n).map(|i| {
+                let key = if i % 10 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i)
+                };
+                Row::new(vec![key])
+            });
+            db.bulk_insert(t, rows.collect()).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn null_join_keys_match_nothing() {
+        // 40 rows join sequentially; 5000 span two probe morsels and so
+        // take the partitioned path.
+        for n in [40, 5000] {
+            let db = null_key_db(n);
+            let rs = query("SELECT x, y FROM l, r WHERE x = y", &db);
+            assert_eq!(rs.len() as i64, n - n / 10, "n = {n}");
+            assert!(rs
+                .rows
+                .iter()
+                .all(|r| !r.get(0).is_null() && r.get(0) == r.get(1)));
         }
     }
 
