@@ -171,10 +171,13 @@ pub fn decode_batch(mut buf: Bytes) -> Result<Vec<Row>> {
 /// The exact number of bytes [`encode_batch`] produces for `rows`,
 /// without allocating: used on hot cost-accounting paths.
 pub fn batch_encoded_size(rows: &[Row]) -> u64 {
-    4 + rows
-        .iter()
-        .map(|r| 2 + r.values().iter().map(value_encoded_size).sum::<u64>())
-        .sum::<u64>()
+    4 + rows.iter().map(row_encoded_size).sum::<u64>()
+}
+
+/// The exact number of bytes [`encode_row`] produces for `row`: the
+/// per-row term of [`batch_encoded_size`].
+pub fn row_encoded_size(row: &Row) -> u64 {
+    2 + row.values().iter().map(value_encoded_size).sum::<u64>()
 }
 
 fn value_encoded_size(v: &Value) -> u64 {
@@ -210,6 +213,11 @@ mod tests {
         let rows = sample_rows();
         let encoded = encode_batch(&rows);
         assert_eq!(encoded.len() as u64, batch_encoded_size(&rows));
+        for row in &rows {
+            let mut buf = BytesMut::new();
+            encode_row(&mut buf, row);
+            assert_eq!(buf.len() as u64, row_encoded_size(row));
+        }
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! step the query is decomposed into per-table subqueries sent to the
 //! peers holding the data (found via the BATON indices); each owner
 //! evaluates its subquery locally and ships the qualified tuples back to
-//! `P`, which stages them in MemTables and bulk-inserts them into its
-//! local database. In the *processing* step `P` evaluates the original
-//! query over the staged data.
+//! `P`. In the *processing* step `P` evaluates the original query over
+//! the fetched tuples. The paper stages them in MemTables and
+//! bulk-inserts them into `P`'s local MySQL first; the trace charges
+//! that staging, while the tuples join where they landed, through the
+//! join-and-aggregate stage ([`bestpeer_sql::join`]) ParallelP2P also
+//! runs.
 //!
 //! Three optimizations from the paper:
 //! - **single-peer optimization** (§6.2.3): when one peer holds all the
@@ -22,14 +25,15 @@
 
 use std::collections::HashSet;
 
-use bestpeer_common::{codec, Error, PeerId, Result, TableSchema, Value};
+use bestpeer_common::{codec, PeerId, Result, Row};
 use bestpeer_simnet::{Phase, Task, Trace};
 use bestpeer_sql::ast::SelectStmt;
 use bestpeer_sql::bloom::BloomFilter;
 use bestpeer_sql::decompose::decompose;
 use bestpeer_sql::dist::split_aggregate;
-use bestpeer_sql::exec::execute_select;
-use bestpeer_storage::{Database, MemTable};
+use bestpeer_sql::exec::ResultSet;
+use bestpeer_sql::join::JoinStage;
+use bestpeer_sql::plan::OutputStage;
 
 use super::{EngineCtx, EngineOutput};
 
@@ -107,52 +111,44 @@ pub fn execute(
     let (stmt_ord, schemas) = bestpeer_sql::decompose::reorder_for_selectivity(stmt, &schemas);
     let stmt = &stmt_ord;
     let decomp = decompose(stmt, &schemas)?;
-    let mut temp = Database::new();
-    for part in &decomp.parts {
-        temp.create_table(temp_schema(part.binding.arity(), &part.binding, &schemas)?)?;
-    }
 
     // Fetch order: parts[0], then tables in join order (so Bloom filters
     // can be built from already-fetched sides).
     let mut order = vec![0usize];
     order.extend(decomp.joins.iter().map(|j| j.part));
+    let mut fetched: Vec<Vec<Vec<Row>>> = Vec::with_capacity(order.len());
     let mut fetched_bytes = 0u64;
-    let mut current_binding = decomp.parts[0].binding.clone();
     for (pos, &pi) in order.iter().enumerate() {
         let part = &decomp.parts[pi];
         let owners = located.get(&part.table).cloned().unwrap_or_default();
         // Bloom filter over the already-fetched join key, when enabled.
-        let bloom: Option<(BloomFilter, usize)> = if ctx.config.bloom_join && pos > 0 {
-            let step = &decomp.joins[pos - 1];
-            match step.keys {
-                Some((l, r)) => {
-                    let (ltable, lcol) = current_binding.col(l).clone();
-                    let ltable = ltable.expect("qualified binding");
-                    let values = column_values(&temp, &ltable, &lcol)?;
-                    let mut f = BloomFilter::new(values.len().max(16), 0.01);
-                    for v in &values {
-                        if !v.is_null() {
-                            f.insert(v);
-                        }
-                    }
-                    let mut ship = Phase::new(format!("bloom-ship:{}", part.table));
-                    let mut build = Task::on(submitter).cpu(values.len() as u64 * 8);
-                    for owner in &owners {
-                        build = build.send(*owner, f.byte_size());
-                    }
-                    ship.push(build);
-                    trace.push(ship);
-                    Some((f, r))
+        let bloom: Option<(BloomFilter, usize)> = match (pos, ctx.config.bloom_join) {
+            (1.., true) => decomp.joins[pos - 1].keys.map(|(l, r)| {
+                // The left key's part: walk the fetched parts' arities.
+                let (mut slot, mut col) = (0, l);
+                while col >= decomp.parts[order[slot]].binding.arity() {
+                    col -= decomp.parts[order[slot]].binding.arity();
+                    slot += 1;
                 }
-                None => None,
-            }
-        } else {
-            None
+                let keys = fetched[slot].iter().flatten().map(|row| row.get(col));
+                let count = keys.clone().count();
+                let mut f = BloomFilter::new(count.max(16), 0.01);
+                for v in keys.filter(|v| !v.is_null()) {
+                    f.insert(v);
+                }
+                let mut build = Task::on(submitter).cpu(count as u64 * 8);
+                for owner in &owners {
+                    build = build.send(*owner, f.byte_size());
+                }
+                trace.push(Phase::new(format!("bloom-ship:{}", part.table)).task(build));
+                (f, r)
+            }),
+            _ => None,
         };
 
         let mut fetch = Phase::new(format!("fetch:{}", part.table));
-        let mut memtable = MemTable::new(part.table.clone(), ctx.config.memtable_budget);
         let served = ctx.serve_batch(&owners, &part.subquery)?;
+        let mut batches = Vec::with_capacity(served.len());
         for (&owner, (mut rs, stats, warm)) in owners.iter().zip(served) {
             // The cache stores the owner's pre-bloom result; the bloom
             // prune below runs at the submitter either way, so warm and
@@ -173,62 +169,44 @@ pub fn execute(
                     .cpu(stats.bytes_scanned + out_bytes)
                     .send(submitter, out_bytes)
             });
-            for row in rs.rows {
-                memtable.push(&mut temp, row)?;
-            }
+            batches.push(rs.rows);
         }
-        memtable.flush(&mut temp)?;
         trace.push(fetch);
-        if pos > 0 {
-            current_binding = decomp.joins[pos - 1].out_binding.clone();
-        }
+        fetched.push(batches);
     }
 
-    // Processing step at the submitting peer.
-    // The staging tables carry the original names and (pruned) columns,
-    // so the original statement evaluates directly.
-    let (rs, pstats) = execute_select(stmt, &temp)?;
-    ctx.note_exec(&pstats);
-    let out_bytes = codec::batch_encoded_size(&rs.rows);
+    // Processing step at the submitting peer: the fetched parts join in
+    // place, then aggregate and project.
+    let mut stage = JoinStage::new(&decomp);
+    for batches in fetched {
+        stage.push(batches)?;
+    }
+    let out = OutputStage::new(stmt, decomp.final_binding());
+    let rows = if stmt.is_aggregate() {
+        let groups = stage.aggregate(&stmt.group_by, &out.aggs, 1)?;
+        let groups = groups.into_iter().flatten().flat_map(|(_, g)| g);
+        groups.map(|g| out.project(&g)).collect::<Result<_>>()?
+    } else {
+        stage.project(&out)?
+    };
+    let out_bytes = codec::batch_encoded_size(&rows);
     trace.push(
         Phase::new("process").task(
             Task::on(submitter)
-                // MemTable bulk inserts + reading them back for the join.
+                // The paper's §5.2 staging: MemTable bulk inserts into
+                // the submitter's database, read back for the join. The
+                // simulated clock models the paper's system, so it is
+                // charged although the stage joins the rows in place.
                 .disk(fetched_bytes)
                 .cpu(2 * fetched_bytes + out_bytes),
         ),
     );
-    Ok((rs, trace))
-}
-
-/// Schema of the staging table for one fetched part: the part's columns
-/// with their global types and *no* primary key (masked values may be
-/// NULL, and uniqueness was already enforced at the owners).
-fn temp_schema(
-    arity: usize,
-    binding: &bestpeer_sql::plan::Binding,
-    schemas: &[TableSchema],
-) -> Result<TableSchema> {
-    let (table, _) = binding.col(0);
-    let table = table
-        .clone()
-        .ok_or_else(|| Error::Internal("unqualified binding".into()))?;
-    let global = schemas
-        .iter()
-        .find(|s| s.name == table)
-        .ok_or_else(|| Error::Catalog(format!("no schema for `{table}`")))?;
-    let mut cols = Vec::with_capacity(arity);
-    for i in 0..arity {
-        let (_, name) = binding.col(i);
-        let ty = global.columns[global.column_index(name)?].ty;
-        cols.push(bestpeer_common::ColumnDef::new(name.clone(), ty));
+    let mut rs = ResultSet {
+        columns: out.columns,
+        rows,
+    };
+    if bestpeer_sql::apply_order_limit(stmt, &mut rs) {
+        ctx.note_topk();
     }
-    TableSchema::new(table, cols, vec![])
-}
-
-/// All values of one column of a staged table.
-fn column_values(db: &Database, table: &str, column: &str) -> Result<Vec<Value>> {
-    let t = db.table(table)?;
-    let idx = t.schema().column_index(column)?;
-    Ok(t.scan().map(|r| r.get(idx).clone()).collect())
+    Ok((rs, trace))
 }

@@ -51,8 +51,6 @@ pub struct NetworkConfig {
     pub bloom_join: bool,
     /// Ship the whole statement when one peer owns all data (§6.2.3).
     pub single_peer_opt: bool,
-    /// MemTable budget in bytes (§6.1.2 uses 100 MB).
-    pub memtable_budget: u64,
     /// Simulated latency of one BATON routing hop.
     pub hop_latency: SimTime,
     /// MapReduce overheads for the built-in MR engine.
@@ -112,7 +110,6 @@ impl Default for NetworkConfig {
             index_cache: true,
             bloom_join: true,
             single_peer_opt: true,
-            memtable_budget: 100 * 1024 * 1024,
             hop_latency: SimTime::from_micros(500),
             mr: MrConfig::default(),
             hdfs_replication: 3,
@@ -1159,6 +1156,12 @@ impl BestPeerNetwork {
         let stmt = parse_select(sql)?;
         let role = self.bootstrap.role(role)?.clone();
         let schemas = self.bootstrap.global_schemas().to_vec();
+        // One rule for every engine: a name that resolves nowhere fails
+        // here, before any peer is asked.
+        bestpeer_sql::decompose::check_columns(&stmt, &schemas)?;
+        // ORDER BY keys the output lacks ride along as hidden columns,
+        // dropped once the engine has ordered and truncated its answer.
+        let (stmt, hidden) = bestpeer_sql::expose_order_keys(stmt);
         if !self.remotes.is_empty()
             && matches!(engine, EngineChoice::MapReduce | EngineChoice::Adaptive)
         {
@@ -1192,7 +1195,8 @@ impl BestPeerNetwork {
                 pre.push(Phase::new("fault-slowdown").task(Task::on(submitter).fixed(slow)));
             }
             match outcome {
-                Ok((result, trace, used, decision, exec)) => {
+                Ok((mut result, trace, used, decision, exec)) => {
+                    result.drop_trailing_columns(hidden);
                     let mut full = pre;
                     full.phases.extend(trace.phases);
                     let mut report = QueryReport::from_trace(

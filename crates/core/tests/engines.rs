@@ -33,7 +33,11 @@ fn full_read_role() -> Role {
 /// A network of `n` peers each loaded with one TPC-H partition, plus the
 /// centralized union database.
 fn setup(n: usize, rows: usize) -> (BestPeerNetwork, Database) {
-    let mut net = BestPeerNetwork::new(schema::all_tables(), NetworkConfig::default());
+    setup_with(NetworkConfig::default(), n, rows)
+}
+
+fn setup_with(cfg: NetworkConfig, n: usize, rows: usize) -> (BestPeerNetwork, Database) {
+    let mut net = BestPeerNetwork::new(schema::all_tables(), cfg);
     net.define_role(full_read_role());
     let mut central = Database::new();
     for s in schema::all_tables() {
@@ -119,6 +123,13 @@ fn mapreduce_engine_matches_centralized_on_all_queries() {
     }
 }
 
+const ENGINES: [EngineChoice; 4] = [
+    EngineChoice::Basic,
+    EngineChoice::ParallelP2P,
+    EngineChoice::MapReduce,
+    EngineChoice::Adaptive,
+];
+
 /// An ill-typed or misspelt query fails on every engine with the same
 /// error kind: a failing map or reduce task fails the MapReduce query
 /// instead of dropping the rows it was computing.
@@ -150,16 +161,40 @@ fn every_engine_rejects_bad_queries_with_the_same_error_kind() {
             "SELECT SUM(o_orderpriority) AS s FROM lineitem, orders WHERE l_orderkey = o_orderkey",
             "plan",
         ),
+        // A name that resolves nowhere fails before any engine runs,
+        // whether or not a row would reach it.
+        (
+            "SELECT l_orderkey FROM lineitem ORDER BY zzz LIMIT 3",
+            "plan",
+        ),
+        ("SELECT zzz FROM lineitem WHERE l_quantity < 0", "plan"),
     ] {
-        for engine in [
-            EngineChoice::Basic,
-            EngineChoice::ParallelP2P,
-            EngineChoice::MapReduce,
-        ] {
+        for engine in ENGINES {
             match net.submit_query(submitter, sql, "R", engine, 0) {
                 Ok(out) => panic!("{engine:?} answered {sql} with {:?}", out.result.rows),
                 Err(e) => assert_eq!(e.kind(), want, "{engine:?} on {sql}: {e}"),
             }
+        }
+    }
+}
+
+/// An ORDER BY key the query does not project orders the answer as the
+/// centralized executor does, on every engine: it rides along as a
+/// hidden column until ORDER BY and LIMIT have run.
+#[test]
+fn every_engine_orders_by_unprojected_columns() {
+    let (mut net, central) = setup(3, 400);
+    let submitter = net.peer_ids()[0];
+    for sql in [
+        "SELECT l_orderkey, l_linenumber FROM lineitem \
+         ORDER BY l_extendedprice DESC, l_orderkey, l_linenumber LIMIT 5",
+        "SELECT l_orderkey, l_linenumber FROM lineitem, orders WHERE l_orderkey = o_orderkey \
+         ORDER BY o_totalprice DESC, l_orderkey, l_linenumber LIMIT 5",
+    ] {
+        let (want, _) = execute_select(&parse_select(sql).unwrap(), &central).unwrap();
+        for engine in ENGINES {
+            let out = net.submit_query(submitter, sql, "R", engine, 0).unwrap();
+            assert_eq!(out.result, want, "{engine:?} on {sql}");
         }
     }
 }
@@ -281,6 +316,45 @@ fn null_join_keys_match_nothing_on_every_engine() {
             want,
             "{engine:?}, bloom join {bloom_join}"
         );
+    }
+}
+
+#[test]
+fn every_engine_keeps_rows_whose_predicate_column_is_masked() {
+    // The owners evaluate `o_orderkey > 10` on their data and then mask
+    // keys above 20 to NULL. No engine evaluates the predicate again
+    // over the masked values, so every engine keeps those rows.
+    let mut net = BestPeerNetwork::new(schema::all_tables(), NetworkConfig::default());
+    let ranged = bestpeer_core::AccessRule::read("orders", "o_orderkey")
+        .with_range(Value::Int(0), Value::Int(20));
+    net.define_role(
+        Role::new("ranged")
+            .plus(ranged)
+            .plus(bestpeer_core::AccessRule::read("orders", "o_totalprice")),
+    );
+    for node in 0..2u64 {
+        let id = net.join(&format!("b{node}")).unwrap();
+        let data = DbGen::new(TpchConfig::tiny(node).with_rows(200)).generate();
+        net.load_peer(id, data, 1).unwrap();
+    }
+    let submitter = net.peer_ids()[0];
+    let sql = "SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey > 10";
+    let mut answers = Vec::new();
+    for engine in ENGINES {
+        let out = net
+            .submit_query(submitter, sql, "ranged", engine, 0)
+            .unwrap();
+        let mut rows = out.result.rows;
+        rows.sort();
+        answers.push((engine, rows));
+    }
+    let (_, want) = &answers[0];
+    assert!(
+        want.iter().any(|r| r.get(0).is_null()),
+        "some keys are masked"
+    );
+    for (engine, rows) in &answers {
+        assert_eq!(rows, want, "{engine:?}");
     }
 }
 
@@ -452,4 +526,127 @@ fn online_aggregation_converges_to_exact() {
     assert!(net
         .submit_online_aggregate(submitter, bestpeer_tpch::Q4, "R", 0)
         .is_err());
+}
+
+/// Each phase's label and its tasks' summed disk, CPU and sent bytes.
+fn phase_bytes(trace: &bestpeer_simnet::Trace) -> Vec<(String, u64, u64, u64)> {
+    trace
+        .phases
+        .iter()
+        .map(|p| {
+            let disk = p.tasks.iter().map(|t| t.disk_bytes).sum();
+            let cpu = p.tasks.iter().map(|t| t.cpu_bytes).sum();
+            let sent = p.tasks.iter().flat_map(|t| &t.sends).map(|s| s.bytes).sum();
+            (p.label.clone(), disk, cpu, sent)
+        })
+        .collect()
+}
+
+/// Pins the cost traces of the two P2P engines, one query per join
+/// shape (equi-join, four-table chain with GROUP BY, equi-join with a
+/// cross-table residual, cross join with a residual): each phase's
+/// summed disk, CPU and sent bytes on Basic and ParallelP2P, and
+/// ParallelP2P's result digest (no ORDER BY, so the digest sees the row
+/// order its join levels produce).
+#[test]
+fn p2p_engines_pin_charged_bytes_and_parallel_row_order() {
+    type Phases = &'static [(&'static str, u64, u64, u64)];
+    let cases: [(&str, Phases, Phases, u64); 4] = [
+        (
+            Q3,
+            &[
+                ("locate", 0, 0, 0),
+                ("fetch:orders", 492, 696, 204),
+                ("bloom-ship:lineitem", 0, 96, 96),
+                ("fetch:lineitem", 96000, 97404, 1404),
+                ("process", 1608, 4852, 0),
+            ],
+            &[
+                ("scan:orders", 492, 696, 612),
+                ("join:lineitem", 96000, 98664, 2076),
+                ("root", 0, 1636, 0),
+            ],
+            0xf63cee6dc3ddee14,
+        ),
+        (
+            Q5,
+            &[
+                ("locate", 0, 0, 0),
+                ("fetch:orders", 12300, 15412, 3112),
+                ("bloom-ship:customer", 0, 992, 480),
+                ("fetch:customer", 1825, 2558, 733),
+                ("bloom-ship:lineitem", 0, 992, 480),
+                ("fetch:lineitem", 96000, 115012, 19012),
+                ("bloom-ship:supplier", 0, 4000, 1824),
+                ("fetch:supplier", 144, 189, 45),
+                ("process", 22902, 45978, 0),
+            ],
+            &[
+                ("scan:orders", 12300, 15412, 9336),
+                ("join:customer", 1825, 17081, 17832),
+                ("join:lineitem", 96000, 155404, 124788),
+                ("join:supplier", 144, 170968, 46060),
+                ("group-by", 0, 92302, 182),
+                ("root", 0, 174, 0),
+            ],
+            0x6c8514deeed936f9,
+        ),
+        (
+            "SELECT l_orderkey, o_custkey, l_partkey FROM lineitem, orders \
+             WHERE l_orderkey = o_orderkey AND l_partkey > o_custkey AND l_quantity < 20",
+            &[
+                ("locate", 0, 0, 0),
+                ("fetch:lineitem", 96000, 108279, 12279),
+                ("bloom-ship:orders", 0, 3384, 1560),
+                ("fetch:orders", 12300, 17172, 4872),
+                ("process", 17151, 41498, 0),
+            ],
+            &[
+                ("scan:lineitem", 96000, 108279, 36837),
+                ("join:orders", 12300, 60781, 11668),
+                ("root", 0, 7196, 0),
+            ],
+            0x6055830c62d0ca45,
+        ),
+        (
+            "SELECT s_suppkey, c_custkey, s_acctbal - c_acctbal AS d FROM supplier, customer \
+             WHERE c_acctbal > 5000 AND s_nationkey < c_nationkey",
+            &[
+                ("locate", 0, 0, 0),
+                ("fetch:customer", 1825, 2272, 447),
+                ("fetch:supplier", 144, 243, 99),
+                ("process", 546, 1618, 0),
+            ],
+            &[
+                ("scan:customer", 1825, 2272, 1341),
+                ("join:supplier", 144, 2481, 1020),
+                ("root", 0, 526, 0),
+            ],
+            0x8532188fcd711a60,
+        ),
+    ];
+    let cfg = NetworkConfig {
+        result_cache: false,
+        ..NetworkConfig::default()
+    };
+    let (mut net, central) = setup_with(cfg, 3, 400);
+    let submitter = net.peer_ids()[0];
+    for (sql, basic, parallel, digest) in cases {
+        for (engine, phases) in [
+            (EngineChoice::Basic, basic),
+            (EngineChoice::ParallelP2P, parallel),
+        ] {
+            let out = net.submit_query(submitter, sql, "R", engine, 0).unwrap();
+            let want: Vec<(String, u64, u64, u64)> = phases
+                .iter()
+                .map(|&(l, d, c, s)| (l.to_string(), d, c, s))
+                .collect();
+            assert_eq!(phase_bytes(&out.trace), want, "{engine:?} on {sql}");
+            if engine == EngineChoice::ParallelP2P {
+                let got = out.result.digest();
+                assert_eq!(got, digest, "{sql}: {got:#018x}");
+            }
+        }
+        check(&mut net, &central, sql, EngineChoice::Basic);
+    }
 }

@@ -160,6 +160,23 @@ fn order_by_and_limit_apply_at_coordinator() {
     assert_eq!(dk, ck);
 }
 
+/// An ORDER BY key the query does not project still orders the answer:
+/// it rides along as a hidden column until ORDER BY and LIMIT have run.
+#[test]
+fn order_by_an_unprojected_column_matches_centralized_order() {
+    let (mut cluster, central) = setup(3, 400);
+    for sql in [
+        "SELECT l_orderkey, l_linenumber FROM lineitem \
+         ORDER BY l_extendedprice DESC, l_orderkey, l_linenumber LIMIT 5",
+        "SELECT l_orderkey, l_linenumber FROM lineitem, orders WHERE l_orderkey = o_orderkey \
+         ORDER BY o_totalprice DESC, l_orderkey, l_linenumber LIMIT 5",
+    ] {
+        let (dist, _) = cluster.execute(sql).unwrap();
+        let (cent, _) = execute_select(&parse_select(sql).unwrap(), &central).unwrap();
+        assert_eq!(dist, cent, "{sql}");
+    }
+}
+
 #[test]
 fn ill_typed_join_aggregate_is_an_error() {
     // The reducer's SUM over a string column fails the job, and so the

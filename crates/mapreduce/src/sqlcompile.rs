@@ -28,7 +28,7 @@ use bestpeer_sql::decompose::decompose;
 use bestpeer_sql::dist::split_aggregate;
 use bestpeer_sql::exec::{aggregate_rows, ResultSet};
 use bestpeer_sql::plan::{OutputStage, ResolvedExpr};
-use bestpeer_sql::{apply_order_limit, parse_select};
+use bestpeer_sql::{apply_order_limit, expose_order_keys, parse_select};
 
 use crate::engine::MapReduceEngine;
 use crate::hdfs::Hdfs;
@@ -53,16 +53,18 @@ pub trait LocalSource {
 }
 
 /// Compile `sql`, run the resulting job chain on the cluster, and apply
-/// its ORDER BY / LIMIT to the output.
+/// its ORDER BY / LIMIT to the output; a key the query does not project
+/// rides along as a hidden column until then ([`expose_order_keys`]).
 pub fn compile_and_run(
     sql: &str,
     workers: &dyn LocalSource,
     engine: &MapReduceEngine,
     hdfs: &mut Hdfs,
 ) -> Result<(ResultSet, Trace)> {
-    let stmt = parse_select(sql)?;
+    let (stmt, hidden) = expose_order_keys(parse_select(sql)?);
     let (mut rs, trace) = run_stmt(&stmt, workers, engine, hdfs)?;
     apply_order_limit(&stmt, &mut rs);
+    rs.drop_trailing_columns(hidden);
     Ok((rs, trace))
 }
 
@@ -305,7 +307,7 @@ fn join_pipeline(
         // SQL semantics: a global aggregate over an empty join still
         // yields one row (COUNT = 0, SUM = NULL, ...). No tuple ever
         // reached a reducer, so synthesize it here.
-        for r in aggregate_rows(&[], final_binding, &[], &output.aggs)? {
+        for r in aggregate_rows::<Row>(&[], final_binding, &[], &output.aggs)? {
             rows.push(output.project(&r)?);
         }
     }

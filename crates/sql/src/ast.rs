@@ -229,7 +229,9 @@ impl Expr {
         out
     }
 
-    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a ColumnRef>) {
+    /// Append this expression's column references to `out`, in
+    /// syntactic order.
+    pub(crate) fn collect_columns<'a>(&'a self, out: &mut Vec<&'a ColumnRef>) {
         match self {
             Expr::Column(c) => out.push(c),
             Expr::Literal(_) => {}

@@ -11,9 +11,9 @@
 //! table to the front ([`reorder_for_selectivity`]); the SMS planner
 //! keeps FROM order.
 
-use bestpeer_common::{Result, TableSchema};
+use bestpeer_common::{Error, Result, TableSchema};
 
-use crate::ast::{Expr, SelectStmt};
+use crate::ast::{ColumnRef, Expr, SelectStmt};
 use crate::plan::Binding;
 
 /// One base table's share of a distributed query.
@@ -80,6 +80,50 @@ pub fn needed_columns(stmt: &SelectStmt, schema: &TableSchema) -> Vec<String> {
         out.push(schema.columns[0].name.clone());
     }
     out
+}
+
+/// Check that every column `stmt` references names a column of one of
+/// its FROM tables, whose schemas are looked up by name in `schemas`;
+/// an ORDER BY key may also name an output column. Fails with
+/// [`Error::Plan`] on the first reference that does not resolve, so
+/// every engine rejects a misspelt name the same way, however many
+/// peers hold the data and whether or not a row reaches it. A FROM
+/// table missing from `schemas` leaves the statement to the catalog
+/// checks that follow.
+pub fn check_columns(stmt: &SelectStmt, schemas: &[TableSchema]) -> Result<()> {
+    let mut from = Vec::with_capacity(stmt.from.len());
+    for t in &stmt.from {
+        match schemas.iter().find(|s| s.name == *t) {
+            Some(s) => from.push(s),
+            None => return Ok(()),
+        }
+    }
+    let in_from = |c: &ColumnRef| {
+        from.iter().any(|s| {
+            c.table.as_deref().is_none_or(|t| t == s.name)
+                && s.columns.iter().any(|col| col.name == c.column)
+        })
+    };
+    let is_output = |c: &ColumnRef| {
+        c.table.is_none() && stmt.projections.iter().any(|p| p.output_name() == c.column)
+    };
+    let mut refs = Vec::new();
+    let evaluated = stmt.projections.iter().map(|p| &p.expr);
+    for e in evaluated.chain(&stmt.predicates).chain(&stmt.group_by) {
+        e.collect_columns(&mut refs);
+    }
+    let first_key = refs.len();
+    for k in &stmt.order_by {
+        k.expr.collect_columns(&mut refs);
+    }
+    match refs
+        .iter()
+        .enumerate()
+        .find(|&(i, c)| !(in_from(c) || (i >= first_key && is_output(c))))
+    {
+        Some((_, c)) => Err(Error::Plan(format!("unresolved column `{c}`"))),
+        None => Ok(()),
+    }
 }
 
 /// Reorder a statement's FROM list (and the schema list alongside it)
@@ -207,7 +251,7 @@ pub fn decompose(stmt: &SelectStmt, schemas: &[TableSchema]) -> Result<Decomposi
         });
     }
     if !residual.is_empty() {
-        return Err(bestpeer_common::Error::Plan(format!(
+        return Err(Error::Plan(format!(
             "unresolvable predicates: {}",
             residual
                 .iter()
@@ -280,6 +324,30 @@ mod tests {
         assert_eq!(d.joins.len(), 1);
         assert!(d.joins[0].keys.is_none(), "no equi-join predicate");
         assert_eq!(d.joins[0].residuals.len(), 1, "a1+a2>3 applied post-join");
+    }
+
+    #[test]
+    fn every_column_must_name_a_from_column_or_an_output_for_order_by() {
+        let schemas = [schema("t1", &["a1", "b1"]), schema("t2", &["a2"])];
+        let check = |sql: &str| check_columns(&parse_select(sql).unwrap(), &schemas);
+        for ok in [
+            "SELECT a1 AS x, t2.a2 FROM t1, t2 WHERE a1 = a2 ORDER BY x, t1.b1",
+            "SELECT b1, COUNT(*) AS n FROM t1 GROUP BY b1 ORDER BY n DESC",
+            "SELECT * FROM t1 ORDER BY b1",
+            // An unknown FROM table is left to the catalog checks.
+            "SELECT zzz FROM nosuch",
+        ] {
+            check(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
+        for bad in [
+            "SELECT zzz FROM t1 WHERE a1 < 0",
+            "SELECT a1 FROM t1 ORDER BY zzz LIMIT 3",
+            "SELECT a1 FROM t1 WHERE t2.a2 > 1",
+            "SELECT a1 AS x FROM t1 GROUP BY x",
+            "SELECT a1 FROM t1 ORDER BY t1.x",
+        ] {
+            assert_eq!(check(bad).unwrap_err().kind(), "plan", "{bad}");
+        }
     }
 
     #[test]

@@ -36,9 +36,9 @@ use std::sync::Arc;
 use bestpeer_common::{codec, mix64, pool, stable_hash, Error, Result, Row, SharedRow, Value};
 use bestpeer_storage::{Database, RowId, Table};
 
-use crate::ast::{AggFunc, Expr, SelectStmt};
+use crate::ast::{AggFunc, Expr, SelectItem, SelectStmt};
 use crate::phys::{plan_physical, PhysPlan};
-use crate::plan::{AggItem, Binding, NoStats, ResolvedExpr, SelectivityEstimator};
+use crate::plan::{AggItem, Binding, Columns, NoStats, ResolvedExpr, SelectivityEstimator};
 
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -123,6 +123,21 @@ impl ResultSet {
         }
         let rows = codec::decode_batch(buf)?;
         Ok(ResultSet { columns, rows })
+    }
+
+    /// Drop the last `n` columns: the hidden ORDER BY keys of
+    /// [`expose_order_keys`], once ORDER BY and LIMIT have run.
+    pub fn drop_trailing_columns(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let keep = self.columns.len() - n;
+        self.columns.truncate(keep);
+        for row in &mut self.rows {
+            let mut values = std::mem::take(row).into_values();
+            values.truncate(keep);
+            *row = Row::new(values);
+        }
     }
 
     /// A stable 64-bit digest of the full result (column names, row
@@ -777,11 +792,11 @@ impl Acc {
 
 /// Grouped aggregation over materialized rows: output rows carry the
 /// group-key values followed by the aggregate values (the binding of an
-/// `Aggregate` plan node). Public so the distributed engines (HadoopDB's
-/// reducers, the parallel P2P engine) can aggregate shuffled tuples that
-/// never lived in a table.
-pub fn aggregate_rows(
-    rows: &[Row],
+/// `Aggregate` plan node). Public so the distributed engines (the SMS
+/// reducers, the submitter's join stage) can aggregate shuffled tuples
+/// that never lived in a table, or joined tuples never built as rows.
+pub fn aggregate_rows<R: Columns + Sync>(
+    rows: &[R],
     input_binding: &Binding,
     group: &[Expr],
     aggs: &[AggItem],
@@ -791,11 +806,11 @@ pub fn aggregate_rows(
 
 /// Collision-safe fingerprint of a group-key tuple. The group table is
 /// keyed on this hash with an equality check against the stored key, so
-/// each group's key tuple is built exactly once (moved in, never cloned
-/// per new group).
-fn fingerprint_key(key: &[Value]) -> u64 {
-    key.iter()
-        .fold(0x9E37_79B9_7F4A_7C15u64, |h, v| mix64(h ^ stable_hash(v)))
+/// a row's key is looked up borrowed and copied only for a new group.
+fn fingerprint_key<K: Borrow<Value>>(key: &[K]) -> u64 {
+    key.iter().fold(0x9E37_79B9_7F4A_7C15u64, |h, v| {
+        mix64(h ^ stable_hash(v.borrow()))
+    })
 }
 
 /// An aggregation bound to its input once per execution: the group
@@ -838,30 +853,41 @@ impl GroupTable {
             // Global aggregate: exactly one group even over zero rows.
             // (Per-morsel tables seed it too — `Acc::new` is the merge
             // identity, so extra seeds are harmless.)
-            t.index.insert(fingerprint_key(&[]), vec![0]);
+            t.index.insert(fingerprint_key::<Value>(&[]), vec![0]);
             t.states.push((Vec::new(), bound.fresh_accs()));
         }
         t
     }
 
-    /// The slot for `key`, creating one with fresh accumulators if the
-    /// group is new.
-    fn slot(&mut self, key: Vec<Value>, bound: &BoundAggs) -> usize {
-        let fp = fingerprint_key(&key);
-        let chain = self.index.entry(fp).or_default();
+    /// The slot for `key`, creating one with fresh accumulators (and a
+    /// copy of the key) if the group is new.
+    fn slot<K: Borrow<Value>>(&mut self, key: &[K], bound: &BoundAggs) -> usize {
+        let chain = self.index.entry(fingerprint_key(key)).or_default();
         for &s in chain.iter() {
-            if self.states[s].0 == key {
+            if self.states[s].0.iter().eq(key.iter().map(K::borrow)) {
                 return s;
             }
         }
         let s = self.states.len();
         chain.push(s);
-        self.states.push((key, bound.fresh_accs()));
+        let owned = key.iter().map(|v| v.borrow().clone()).collect();
+        self.states.push((owned, bound.fresh_accs()));
         s
     }
 
-    fn update_row(&mut self, row: &Row, bound: &BoundAggs) -> Result<()> {
-        let slot = self.slot(key_values(&bound.group, row)?, bound);
+    /// Fold one row in. `key` is scratch space for the row's borrowed
+    /// group key, reused across rows.
+    fn update_row<'a, R: Columns + ?Sized>(
+        &mut self,
+        row: &'a R,
+        bound: &'a BoundAggs,
+        key: &mut Vec<Cow<'a, Value>>,
+    ) -> Result<()> {
+        key.clear();
+        for g in &bound.group {
+            key.push(g.value(row)?);
+        }
+        let slot = self.slot(key, bound);
         for (acc, (_, arg)) in self.states[slot].1.iter_mut().zip(&bound.aggs) {
             match arg {
                 Some(e) => acc.update(Some(&*e.value(row)?))?,
@@ -877,7 +903,7 @@ impl GroupTable {
     /// first-seen group order exactly.
     fn absorb(&mut self, other: GroupTable, bound: &BoundAggs) -> Result<()> {
         for (key, accs) in other.states {
-            let s = self.slot(key, bound);
+            let s = self.slot(&key, bound);
             for (mine, theirs) in self.states[s].1.iter_mut().zip(&accs) {
                 mine.merge(theirs)?;
             }
@@ -902,45 +928,31 @@ impl GroupTable {
 /// order with [`Acc::merge`] — the output is a pure function of the
 /// input rows at any thread count.
 #[inline(never)]
-fn aggregate_slice<R>(
+fn aggregate_slice<R: Columns + Sync>(
     rows: &[R],
     input_binding: &Binding,
     group: &[Expr],
     aggs: &[AggItem],
-) -> Result<Vec<Row>>
-where
-    R: Borrow<Row> + Sync,
-{
+) -> Result<Vec<Row>> {
     let bound = &BoundAggs::new(input_binding, group, aggs);
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        return aggregate_iter(rows.iter().map(|r| r.borrow()), bound);
-    }
-    let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| -> Result<GroupTable> {
+    let fold = |rows: &[R]| -> Result<GroupTable> {
         let mut t = GroupTable::new(bound);
-        for row in &rows[lo..hi] {
-            t.update_row(row.borrow(), bound)?;
+        let mut key = Vec::with_capacity(bound.group.len());
+        for row in rows {
+            t.update_row(row, bound, &mut key)?;
         }
         Ok(t)
-    });
+    };
+    let chunks = pool::morsels(rows.len());
+    if chunks.len() <= 1 {
+        return Ok(fold(rows)?.finish());
+    }
+    let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| fold(&rows[lo..hi]));
     let mut total = GroupTable::new(bound);
     for p in parts {
         total.absorb(p?, bound)?;
     }
     Ok(total.finish())
-}
-
-/// Iterator-based aggregation core, shared by the slice entry point
-/// above (sequential path) and callers holding non-contiguous rows.
-fn aggregate_iter<'a, I>(rows: I, bound: &BoundAggs) -> Result<Vec<Row>>
-where
-    I: IntoIterator<Item = &'a Row>,
-{
-    let mut t = GroupTable::new(bound);
-    for row in rows {
-        t.update_row(row, bound)?;
-    }
-    Ok(t.finish())
 }
 
 /// Compare two precomputed key tuples under per-dimension descending
@@ -1188,6 +1200,51 @@ pub fn apply_order_limit(stmt: &SelectStmt, rs: &mut ResultSet) -> bool {
         rs.rows.truncate(n);
     }
     used_topk
+}
+
+/// The statement every engine runs for `stmt`, and how many hidden
+/// columns it adds for ORDER BY keys that are not in its output.
+///
+/// Engines that assemble their answer outside a local plan sort the
+/// assembled output ([`apply_order_limit`]), where a key the statement
+/// does not project cannot be evaluated. So each key that is neither a
+/// projected expression nor the bare name of an output column is
+/// appended, with SELECT-list aliases substituted, as a hidden trailing
+/// projection, and the caller drops the hidden columns once ORDER BY
+/// and LIMIT have run ([`ResultSet::drop_trailing_columns`]). A
+/// statement with no such key comes back unchanged. `SELECT *` outputs
+/// every column, so its keys always evaluate; an aggregate key of a
+/// non-aggregate statement stays as it is, since projecting it would
+/// make the statement an aggregate.
+pub fn expose_order_keys(mut stmt: SelectStmt) -> (SelectStmt, usize) {
+    let visible = stmt.projections.len();
+    if visible == 0 || stmt.order_by.is_empty() {
+        return (stmt, 0);
+    }
+    let aggregate = stmt.is_aggregate();
+    let mut keys = std::mem::take(&mut stmt.order_by);
+    for key in &mut keys {
+        let items = &stmt.projections[..visible];
+        let named = matches!(&key.expr, Expr::Column(c)
+            if c.table.is_none() && items.iter().any(|it| it.output_name() == c.column));
+        if named || (key.expr.contains_agg() && !aggregate) {
+            continue;
+        }
+        let e = crate::plan::substitute_aliases(&key.expr, items);
+        if items.iter().any(|it| it.expr == e) {
+            continue;
+        }
+        if !stmt.projections[visible..].iter().any(|it| it.expr == e) {
+            stmt.projections.push(SelectItem {
+                expr: e.clone(),
+                alias: None,
+            });
+        }
+        key.expr = e;
+    }
+    stmt.order_by = keys;
+    let hidden = stmt.projections.len() - visible;
+    (stmt, hidden)
 }
 
 /// Rewrite one ORDER BY key from table-space to the output-column space
@@ -1666,6 +1723,56 @@ mod tests {
         // Every key sorts as NULL, so position breaks every tie.
         assert!(apply_order_limit(&stmt, &mut rs));
         assert_eq!(rs.rows, rows[..3]);
+    }
+
+    /// What a distributed engine does with `sql`: run it without
+    /// ORDER BY or LIMIT (the assembled output), then order, truncate
+    /// and drop the hidden columns at the coordinator.
+    fn assembled(sql: &str, db: &Database) -> (ResultSet, usize) {
+        let (stmt, hidden) = expose_order_keys(parse_select(sql).unwrap());
+        let unordered = SelectStmt {
+            order_by: Vec::new(),
+            limit: None,
+            ..stmt.clone()
+        };
+        let (mut rs, _) = execute_select(&unordered, db).unwrap();
+        apply_order_limit(&stmt, &mut rs);
+        rs.drop_trailing_columns(hidden);
+        (rs, hidden)
+    }
+
+    #[test]
+    fn unprojected_order_keys_ride_along_as_hidden_columns() {
+        let db = db();
+        for (sql, want_hidden) in [
+            // Unqualified and qualified unprojected keys, an expression
+            // over an alias, and keys already in the output.
+            (
+                "SELECT l_orderkey AS k, l_quantity FROM lineitem \
+                 ORDER BY l_price DESC, k, lineitem.l_shipdate, k + l_quantity LIMIT 3",
+                3,
+            ),
+            (
+                "SELECT o_status, COUNT(*) AS n FROM lineitem, orders \
+                 WHERE l_orderkey = o_orderkey GROUP BY o_status ORDER BY SUM(l_price) DESC",
+                1,
+            ),
+            (
+                "SELECT l_orderkey FROM lineitem ORDER BY l_orderkey DESC",
+                0,
+            ),
+            (
+                "SELECT * FROM lineitem ORDER BY l_price * 2 DESC LIMIT 2",
+                0,
+            ),
+        ] {
+            let (got, hidden) = assembled(sql, &db);
+            assert_eq!(hidden, want_hidden, "{sql}");
+            assert_eq!(got, query(sql, &db), "{sql}");
+        }
+        // A statement with nothing to expose comes back unchanged.
+        let plain = parse_select("SELECT l_orderkey AS k FROM lineitem ORDER BY k").unwrap();
+        assert_eq!(expose_order_keys(plain.clone()), (plain, 0));
     }
 
     #[test]

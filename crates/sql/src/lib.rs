@@ -21,6 +21,7 @@ pub mod bloom;
 pub mod decompose;
 pub mod dist;
 pub mod exec;
+pub mod join;
 pub mod lexer;
 pub mod parser;
 pub mod phys;
@@ -28,7 +29,9 @@ pub mod plan;
 
 pub use ast::{Expr, SelectStmt};
 pub use dist::{split_aggregate, Combine, DistAgg};
-pub use exec::{apply_order_limit, execute_select, execute_select_with, ExecStats, ResultSet};
+pub use exec::{
+    apply_order_limit, execute_select, execute_select_with, expose_order_keys, ExecStats, ResultSet,
+};
 pub use parser::parse_select;
 pub use phys::{explain_physical, plan_physical, AccessPath, PhysPlan};
 pub use plan::{NoStats, SelectivityEstimator};

@@ -14,7 +14,7 @@
 
 use std::borrow::Cow;
 
-use bestpeer_common::{Error, Result, Row, Value};
+use bestpeer_common::{Error, Result, Row, SharedRow, Value};
 use bestpeer_storage::Database;
 
 use crate::ast::{AggFunc, ArithOp, CmpOp, ColumnRef, Expr, SelectItem, SelectStmt};
@@ -158,6 +158,28 @@ pub(crate) fn estimated_scan_rows(
     table_rows as f64 * sel
 }
 
+/// Positional access to one input row's values: a stored [`Row`], or
+/// a joined tuple the submitter's join stage ([`crate::join`]) never
+/// materializes. Bound expressions evaluate over either.
+pub trait Columns {
+    /// The value at position `i` of the row's binding.
+    fn column(&self, i: usize) -> &Value;
+}
+
+impl Columns for Row {
+    #[inline]
+    fn column(&self, i: usize) -> &Value {
+        self.get(i)
+    }
+}
+
+impl Columns for SharedRow {
+    #[inline]
+    fn column(&self, i: usize) -> &Value {
+        self.get(i)
+    }
+}
+
 /// A scalar [`Expr`] bound to a [`Binding`]: every column reference is
 /// a row position, so evaluating it never looks up a name. Operators
 /// bind their expressions once per execution and evaluate the bound
@@ -222,9 +244,9 @@ impl ResolvedExpr {
 
     /// Evaluate over one row of the bound binding. Columns and literals
     /// are borrowed, never cloned; booleans are `Int(1)` / `Int(0)`.
-    pub fn value<'a>(&'a self, row: &'a Row) -> Result<Cow<'a, Value>> {
+    pub fn value<'a, R: Columns + ?Sized>(&'a self, row: &'a R) -> Result<Cow<'a, Value>> {
         Ok(match self {
-            Self::Column(i) => Cow::Borrowed(row.get(*i)),
+            Self::Column(i) => Cow::Borrowed(row.column(*i)),
             Self::Literal(v) => Cow::Borrowed(v),
             Self::Cmp(..) | Self::And(..) | Self::Or(..) => {
                 Cow::Owned(Value::Int(self.holds(row)? as i64))
@@ -252,7 +274,7 @@ impl ResolvedExpr {
 
     /// Evaluate as a predicate: NULL is false, and a value that is not
     /// a boolean is a type error.
-    pub fn holds(&self, row: &Row) -> Result<bool> {
+    pub fn holds<R: Columns + ?Sized>(&self, row: &R) -> Result<bool> {
         match self {
             Self::Cmp(l, op, r) => Ok(op.eval(&*l.value(row)?, &*r.value(row)?)),
             Self::And(x, y) => Ok(x.holds(row)? && y.holds(row)?),
@@ -341,7 +363,7 @@ impl OutputStage {
 
     /// Evaluate the output expressions over one row bound by
     /// [`OutputStage::binding`].
-    pub fn project(&self, row: &Row) -> Result<Row> {
+    pub fn project<R: Columns + ?Sized>(&self, row: &R) -> Result<Row> {
         let vals = self.resolved.iter().map(|e| Ok(e.value(row)?.into_owned()));
         Ok(Row::new(vals.collect::<Result<_>>()?))
     }
@@ -777,7 +799,7 @@ pub fn plan_select_with(
 
 /// Replace references to SELECT-list aliases with the aliased expression
 /// (so `ORDER BY revenue` works).
-fn substitute_aliases(e: &Expr, items: &[SelectItem]) -> Expr {
+pub(crate) fn substitute_aliases(e: &Expr, items: &[SelectItem]) -> Expr {
     if let Expr::Column(c) = e {
         if c.table.is_none() {
             for it in items {

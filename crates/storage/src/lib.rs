@@ -7,9 +7,6 @@
 //! - typed heap tables with primary-key enforcement ([`table::Table`]),
 //! - B-tree secondary indices supporting point and range scans
 //!   ([`index::SecondaryIndex`]),
-//! - a [`memtable::MemTable`] write buffer used by the query executor to
-//!   stage tuples fetched from remote peers before bulk-insertion
-//!   (paper §5.2),
 //! - a snapshot store plus the Rabin-fingerprint sort-merge *snapshot
 //!   differential* algorithm the data loader uses to keep extracted data
 //!   consistent with the production system (paper §4.2, refs \[8\] \[18\]),
@@ -21,14 +18,12 @@
 pub mod database;
 pub mod fingerprint;
 pub mod index;
-pub mod memtable;
 pub mod snapshot;
 pub mod stats;
 pub mod table;
 pub mod wal;
 
 pub use database::{CrashOutcome, Database};
-pub use memtable::MemTable;
 pub use snapshot::{ChangeSet, Snapshot};
 pub use table::{RowId, Table};
 pub use wal::{FileDevice, LogDevice, Lsn, MemDevice, Wal, WalOp, WalStats};

@@ -1,7 +1,9 @@
 //! Randomized distributed-query fuzzing: generate conjunctive
-//! selections, joins, and aggregates over the TPC-H schema and assert
-//! that the Basic, ParallelP2P, and MapReduce engines return exactly what a
-//! centralized database returns over the union of all partitions.
+//! selections, joins (with cross-table residuals, a four-table chain
+//! and a cross join), and global and grouped aggregates over the TPC-H
+//! schema and assert that the Basic, ParallelP2P, MapReduce and
+//! Adaptive engines return exactly what a centralized database returns
+//! over the union of all partitions.
 
 use bestpeer::common::rng::Rng;
 use bestpeer::common::{Row, Value};
@@ -61,6 +63,21 @@ fn random_query(rng: &mut Rng) -> String {
             &["lineitem", "orders", "customer"],
             "l_orderkey = o_orderkey AND o_custkey = c_custkey",
         ),
+        // A cross-table residual beside the equi-join.
+        (
+            &["lineitem", "orders"],
+            "l_orderkey = o_orderkey AND l_partkey > o_custkey",
+        ),
+        // Q5's chain: three joins over four tables.
+        (
+            &["customer", "orders", "lineitem", "supplier"],
+            "c_custkey = o_custkey AND l_orderkey = o_orderkey AND l_suppkey = s_suppkey",
+        ),
+        // A cross join of two filtered tables.
+        (
+            &["supplier", "customer"],
+            "s_nationkey < 8 AND c_nationkey < 4",
+        ),
     ];
     let (tables, join) = templates[rng.random_range(0..templates.len())];
     let numeric_cols: &[(&str, &str, i64, i64)] = &[
@@ -93,16 +110,35 @@ fn random_query(rng: &mut Rng) -> String {
         ("supplier", "s_suppkey"),
     ];
     let key_col = first_cols.iter().find(|(t, _)| *t == tables[0]).unwrap().1;
-    let select = match rng.random_range(0..3) {
-        0 => format!("SELECT {key_col}"),
-        1 => "SELECT COUNT(*) AS n".to_owned(),
-        _ => format!("SELECT COUNT(*) AS n, MIN({key_col}) AS lo, MAX({key_col}) AS hi"),
+    // A low-cardinality grouping column of the last table.
+    let group_cols: &[(&str, &str)] = &[
+        ("lineitem", "l_linenumber"),
+        ("orders", "o_orderstatus"),
+        ("customer", "c_mktsegment"),
+        ("partsupp", "ps_suppkey"),
+        ("part", "p_size"),
+        ("supplier", "s_nationkey"),
+    ];
+    let last = tables[tables.len() - 1];
+    let group_col = group_cols.iter().find(|(t, _)| *t == last).unwrap().1;
+    let (select, group) = match rng.random_range(0..4) {
+        0 => (format!("SELECT {key_col}"), String::new()),
+        1 => ("SELECT COUNT(*) AS n".to_owned(), String::new()),
+        2 => (
+            format!("SELECT COUNT(*) AS n, MIN({key_col}) AS lo, MAX({key_col}) AS hi"),
+            String::new(),
+        ),
+        _ => (
+            format!("SELECT {group_col}, COUNT(*) AS n, MAX({key_col}) AS hi"),
+            format!(" GROUP BY {group_col}"),
+        ),
     };
     let mut sql = format!("{select} FROM {}", tables.join(", "));
     if !preds.is_empty() {
         sql.push_str(" WHERE ");
         sql.push_str(&preds.join(" AND "));
     }
+    sql.push_str(&group);
     sql
 }
 
@@ -139,6 +175,7 @@ fn random_queries_agree_with_centralized_execution() {
             EngineChoice::Basic,
             EngineChoice::ParallelP2P,
             EngineChoice::MapReduce,
+            EngineChoice::Adaptive,
         ] {
             let out = net
                 .submit_query(submitter, &sql, "analyst", engine, 0)
