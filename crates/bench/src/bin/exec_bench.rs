@@ -20,15 +20,7 @@
 //!   the old full unpublish/republish sweep versus delta index
 //!   maintenance ([`BestPeerNetwork::publish_indices`]).
 //!
-//! A fourth, **parallel**, section goes to a separate file
-//! (`BENCH_par.json`, `--par-out`): the morsel-parallel executor at one
-//! worker thread versus all available cores, over a full
-//! scan→filter→join→aggregate statement and a top-K kernel. The binary
-//! hard-asserts byte-identical results and ExecStats at 1, 2, and 8
-//! threads (the PR's determinism invariant) on every machine, and the
-//! ≥1.8× speedup floor whenever ≥4 cores are actually available.
-//!
-//! A fifth, **plan**, section goes to `BENCH_plan.json` (`--plan-out`):
+//! A fourth, **plan**, section goes to `BENCH_plan.json` (`--plan-out`):
 //! the cost-based planner's access-path choice over an indexed TPC-H
 //! orders table. A selective point lookup is timed with the planner
 //! forced onto a sequential scan (no index exists) versus choosing the
@@ -46,7 +38,7 @@ use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use bestpeer_common::{pool, stable_hash, Row, SharedRow, Value};
+use bestpeer_common::{stable_hash, Row, SharedRow, Value};
 use bestpeer_core::indexer;
 use bestpeer_core::network::{BestPeerNetwork, NetworkConfig};
 use bestpeer_sql::exec::{execute_select, ResultSet};
@@ -63,13 +55,12 @@ const C_CUSTKEY: usize = 0;
 const C_ACCTBAL: usize = 3;
 
 fn main() {
-    let (rows, out, par_out, plan_out) = parse_args();
+    let (rows, out, plan_out) = parse_args();
 
     let (ord, cust) = build_tables(rows);
     let pipeline = bench_pipeline(&ord, &cust);
     let order_limit = bench_order_limit();
     let refresh = bench_index_refresh();
-    let par = bench_parallel(&ord, &cust);
     let plan = bench_plan(&ord);
 
     let json = format!(
@@ -89,22 +80,6 @@ fn main() {
     print!("{json}");
     std::fs::write(&out, &json).expect("write BENCH_exec.json");
     eprintln!("wrote {out}");
-
-    let par_json = format!(
-        "{{\n  \"parallel\": {{\n    \"threads\": {},\n    \"pipeline\": {{\"rows\": {}, \"rows_per_sec_seq\": {:.0}, \"rows_per_sec_par\": {:.0}, \"par_speedup\": {:.2}}},\n    \"topk\": {{\"rows\": {}, \"rows_per_sec_seq\": {:.0}, \"rows_per_sec_par\": {:.0}, \"par_speedup\": {:.2}}},\n    \"digests_match\": true\n  }}\n}}\n",
-        par.threads,
-        par.pipeline.rows,
-        par.pipeline.seq_rps,
-        par.pipeline.par_rps,
-        par.pipeline.speedup(),
-        par.topk.rows,
-        par.topk.seq_rps,
-        par.topk.par_rps,
-        par.topk.speedup(),
-    );
-    print!("{par_json}");
-    std::fs::write(&par_out, &par_json).expect("write BENCH_par.json");
-    eprintln!("wrote {par_out}");
 
     let plan_json = format!(
         "{{\n  \"plan\": {{\n    \"rows\": {},\n    \"point_lookup\": {{\"ns_seq_scan\": {:.0}, \"ns_index_scan\": {:.0}, \"index_speedup\": {:.2}}},\n    \"wide_range_fell_back_to_seq_scan\": {},\n    \"digests_match\": true\n  }}\n}}\n",
@@ -131,17 +106,6 @@ fn main() {
         refresh.1,
         refresh.0
     );
-    // The ≥1.8× multi-core floor only means anything when the machine
-    // actually has ≥4 cores; the determinism assertions inside
-    // `bench_parallel` ran unconditionally either way.
-    if par.threads >= 4 {
-        assert!(
-            par.pipeline.speedup() >= 1.8,
-            "parallel pipeline speedup {:.2} below the 1.8x floor at {} threads",
-            par.pipeline.speedup(),
-            par.threads
-        );
-    }
     assert!(
         plan.speedup() >= 5.0,
         "index point lookup speedup {:.2} below the 5x floor",
@@ -153,10 +117,9 @@ fn main() {
     );
 }
 
-fn parse_args() -> (usize, String, String, String) {
+fn parse_args() -> (usize, String, String) {
     let mut rows = 80_000;
     let mut out = "BENCH_exec.json".to_owned();
-    let mut par_out = "BENCH_par.json".to_owned();
     let mut plan_out = "BENCH_plan.json".to_owned();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -170,10 +133,6 @@ fn parse_args() -> (usize, String, String, String) {
                 i += 1;
                 out = argv[i].clone();
             }
-            "--par-out" => {
-                i += 1;
-                par_out = argv[i].clone();
-            }
             "--plan-out" => {
                 i += 1;
                 plan_out = argv[i].clone();
@@ -182,7 +141,7 @@ fn parse_args() -> (usize, String, String, String) {
         }
         i += 1;
     }
-    (rows, out, par_out, plan_out)
+    (rows, out, plan_out)
 }
 
 fn build_tables(rows: usize) -> (Table, Table) {
@@ -444,26 +403,8 @@ fn bench_index_refresh() -> (u32, u32) {
     (hops_full, hops_delta)
 }
 
-struct ParKernel {
-    rows: usize,
-    seq_rps: f64,
-    par_rps: f64,
-}
-
-impl ParKernel {
-    fn speedup(&self) -> f64 {
-        self.par_rps / self.seq_rps
-    }
-}
-
-struct ParallelResult {
-    threads: usize,
-    pipeline: ParKernel,
-    topk: ParKernel,
-}
-
-/// Order-sensitive digest of a result set (row order matters — the
-/// determinism invariant covers ordering, not just content).
+/// Order-sensitive digest of a result set (row order matters: the
+/// access path must not reorder results, not just keep their content).
 fn result_digest(rs: &ResultSet) -> u64 {
     let mut h = rs.rows.len() as u64 ^ ((rs.columns.len() as u64) << 32);
     for row in &rs.rows {
@@ -472,113 +413,6 @@ fn result_digest(rs: &ResultSet) -> u64 {
         }
     }
     h
-}
-
-/// The morsel-parallel executor, one worker thread versus every
-/// available core, over (a) a full scan→filter→join→aggregate SQL
-/// statement and (b) the bounded top-K kernel. Before timing, both
-/// kernels run at 1, 2, and 8 threads and must produce byte-identical
-/// rows and identical ExecStats — the invariant the whole PR hangs on.
-fn bench_parallel(ord: &Table, cust: &Table) -> ParallelResult {
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    let mut db = Database::new();
-    db.create_table(schema::orders()).unwrap();
-    db.create_table(schema::customer()).unwrap();
-    db.bulk_insert("orders", ord.scan().cloned().collect())
-        .unwrap();
-    db.bulk_insert("customer", cust.scan().cloned().collect())
-        .unwrap();
-    let cutoff = acctbal_cutoff(cust);
-    let sql = format!(
-        "SELECT o_nationkey, COUNT(*), SUM(o_totalprice) FROM orders, customer \
-         WHERE o_custkey = c_custkey AND c_acctbal > {cutoff} GROUP BY o_nationkey"
-    );
-    let stmt = parse_select(&sql).unwrap();
-
-    let topk_stmt = parse_select(
-        "SELECT l_orderkey, l_linenumber, l_quantity FROM lineitem \
-         ORDER BY l_quantity DESC, l_orderkey, l_linenumber LIMIT 10",
-    )
-    .unwrap();
-    let topk_cols = vec![
-        "l_orderkey".to_owned(),
-        "l_linenumber".to_owned(),
-        "l_quantity".to_owned(),
-    ];
-    let mut s: u64 = 0x00DD_BA11;
-    let mut next = move || {
-        s = s
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        s >> 33
-    };
-    let topk_rows: Vec<Row> = (0..200_000)
-        .map(|i| {
-            Row::new(vec![
-                Value::Int((next() % 1000) as i64),
-                Value::Int(i),
-                Value::Int((next() % 50) as i64),
-            ])
-        })
-        .collect();
-
-    let run_pipeline = || execute_select(&stmt, &db).unwrap();
-    let run_topk = || {
-        let mut rs = ResultSet {
-            columns: topk_cols.clone(),
-            rows: topk_rows.clone(),
-        };
-        assert!(bestpeer_sql::apply_order_limit(&topk_stmt, &mut rs));
-        rs
-    };
-
-    // Determinism sweep: identical bytes and stats at 1, 2, 8 threads.
-    let mut sweep: Vec<(u64, bestpeer_sql::ExecStats, u64)> = Vec::new();
-    for n in [1usize, 2, 8] {
-        pool::set_threads(n);
-        let (rs, stats) = run_pipeline();
-        let topk = run_topk();
-        sweep.push((result_digest(&rs), stats, result_digest(&topk)));
-        pool::clear_threads();
-    }
-    assert!(
-        sweep.windows(2).all(|w| w[0] == w[1]),
-        "results diverged across thread counts: {sweep:?}"
-    );
-
-    let pipeline_rows = ord.len() + cust.len();
-    pool::set_threads(1);
-    let t_pipe_seq = median_secs(9, || {
-        black_box(run_pipeline());
-    });
-    let t_topk_seq = median_secs(9, || {
-        black_box(run_topk());
-    });
-    pool::set_threads(threads);
-    let t_pipe_par = median_secs(9, || {
-        black_box(run_pipeline());
-    });
-    let t_topk_par = median_secs(9, || {
-        black_box(run_topk());
-    });
-    pool::clear_threads();
-
-    ParallelResult {
-        threads,
-        pipeline: ParKernel {
-            rows: pipeline_rows,
-            seq_rps: pipeline_rows as f64 / t_pipe_seq,
-            par_rps: pipeline_rows as f64 / t_pipe_par,
-        },
-        topk: ParKernel {
-            rows: topk_rows.len(),
-            seq_rps: topk_rows.len() as f64 / t_topk_seq,
-            par_rps: topk_rows.len() as f64 / t_topk_par,
-        },
-    }
 }
 
 struct PlanResult {

@@ -1,4 +1,4 @@
-//! A scoped worker pool for deterministic intra-query parallelism.
+//! A scoped worker pool for deterministic parallelism across peers.
 //!
 //! The pool is deliberately tiny and dependency-free: a
 //! [`std::thread::scope`] fan-out over a chunked work queue driven by a
@@ -7,9 +7,11 @@
 //! sorted back into input order before returning, so **the output of
 //! [`run_tasks`] is a pure function of its input** — worker count,
 //! scheduling order, and preemption never change what the caller sees.
-//! That property is what lets the query engines parallelize per-peer
-//! partition work and per-morsel operator work while keeping results,
-//! traces, and telemetry byte-identical at any thread count.
+//! That property is what lets the query engines serve data owners in
+//! parallel, and the submitter's join stage probe owner batches and
+//! aggregate group-by partitions in parallel, while keeping results,
+//! traces, and telemetry byte-identical at any thread count. Operators
+//! inside one execution run sequentially on their caller's thread.
 //!
 //! Thread-count resolution (first match wins):
 //!
@@ -17,18 +19,14 @@
 //! 2. the `BESTPEER_THREADS` environment variable;
 //! 3. [`std::thread::available_parallelism`].
 //!
+//! The last two are resolved once per process.
+//!
 //! A count of 1 runs every task inline on the caller's thread — the
 //! exact sequential path, not a one-worker simulation of it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Rows per morsel for intra-operator parallel decomposition. Operators
-/// chunk their input by this constant — never by the thread count — so
-/// the decomposition (and everything derived from it: partial-state
-/// merge order, morsel counters) is identical at any parallelism.
-pub const MORSEL_ROWS: usize = 4096;
 
 /// Process-wide thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -54,21 +52,26 @@ pub fn clear_threads() {
 
 /// The worker count the pool will use: the [`set_threads`] override,
 /// else `BESTPEER_THREADS`, else the machine's available parallelism.
+/// The environment and the machine are read on the first call only:
+/// `available_parallelism` can read cgroup files on every call.
 pub fn thread_count() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
     }
-    if let Ok(s) = std::env::var("BESTPEER_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
+    static CONFIGURED: OnceLock<usize> = OnceLock::new();
+    *CONFIGURED.get_or_init(|| {
+        if let Ok(s) = std::env::var("BESTPEER_THREADS") {
+            if let Ok(n) = s.trim().parse::<usize>() {
+                if n > 0 {
+                    return n;
+                }
             }
         }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Drain the pool's `(tasks, busy_ns)` counters, resetting both to
@@ -92,13 +95,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    // The item count is checked first: `thread_count` may read cgroup
-    // files, which would dominate a batch of one.
-    let workers = if items.len() <= 1 {
-        1
-    } else {
-        thread_count().min(items.len())
-    };
+    let workers = thread_count().min(items.len());
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -127,18 +124,6 @@ where
     let mut out = done.into_inner().expect("pool results poisoned");
     out.sort_by_key(|(i, _)| *i);
     out.into_iter().map(|(_, r)| r).collect()
-}
-
-/// The morsel boundaries for `len` input rows: `(start, end)` pairs
-/// covering `0..len` in [`MORSEL_ROWS`] chunks. Depends only on the
-/// input length, never on the thread count.
-pub fn morsels(len: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    (0..len.div_ceil(MORSEL_ROWS))
-        .map(|c| (c * MORSEL_ROWS, ((c + 1) * MORSEL_ROWS).min(len)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -178,21 +163,6 @@ mod tests {
         let par = run_tasks(&items, |i, x| x.wrapping_mul(i as i64 + 1));
         clear_threads();
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn morsel_boundaries_cover_the_input() {
-        assert!(morsels(0).is_empty());
-        assert_eq!(morsels(10), vec![(0, 10)]);
-        let m = morsels(MORSEL_ROWS * 2 + 5);
-        assert_eq!(
-            m,
-            vec![
-                (0, MORSEL_ROWS),
-                (MORSEL_ROWS, 2 * MORSEL_ROWS),
-                (2 * MORSEL_ROWS, 2 * MORSEL_ROWS + 5)
-            ]
-        );
     }
 
     #[test]

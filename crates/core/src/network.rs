@@ -1053,13 +1053,7 @@ impl BestPeerNetwork {
         schemas: &[TableSchema],
         engine: EngineChoice,
         query_ts: u64,
-    ) -> Result<(
-        ResultSet,
-        Trace,
-        EngineChoice,
-        Option<EngineDecision>,
-        bestpeer_sql::ExecStats,
-    )> {
+    ) -> Result<(ResultSet, Trace, EngineChoice, Option<EngineDecision>)> {
         let locator = self
             .locators
             .entry(submitter)
@@ -1112,8 +1106,7 @@ impl BestPeerNetwork {
         };
         let exec = ctx.exec.get();
         self.record_exec_metrics(&exec);
-        let (rs, tr, used, decision) = out;
-        Ok((rs, tr, used, decision, exec))
+        Ok(out)
     }
 
     /// Fold one attempt's execution counters into the registry.
@@ -1122,7 +1115,6 @@ impl BestPeerNetwork {
         m.inc_by("exec.rows_shared", exec.rows_shared);
         m.inc_by("exec.rows_cloned", exec.rows_cloned);
         m.inc_by("exec.topk_short_circuits", exec.topk_short_circuits);
-        m.inc_by("exec.parallel_morsels", exec.parallel_morsels);
         // Pool counters are wall-clock (worker-thread busy time), so
         // they live only in the registry — never in a QueryReport,
         // whose fields must be deterministic at any thread count.
@@ -1195,7 +1187,7 @@ impl BestPeerNetwork {
                 pre.push(Phase::new("fault-slowdown").task(Task::on(submitter).fixed(slow)));
             }
             match outcome {
-                Ok((mut result, trace, used, decision, exec)) => {
+                Ok((mut result, trace, used, decision)) => {
                     result.drop_trailing_columns(hidden);
                     let mut full = pre;
                     full.phases.extend(trace.phases);
@@ -1209,7 +1201,6 @@ impl BestPeerNetwork {
                     report.sheds = sheds;
                     report.slo_violation = self.config.slo_latency > SimTime::ZERO
                         && report.total_latency > self.config.slo_latency;
-                    report.parallel_morsels = exec.parallel_morsels;
                     report.selection = decision.map(|d| EngineSelection {
                         predicted_p2p_secs: d.p2p_cost,
                         predicted_mr_secs: d.mr_cost,
@@ -1661,7 +1652,6 @@ impl BestPeerNetwork {
         let mut report =
             QueryReport::from_trace("online", &out.trace, &Cluster::new(self.config.resources));
         report.degraded_peers = out.skipped_peers;
-        report.parallel_morsels = exec.parallel_morsels;
         self.record_query_metrics(&report);
         out.report = report;
         Ok(out)

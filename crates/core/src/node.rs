@@ -37,7 +37,6 @@ pub fn stats_to_counters(s: &ExecStats) -> Vec<(String, u64)> {
         ("rows_shared".into(), s.rows_shared),
         ("rows_cloned".into(), s.rows_cloned),
         ("topk_short_circuits".into(), s.topk_short_circuits),
-        ("parallel_morsels".into(), s.parallel_morsels),
     ]
 }
 
@@ -54,7 +53,6 @@ pub fn counters_to_stats(counters: &[(String, u64)]) -> ExecStats {
             "rows_shared" => s.rows_shared = *v,
             "rows_cloned" => s.rows_cloned = *v,
             "topk_short_circuits" => s.topk_short_circuits = *v,
-            "parallel_morsels" => s.parallel_morsels = *v,
             _ => {}
         }
     }
@@ -240,13 +238,13 @@ mod tests {
             rows_shared: 6,
             rows_cloned: 7,
             topk_short_circuits: 8,
-            parallel_morsels: 9,
         };
         assert_eq!(counters_to_stats(&stats_to_counters(&s)), s);
         // Unknown counters are ignored, not fatal — the counter set may
-        // grow on newer peers.
+        // grow on newer peers, and older peers still send
+        // `parallel_morsels`.
         let mut c = stats_to_counters(&s);
-        c.push(("rows_teleported".into(), 77));
+        c.push(("parallel_morsels".into(), 9));
         assert_eq!(counters_to_stats(&c), s);
     }
 }

@@ -11,7 +11,6 @@
 //! (byte-for-byte, microsecond-for-microsecond), including through the
 //! JSON export and under injected faults.
 
-use bestpeer_common::pool::MORSEL_ROWS;
 use bestpeer_common::{ColumnDef, ColumnType, Row, TableSchema, Value};
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig};
 use bestpeer_core::Role;
@@ -199,9 +198,7 @@ fn topk_equals_full_sort_truncate_on_random_rows() {
     // — including under heavy duplicate keys and NULLs, where only the
     // shared tie-break (original row order) separates equal rows. The
     // no-LIMIT statement takes the full-sort path, so truncating its
-    // output *is* the reference. The last round spans more than two
-    // morsels, so its per-morsel heaps and their merge heap are checked
-    // too.
+    // output *is* the reference. The last round holds over 8k rows.
     let schema = TableSchema::new(
         "obs",
         vec![
@@ -216,7 +213,7 @@ fn topk_equals_full_sort_truncate_on_random_rows() {
     for round in 0..9u32 {
         let mut db = Database::new();
         db.create_table(schema.clone()).unwrap();
-        let n = (next() % 400) as usize + if round == 8 { 2 * MORSEL_ROWS + 1 } else { 50 };
+        let n = (next() % 400) as usize + if round == 8 { 8193 } else { 50 };
         let mut rows = Vec::with_capacity(n);
         for i in 0..n {
             // ~7 distinct keys over hundreds of rows → ties everywhere;

@@ -33,7 +33,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use bestpeer_common::{codec, mix64, pool, stable_hash, Error, Result, Row, SharedRow, Value};
+use bestpeer_common::{codec, mix64, stable_hash, Error, Result, Row, SharedRow, Value};
 use bestpeer_storage::{Database, RowId, Table};
 
 use crate::ast::{AggFunc, Expr, SelectItem, SelectStmt};
@@ -171,13 +171,6 @@ pub struct ExecStats {
     /// `ORDER BY … LIMIT k` sorts answered by the bounded top-K heap
     /// instead of a full sort.
     pub topk_short_circuits: u64,
-    /// Morsels processed by the executor's parallel operator paths.
-    /// The decomposition is a pure function of input sizes (fixed
-    /// [`pool::MORSEL_ROWS`] chunks, engaged whenever an input spans
-    /// more than one morsel), never of the thread count — so this
-    /// counter, like every other field, is byte-identical at any
-    /// parallelism.
-    pub parallel_morsels: u64,
 }
 
 impl ExecStats {
@@ -191,7 +184,6 @@ impl ExecStats {
         self.rows_shared += other.rows_shared;
         self.rows_cloned += other.rows_cloned;
         self.topk_short_circuits += other.topk_short_circuits;
-        self.parallel_morsels += other.parallel_morsels;
     }
 }
 
@@ -279,7 +271,7 @@ pub fn run_physical(
         }
         PhysPlan::Prune { input, cols, .. } => {
             let rows = run_physical(input, db, stats)?;
-            Ok(prune_rows(&rows, cols, stats))
+            Ok(prune_rows(&rows, cols))
         }
         PhysPlan::HashJoin {
             left,
@@ -290,7 +282,7 @@ pub fn run_physical(
         } => {
             let l = run_physical(left, db, stats)?;
             let r = run_physical(right, db, stats)?;
-            Ok(hash_join(&l, &r, *left_key, *right_key, stats))
+            Ok(hash_join(&l, &r, *left_key, *right_key))
         }
         PhysPlan::CrossJoin { left, right, .. } => {
             let l = run_physical(left, db, stats)?;
@@ -309,17 +301,13 @@ pub fn run_physical(
             binding,
         } => {
             let rows = run_physical(input, db, stats)?;
-            filter_rows(rows, predicates, binding, stats)
+            filter_rows(rows, predicates, binding)
         }
         PhysPlan::Aggregate {
             input, group, aggs, ..
         } => {
             let rows = run_physical(input, db, stats)?;
-            let chunks = pool::morsels(rows.len());
-            if chunks.len() > 1 {
-                stats.parallel_morsels += chunks.len() as u64;
-            }
-            let out = aggregate_slice(&rows, input.binding(), group, aggs)?;
+            let out = aggregate_rows(&rows, input.binding(), group, aggs)?;
             Ok(out.into_iter().map(SharedRow::new).collect())
         }
         PhysPlan::Sort {
@@ -333,7 +321,7 @@ pub fn run_physical(
         }
         PhysPlan::Project { input, exprs, .. } => {
             let rows = run_physical(input, db, stats)?;
-            project_rows(&rows, exprs, input.binding(), stats)
+            project_rows(&rows, exprs, input.binding())
         }
         // `LIMIT k` directly above a sort (with or without an intervening
         // row-wise projection) becomes a bounded top-K: the heap keeps
@@ -364,7 +352,7 @@ pub fn run_physical(
                 };
                 let rows = run_physical(sorted, db, stats)?;
                 let rows = top_k_shared(rows, keys, binding, *n, stats)?;
-                project_rows(&rows, exprs, binding, stats)
+                project_rows(&rows, exprs, binding)
             }
             _ => {
                 let mut rows = run_physical(input, db, stats)?;
@@ -376,89 +364,30 @@ pub fn run_physical(
 }
 
 /// Narrow each row to the kept column positions (projection pruning).
-/// 1:1 and order-preserving; morsel-parallel like [`project_rows`].
-fn prune_rows(rows: &[SharedRow], cols: &[usize], stats: &mut ExecStats) -> Vec<SharedRow> {
-    let prune_one = |row: &SharedRow| -> SharedRow {
-        SharedRow::new(Row::new(cols.iter().map(|&i| row.get(i).clone()).collect()))
-    };
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        return rows.iter().map(prune_one).collect();
-    }
-    stats.parallel_morsels += chunks.len() as u64;
-    pool::run_tasks(&chunks, |_, &(lo, hi)| {
-        rows[lo..hi].iter().map(prune_one).collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+/// 1:1 and order-preserving.
+fn prune_rows(rows: &[SharedRow], cols: &[usize]) -> Vec<SharedRow> {
+    rows.iter()
+        .map(|row| SharedRow::new(Row::new(cols.iter().map(|&i| row.get(i).clone()).collect())))
+        .collect()
 }
 
 /// Evaluate projection expressions over each row (1:1, order-preserving).
-/// Inputs spanning more than one morsel are projected on pool workers,
-/// one morsel per task, merged back in morsel order.
-fn project_rows(
-    rows: &[SharedRow],
-    exprs: &[Expr],
-    b: &Binding,
-    stats: &mut ExecStats,
-) -> Result<Vec<SharedRow>> {
+fn project_rows(rows: &[SharedRow], exprs: &[Expr], b: &Binding) -> Result<Vec<SharedRow>> {
     let exprs = ResolvedExpr::bind_all(exprs, b);
-    let project_one = |row: &SharedRow| -> Result<SharedRow> {
-        Ok(SharedRow::new(Row::new(key_values(&exprs, row)?)))
-    };
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        return rows.iter().map(project_one).collect();
-    }
-    stats.parallel_morsels += chunks.len() as u64;
-    let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| {
-        rows[lo..hi]
-            .iter()
-            .map(project_one)
-            .collect::<Result<Vec<_>>>()
-    });
-    let mut out = Vec::with_capacity(rows.len());
-    for p in parts {
-        out.extend(p?);
-    }
-    Ok(out)
+    rows.iter()
+        .map(|row| Ok(SharedRow::new(Row::new(key_values(&exprs, row)?))))
+        .collect()
 }
 
-/// Morsel-parallel filter: each worker evaluates the predicates over one
-/// fixed-size chunk; survivors are concatenated in chunk order, so the
-/// output sequence equals the sequential scan's at any thread count.
+/// Keep the rows every predicate holds on, in input order.
 #[inline(never)]
-fn filter_rows(
-    rows: Vec<SharedRow>,
-    preds: &[Expr],
-    b: &Binding,
-    stats: &mut ExecStats,
-) -> Result<Vec<SharedRow>> {
+fn filter_rows(rows: Vec<SharedRow>, preds: &[Expr], b: &Binding) -> Result<Vec<SharedRow>> {
     let preds = &ResolvedExpr::bind_all(preds, b);
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        let mut out = Vec::new();
-        for row in rows {
-            if all_true(preds, &row)? {
-                out.push(row);
-            }
-        }
-        return Ok(out);
-    }
-    stats.parallel_morsels += chunks.len() as u64;
-    let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| -> Result<Vec<SharedRow>> {
-        let mut kept = Vec::new();
-        for row in &rows[lo..hi] {
-            if all_true(preds, row)? {
-                kept.push(row.clone());
-            }
-        }
-        Ok(kept)
-    });
     let mut out = Vec::new();
-    for p in parts {
-        out.extend(p?);
+    for row in rows {
+        if all_true(preds, &row)? {
+            out.push(row);
+        }
     }
     Ok(out)
 }
@@ -513,8 +442,7 @@ fn index_scan_rows(
     Ok(out)
 }
 
-/// Full-table scan + filter in RowId order, morsel-parallel when the
-/// table spans more than one morsel.
+/// Full-table scan + filter in RowId order.
 #[inline(never)]
 fn seq_scan_rows(
     table: &Table,
@@ -524,73 +452,29 @@ fn seq_scan_rows(
 ) -> Result<Vec<SharedRow>> {
     let filters = &ResolvedExpr::bind_all(filters, binding);
     let mut out = Vec::new();
-    let rows: Vec<SharedRow> = table.scan_shared().collect();
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        for row in rows {
-            stats.rows_scanned += 1;
-            stats.bytes_scanned += row.byte_size();
-            if all_true(filters, &row)? {
-                stats.rows_shared += 1;
-                out.push(row);
-            }
-        }
-    } else {
-        // Morsel-parallel scan+filter: workers each charge their
-        // chunk's bytes locally; the per-chunk stats are summed
-        // in chunk order, so the totals (and the survivor
-        // sequence) match the sequential loop exactly.
-        stats.parallel_morsels += chunks.len() as u64;
-        let parts = pool::run_tasks(
-            &chunks,
-            |_, &(lo, hi)| -> Result<(Vec<SharedRow>, u64, u64)> {
-                let mut kept = Vec::new();
-                let (mut bytes, mut shared) = (0u64, 0u64);
-                for row in &rows[lo..hi] {
-                    bytes += row.byte_size();
-                    if all_true(filters, row)? {
-                        shared += 1;
-                        kept.push(row.clone());
-                    }
-                }
-                Ok((kept, bytes, shared))
-            },
-        );
-        for (i, part) in parts.into_iter().enumerate() {
-            let (kept, bytes, shared) = part?;
-            let (lo, hi) = chunks[i];
-            stats.rows_scanned += (hi - lo) as u64;
-            stats.bytes_scanned += bytes;
-            stats.rows_shared += shared;
-            out.extend(kept);
+    for row in table.scan_shared() {
+        stats.rows_scanned += 1;
+        stats.bytes_scanned += row.byte_size();
+        if all_true(filters, &row)? {
+            stats.rows_shared += 1;
+            out.push(row);
         }
     }
     Ok(out)
 }
 
-/// Build-side partition count for the parallel hash join. Fixed (never
-/// derived from the thread count) so the decomposition — and therefore
-/// every per-bucket structure — is a pure function of the data.
-const JOIN_PARTITIONS: usize = 16;
-
 /// In-memory hash join (build on the smaller side; output rows always
 /// carry left fields first). A NULL key matches nothing, as in a
 /// `WHERE a = b` filter, so build rows with one are left out of the
-/// table. Empty inputs return immediately without
-/// building a table. When the probe side spans more than one morsel the
-/// join runs partitioned-parallel: a parallel hash pass over the build
-/// side, a cheap in-order distribution into [`JOIN_PARTITIONS`]
-/// hash-partitioned sub-tables built on workers, then morsel-parallel
-/// probing merged in probe order — the output sequence (probe order,
-/// build-input order within a probe match) is byte-identical to the
-/// sequential nested loop at any thread count.
+/// table. Empty inputs return immediately without building a table.
+/// Output comes in probe order, and a probe row's matches in build-input
+/// order.
 #[inline(never)]
 fn hash_join(
     left: &[SharedRow],
     right: &[SharedRow],
     left_key: usize,
     right_key: usize,
-    stats: &mut ExecStats,
 ) -> Vec<SharedRow> {
     if left.is_empty() || right.is_empty() {
         return Vec::new();
@@ -601,68 +485,17 @@ fn hash_join(
     } else {
         (left, left_key, right, right_key)
     };
-    let emit = |b: &SharedRow, p: &SharedRow| -> SharedRow {
-        SharedRow::new(if swap { p.concat(b) } else { b.concat(p) })
-    };
-    let probe_chunks = pool::morsels(probe.len());
-    if probe_chunks.len() <= 1 {
-        let mut ht: HashMap<&Value, Vec<&SharedRow>> = HashMap::with_capacity(build.len());
-        for row in build.iter().filter(|r| !r.get(bkey).is_null()) {
-            ht.entry(row.get(bkey)).or_default().push(row);
-        }
-        let mut out = Vec::with_capacity(build.len().min(probe.len()));
-        for p in probe {
-            if let Some(matches) = ht.get(p.get(pkey)) {
-                for b in matches {
-                    out.push(emit(b, p));
-                }
-            }
-        }
-        return out;
+    let mut ht: HashMap<&Value, Vec<&SharedRow>> = HashMap::with_capacity(build.len());
+    for row in build.iter().filter(|r| !r.get(bkey).is_null()) {
+        ht.entry(row.get(bkey)).or_default().push(row);
     }
-    let build_chunks = pool::morsels(build.len());
-    stats.parallel_morsels += (build_chunks.len() + probe_chunks.len()) as u64;
-    // Parallel hash pass over the build side, then distribute rows into
-    // buckets sequentially *in input order* — each bucket's row order
-    // (and thus each hash chain's match order) equals the sequential
-    // build's.
-    let hashed: Vec<Vec<u64>> = pool::run_tasks(&build_chunks, |_, &(lo, hi)| {
-        build[lo..hi]
-            .iter()
-            .map(|r| stable_hash(r.get(bkey)))
-            .collect()
-    });
-    let mut buckets: Vec<Vec<&SharedRow>> = vec![Vec::new(); JOIN_PARTITIONS];
-    for (chunk, &(lo, _)) in hashed.iter().zip(&build_chunks) {
-        for (off, h) in chunk.iter().enumerate() {
-            let row = &build[lo + off];
-            if !row.get(bkey).is_null() {
-                buckets[(*h as usize) % JOIN_PARTITIONS].push(row);
-            }
-        }
-    }
-    let tables: Vec<HashMap<&Value, Vec<&SharedRow>>> = pool::run_tasks(&buckets, |_, bucket| {
-        let mut ht: HashMap<&Value, Vec<&SharedRow>> = HashMap::with_capacity(bucket.len());
-        for row in bucket {
-            ht.entry(row.get(bkey)).or_default().push(*row);
-        }
-        ht
-    });
-    let parts: Vec<Vec<SharedRow>> = pool::run_tasks(&probe_chunks, |_, &(lo, hi)| {
-        let mut matched = Vec::new();
-        for p in &probe[lo..hi] {
-            let key = p.get(pkey);
-            if let Some(matches) = tables[(stable_hash(key) as usize) % JOIN_PARTITIONS].get(key) {
-                for b in matches {
-                    matched.push(emit(b, p));
-                }
-            }
-        }
-        matched
-    });
     let mut out = Vec::with_capacity(build.len().min(probe.len()));
-    for p in parts {
-        out.extend(p);
+    for p in probe {
+        if let Some(matches) = ht.get(p.get(pkey)) {
+            for b in matches {
+                out.push(SharedRow::new(if swap { p.concat(b) } else { b.concat(p) }));
+            }
+        }
     }
     out
 }
@@ -734,43 +567,6 @@ impl Acc {
         Ok(())
     }
 
-    /// Fold a partial accumulator (same function, built over a later
-    /// morsel of the same group) into this one. A fresh [`Acc::new`]
-    /// state is the identity, so per-morsel partials seeded per worker
-    /// merge to exactly one combined state.
-    fn merge(&mut self, other: &Acc) -> Result<()> {
-        match (self, other) {
-            (Acc::Count(a), Acc::Count(b)) => *a += *b,
-            (Acc::Sum(a), Acc::Sum(b)) => {
-                if !b.is_null() {
-                    *a = a.checked_add(b)?;
-                }
-            }
-            (Acc::Avg { sum, count }, Acc::Avg { sum: s2, count: c2 }) => {
-                if !s2.is_null() {
-                    *sum = sum.checked_add(s2)?;
-                }
-                *count += *c2;
-            }
-            (Acc::Min(a), Acc::Min(b)) => {
-                if !b.is_null() && (a.is_null() || b < a) {
-                    *a = b.clone();
-                }
-            }
-            (Acc::Max(a), Acc::Max(b)) => {
-                if !b.is_null() && (a.is_null() || b > a) {
-                    *a = b.clone();
-                }
-            }
-            _ => {
-                return Err(Error::Internal(
-                    "mismatched aggregate states in partial merge".to_owned(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
     fn finish(self) -> Value {
         match self {
             Acc::Count(n) => Value::Int(n),
@@ -795,13 +591,21 @@ impl Acc {
 /// `Aggregate` plan node). Public so the distributed engines (the SMS
 /// reducers, the submitter's join stage) can aggregate shuffled tuples
 /// that never lived in a table, or joined tuples never built as rows.
-pub fn aggregate_rows<R: Columns + Sync>(
+/// Groups come out in first-seen order.
+#[inline(never)]
+pub fn aggregate_rows<R: Columns>(
     rows: &[R],
     input_binding: &Binding,
     group: &[Expr],
     aggs: &[AggItem],
 ) -> Result<Vec<Row>> {
-    aggregate_slice(rows, input_binding, group, aggs)
+    let bound = &BoundAggs::new(input_binding, group, aggs);
+    let mut table = GroupTable::new(bound);
+    let mut key = Vec::with_capacity(bound.group.len());
+    for row in rows {
+        table.update_row(row, bound, &mut key)?;
+    }
+    Ok(table.finish())
 }
 
 /// Collision-safe fingerprint of a group-key tuple. The group table is
@@ -851,8 +655,6 @@ impl GroupTable {
         };
         if bound.group.is_empty() {
             // Global aggregate: exactly one group even over zero rows.
-            // (Per-morsel tables seed it too — `Acc::new` is the merge
-            // identity, so extra seeds are harmless.)
             t.index.insert(fingerprint_key::<Value>(&[]), vec![0]);
             t.states.push((Vec::new(), bound.fresh_accs()));
         }
@@ -897,20 +699,6 @@ impl GroupTable {
         Ok(())
     }
 
-    /// Merge a partial table built over a later morsel: groups unseen
-    /// here are appended in `other`'s first-seen order, so absorbing
-    /// partials in morsel order reproduces the sequential pass's global
-    /// first-seen group order exactly.
-    fn absorb(&mut self, other: GroupTable, bound: &BoundAggs) -> Result<()> {
-        for (key, accs) in other.states {
-            let s = self.slot(&key, bound);
-            for (mine, theirs) in self.states[s].1.iter_mut().zip(&accs) {
-                mine.merge(theirs)?;
-            }
-        }
-        Ok(())
-    }
-
     fn finish(self) -> Vec<Row> {
         self.states
             .into_iter()
@@ -920,39 +708,6 @@ impl GroupTable {
             })
             .collect()
     }
-}
-
-/// Slice-based aggregation core: inputs spanning more than one morsel
-/// build per-morsel partial group tables on pool workers (the morsel
-/// decomposition depends only on the input length), merged in morsel
-/// order with [`Acc::merge`] — the output is a pure function of the
-/// input rows at any thread count.
-#[inline(never)]
-fn aggregate_slice<R: Columns + Sync>(
-    rows: &[R],
-    input_binding: &Binding,
-    group: &[Expr],
-    aggs: &[AggItem],
-) -> Result<Vec<Row>> {
-    let bound = &BoundAggs::new(input_binding, group, aggs);
-    let fold = |rows: &[R]| -> Result<GroupTable> {
-        let mut t = GroupTable::new(bound);
-        let mut key = Vec::with_capacity(bound.group.len());
-        for row in rows {
-            t.update_row(row, bound, &mut key)?;
-        }
-        Ok(t)
-    };
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        return Ok(fold(rows)?.finish());
-    }
-    let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| fold(&rows[lo..hi]));
-    let mut total = GroupTable::new(bound);
-    for p in parts {
-        total.absorb(p?, bound)?;
-    }
-    Ok(total.finish())
 }
 
 /// Compare two precomputed key tuples under per-dimension descending
@@ -1030,25 +785,8 @@ fn bounded_top_k<T>(
     desc: Arc<[bool]>,
     k: usize,
 ) -> Vec<T> {
-    let indexed = items.enumerate().map(|(i, (key, p))| (key, i, p));
-    bounded_top_k_entries(indexed, desc, k)
-        .into_iter()
-        .map(|(_, _, p)| p)
-        .collect()
-}
-
-/// The same bounded heap over pre-indexed candidates, returning the
-/// surviving `(key, idx, payload)` entries in final order. `idx` is the
-/// row's position in the *global* input sequence, so per-morsel heaps
-/// can be merged through one more pass without disturbing the original
-/// tie-break.
-fn bounded_top_k_entries<T>(
-    items: impl Iterator<Item = (Vec<Value>, usize, T)>,
-    desc: Arc<[bool]>,
-    k: usize,
-) -> Vec<(Vec<Value>, usize, T)> {
     let mut heap: BinaryHeap<TopKEntry<T>> = BinaryHeap::with_capacity(k + 1);
-    for (key, idx, payload) in items {
+    for (idx, (key, payload)) in items.enumerate() {
         if heap.len() == k {
             // Full (or k = 0): only a candidate that sorts before the
             // current worst can enter.
@@ -1071,17 +809,12 @@ fn bounded_top_k_entries<T>(
     }
     heap.into_sorted_vec()
         .into_iter()
-        .map(|e| (e.key, e.idx, e.payload))
+        .map(|e| e.payload)
         .collect()
 }
 
 /// Bounded top-K over shared handles (`LIMIT k` over a sort in the local
-/// plan tree). Inputs spanning more than one morsel run per-morsel
-/// bounded heaps on pool workers — each entry keeps its global input
-/// position — and merge the survivors through one final heap: the top k
-/// of a union of per-morsel top k's is the global top k, and the global
-/// position tie-break keeps the sequence byte-identical to the
-/// sequential heap at any thread count.
+/// plan tree).
 fn top_k_shared(
     rows: Vec<SharedRow>,
     keys: &[(Expr, bool)],
@@ -1093,37 +826,11 @@ fn top_k_shared(
         stats.topk_short_circuits += 1;
     }
     let (exprs, desc) = bind_sort_keys(keys, b);
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        let mut items = Vec::with_capacity(rows.len());
-        for row in rows {
-            items.push((key_values(&exprs, &row)?, row));
-        }
-        return Ok(bounded_top_k(items.into_iter(), desc, k));
+    let mut items = Vec::with_capacity(rows.len());
+    for row in rows {
+        items.push((key_values(&exprs, &row)?, row));
     }
-    stats.parallel_morsels += chunks.len() as u64;
-    let parts = pool::run_tasks(
-        &chunks,
-        |_, &(lo, hi)| -> Result<Vec<(Vec<Value>, usize, SharedRow)>> {
-            let mut items = Vec::with_capacity(hi - lo);
-            for (off, row) in rows[lo..hi].iter().enumerate() {
-                items.push((key_values(&exprs, row)?, lo + off, row.clone()));
-            }
-            Ok(bounded_top_k_entries(
-                items.into_iter(),
-                Arc::clone(&desc),
-                k,
-            ))
-        },
-    );
-    let mut survivors = Vec::new();
-    for p in parts {
-        survivors.extend(p?);
-    }
-    Ok(bounded_top_k_entries(survivors.into_iter(), desc, k)
-        .into_iter()
-        .map(|(_, _, r)| r)
-        .collect())
+    Ok(bounded_top_k(items.into_iter(), desc, k))
 }
 
 /// Coordinator-side `ORDER BY` / `LIMIT` over an assembled result set.
@@ -1162,26 +869,16 @@ pub fn apply_order_limit(stmt: &SelectStmt, rs: &mut ResultSet) -> bool {
         let (exprs, desc) = bind_sort_keys(&keys, &binding);
         let n_in = rs.rows.len();
         let rows = std::mem::take(&mut rs.rows);
-        // Key evaluation is infallible here (failures sort as NULL), so
-        // it fans out per morsel; the heap/sort consumes the keyed rows
-        // sequentially in assembled order either way.
-        let eval_keys = |r: &Row| -> Vec<Value> {
-            exprs
-                .iter()
-                .map(|e| e.value(r).map_or(Value::Null, Cow::into_owned))
-                .collect()
-        };
-        let chunks = pool::morsels(rows.len());
-        let kvs: Vec<Vec<Value>> = if chunks.len() <= 1 {
-            rows.iter().map(eval_keys).collect()
-        } else {
-            pool::run_tasks(&chunks, |_, &(lo, hi)| {
-                rows[lo..hi].iter().map(eval_keys).collect::<Vec<_>>()
+        // Key evaluation is infallible here: failures sort as NULL.
+        let kvs: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|r| {
+                exprs
+                    .iter()
+                    .map(|e| e.value(r).map_or(Value::Null, Cow::into_owned))
+                    .collect()
             })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+            .collect();
         let keyed = kvs.into_iter().zip(rows);
         match stmt.limit {
             Some(k) if n_in > k => {
@@ -1424,8 +1121,7 @@ mod tests {
 
     #[test]
     fn null_join_keys_match_nothing() {
-        // 40 rows join sequentially; 5000 span two probe morsels and so
-        // take the partitioned path.
+        // A handful of NULL keys on each side, then 500.
         for n in [40, 5000] {
             let db = null_key_db(n);
             let rs = query("SELECT x, y FROM l, r WHERE x = y", &db);

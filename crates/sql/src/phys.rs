@@ -45,7 +45,7 @@ use crate::plan::{
 /// Maximum estimated selectivity at which an index scan is chosen over
 /// a sequential scan. Above it, driving the scan through the index
 /// would fetch most of the table row-by-row (random order, per-row
-/// dereference) and lose to the morsel-parallel sequential scan.
+/// dereference) and lose to the sequential scan.
 pub const INDEX_SELECTIVITY_THRESHOLD: f64 = 0.25;
 
 /// Key bounds driving a [`PhysPlan::IndexScan`].

@@ -73,9 +73,9 @@ const CHECKPOINT_MAGIC: u32 = 0xBE57_C4B0;
 /// unsynced buffer is dropped except its first `keep_unsynced` bytes,
 /// which *do* reach the durable log — that is how a torn (partially
 /// persisted) final record is injected.
-/// (`Send + Sync` because the morsel-parallel executor shares peers
-/// across scoped worker threads; mutation — and thus logging — stays on
-/// the single coordinator thread.)
+/// (`Send + Sync` because owners serve subqueries on scoped pool
+/// workers, which share the peers; mutation — and thus logging — stays
+/// on the single coordinator thread.)
 pub trait LogDevice: fmt::Debug + Send + Sync {
     /// Buffer bytes at the end of the log (volatile until `sync`).
     fn append(&mut self, bytes: &[u8]) -> Result<()>;

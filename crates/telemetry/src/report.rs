@@ -92,11 +92,6 @@ pub struct QueryReport {
     pub index_cache_hits: u64,
     /// Index-entry cache misses (BATON searches) during peer location.
     pub index_cache_misses: u64,
-    /// Morsels executed on the worker pool across this query's operator
-    /// pipelines. A pure function of input sizes (chunk boundaries never
-    /// depend on thread count), so this is identical at any parallelism
-    /// — unlike wall-clock pool counters, which stay registry-only.
-    pub parallel_morsels: u64,
     /// Attempts rejected by a peer's bounded admission queue
     /// (`Error::Overloaded`) before the query finally ran; each one cost
     /// a `shed-backoff-*` overhead phase.
@@ -131,7 +126,6 @@ impl Default for QueryReport {
             cache_misses: 0,
             index_cache_hits: 0,
             index_cache_misses: 0,
-            parallel_morsels: 0,
             sheds: 0,
             slo_violation: false,
             advisor_hit: false,
@@ -183,7 +177,6 @@ impl QueryReport {
             cache_misses: 0,
             index_cache_hits: 0,
             index_cache_misses: 0,
-            parallel_morsels: 0,
             sheds: 0,
             slo_violation: false,
             advisor_hit: false,
@@ -321,7 +314,6 @@ impl QueryReport {
             .set("cache_misses", self.cache_misses)
             .set("index_cache_hits", self.index_cache_hits)
             .set("index_cache_misses", self.index_cache_misses)
-            .set("parallel_morsels", self.parallel_morsels)
             .set("sheds", self.sheds)
             .set("slo_violation", self.slo_violation)
             .set("advisor_hit", self.advisor_hit)
@@ -422,7 +414,6 @@ impl QueryReport {
             cache_misses: opt_count(j, "cache_misses"),
             index_cache_hits: opt_count(j, "index_cache_hits"),
             index_cache_misses: opt_count(j, "index_cache_misses"),
-            parallel_morsels: opt_count(j, "parallel_morsels"),
             sheds: opt_count(j, "sheds") as u32,
             // Admission fields postdate the format too; absent means the
             // sender predates admission control (no sheds, no SLO).

@@ -7,17 +7,16 @@
 #
 #   scripts/bench_compare.sh [fresh_dir]
 #
-# Expects BENCH_exec.json, BENCH_par.json, BENCH_plan.json,
-# BENCH_cache.json, BENCH_wal.json, BENCH_scale.json, and
-# BENCH_route.json in fresh_dir (default: the repo root — where
-# scripts/check.sh leaves them).
+# Expects BENCH_exec.json, BENCH_plan.json, BENCH_cache.json,
+# BENCH_wal.json, BENCH_scale.json, and BENCH_route.json in fresh_dir
+# (default: the repo root — where scripts/check.sh leaves them).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fresh_dir="${1:-.}"
 status=0
 
-for name in BENCH_exec.json BENCH_par.json BENCH_plan.json BENCH_cache.json BENCH_wal.json BENCH_scale.json BENCH_route.json; do
+for name in BENCH_exec.json BENCH_plan.json BENCH_cache.json BENCH_wal.json BENCH_scale.json BENCH_route.json; do
   fresh="$fresh_dir/$name"
   baseline="baselines/$name"
   if [ ! -f "$fresh" ]; then

@@ -31,7 +31,7 @@ run_test() {
   echo "==> cargo build --release"
   cargo build --release
 
-  echo "==> exec micro-bench (writes BENCH_exec.json + BENCH_par.json + BENCH_plan.json; asserts 2x rows/sec, 5x fewer refresh hops, thread-count determinism, 5x index point-lookup speedup + seq-scan fallback)"
+  echo "==> exec micro-bench (writes BENCH_exec.json + BENCH_plan.json; asserts 2x rows/sec, 5x fewer refresh hops, 5x index point-lookup speedup + seq-scan fallback)"
   cargo run --release -q -p bestpeer-bench --bin exec_bench
 
   echo "==> cache bench (writes BENCH_cache.json; asserts byte-identical results, >=30% latency cut)"
