@@ -36,8 +36,7 @@ pub fn encode_value(buf: &mut BytesMut, v: &Value) {
         }
         Value::Str(s) => {
             buf.put_u8(TAG_STR);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            put_str(buf, s);
         }
         Value::Date(d) => {
             buf.put_u8(TAG_DATE);
@@ -62,16 +61,7 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
             ensure(buf, 8)?;
             Ok(Value::Float(buf.get_f64_le()))
         }
-        TAG_STR => {
-            ensure(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            ensure(buf, len)?;
-            let s = std::str::from_utf8(&buf[..len])
-                .map_err(|_| Error::Codec("invalid utf-8 in string value".into()))?
-                .to_owned();
-            buf.advance(len);
-            Ok(Value::Str(s))
-        }
+        TAG_STR => Ok(Value::Str(get_str(buf)?)),
         TAG_DATE => {
             ensure(buf, 4)?;
             Ok(Value::Date(buf.get_i32_le()))
@@ -80,10 +70,41 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
     }
 }
 
+/// Append `bytes` as a `u32` length followed by the bytes: the layout
+/// of every string and blob the wire, the WAL, the access rules and the
+/// index entry sets carry.
+pub fn put_bytes(buf: &mut BytesMut, bytes: &[u8]) {
+    buf.put_u32_le(bytes.len() as u32);
+    buf.put_slice(bytes);
+}
+
+/// Append `s` as a `u32` byte length followed by its UTF-8 bytes.
+pub fn put_str(buf: &mut BytesMut, s: &str) {
+    put_bytes(buf, s.as_bytes());
+}
+
+/// Decode a byte run written by [`put_bytes`] from the front of `buf`.
+/// The declared length is checked against the remaining bytes before
+/// anything is allocated: these bytes can arrive over untrusted
+/// sockets or from a torn log.
+pub fn get_bytes(buf: &mut Bytes) -> Result<Vec<u8>> {
+    ensure(buf, 4)?;
+    let len = buf.get_u32_le() as usize;
+    ensure(buf, len)?;
+    let bytes = buf[..len].to_vec();
+    buf.advance(len);
+    Ok(bytes)
+}
+
+/// Decode a string written by [`put_str`] from the front of `buf`.
+pub fn get_str(buf: &mut Bytes) -> Result<String> {
+    String::from_utf8(get_bytes(buf)?).map_err(|_| Error::Codec("invalid utf-8 in string".into()))
+}
+
 fn ensure(buf: &Bytes, n: usize) -> Result<()> {
     if buf.remaining() < n {
         Err(Error::Codec(format!(
-            "truncated value: need {n} bytes, have {}",
+            "truncated: need {n} bytes, have {}",
             buf.remaining()
         )))
     } else {

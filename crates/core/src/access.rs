@@ -12,6 +12,7 @@
 //! role cannot read comes back as NULL, and a readable column with a
 //! range condition returns NULL outside the range.
 
+use bestpeer_common::codec::{get_str, put_str};
 use bestpeer_common::{Error, Result, Row, Value};
 
 /// What a rule permits on its column.
@@ -286,28 +287,6 @@ impl Role {
             }
         }
     }
-}
-
-fn put_str(buf: &mut bestpeer_common::bytes::BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut bestpeer_common::bytes::Bytes) -> Result<String> {
-    if buf.remaining() < 4 {
-        return Err(Error::Codec("truncated string length".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if len > buf.remaining() {
-        return Err(Error::Codec(format!(
-            "string declares {len} bytes but only {} remain",
-            buf.remaining()
-        )));
-    }
-    let bytes = buf.split_to(len);
-    std::str::from_utf8(&bytes)
-        .map(str::to_owned)
-        .map_err(|_| Error::Codec("invalid utf-8 in string".into()))
 }
 
 #[cfg(test)]

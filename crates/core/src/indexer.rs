@@ -85,11 +85,7 @@ impl IndexEntry {
 /// (little-endian): `u32` count, then per entry the BATON key, a type
 /// tag, and the tag-specific fields.
 pub fn encode_entries(entries: &[(Key, IndexEntry)]) -> Vec<u8> {
-    use bestpeer_common::{bytes::BytesMut, codec};
-    fn put_str(buf: &mut BytesMut, s: &str) {
-        buf.put_u32_le(s.len() as u32);
-        buf.put_slice(s.as_bytes());
-    }
+    use bestpeer_common::{bytes::BytesMut, codec, codec::put_str};
     let mut buf = BytesMut::with_capacity(32 + entries.len() * 32);
     buf.put_u32_le(entries.len() as u32);
     for (key, entry) in entries {
@@ -126,23 +122,7 @@ pub fn encode_entries(entries: &[(Key, IndexEntry)]) -> Vec<u8> {
 /// length is capped against the remaining bytes before allocation —
 /// these blobs arrive over untrusted sockets.
 pub fn decode_entries(payload: &[u8]) -> Result<Vec<(Key, IndexEntry)>> {
-    use bestpeer_common::{bytes::Bytes, codec, Error};
-    fn get_str(buf: &mut Bytes) -> Result<String> {
-        if buf.remaining() < 4 {
-            return Err(Error::Codec("truncated entry string length".into()));
-        }
-        let len = buf.get_u32_le() as usize;
-        if len > buf.remaining() {
-            return Err(Error::Codec(format!(
-                "entry string declares {len} bytes but only {} remain",
-                buf.remaining()
-            )));
-        }
-        let bytes = buf.split_to(len);
-        std::str::from_utf8(&bytes)
-            .map(str::to_owned)
-            .map_err(|_| Error::Codec("invalid utf-8 in entry string".into()))
-    }
+    use bestpeer_common::{bytes::Bytes, codec, codec::get_str, Error};
     let mut buf = Bytes::from(payload);
     if buf.remaining() < 4 {
         return Err(Error::Codec("truncated entry set: missing count".into()));

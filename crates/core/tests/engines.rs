@@ -2,9 +2,9 @@
 //! what a centralized database returns over the union of all peers'
 //! partitions, for every benchmark query.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use bestpeer_common::{Row, Value};
+use bestpeer_common::{ColumnDef, ColumnType, Row, TableSchema, Value};
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig};
 use bestpeer_core::Role;
 use bestpeer_sql::{execute_select, parse_select};
@@ -176,6 +176,106 @@ fn every_engine_rejects_bad_queries_with_the_same_error_kind() {
             }
         }
     }
+}
+
+/// A column equality within one table is a selection on that table,
+/// alone or beside a join, on every engine and in the local executor:
+/// each count equals one taken directly from the union database's rows.
+#[test]
+fn every_engine_pushes_a_column_equality_within_one_table() {
+    let (mut net, central) = setup(3, 400);
+    let submitter = net.peer_ids()[0];
+    let lineitem = central.table("lineitem").unwrap();
+    let col = |c| lineitem.schema().column_index(c).unwrap();
+    let (orderkey, partkey, suppkey) = (col("l_orderkey"), col("l_partkey"), col("l_suppkey"));
+    let orders: BTreeSet<&Value> = central
+        .table("orders")
+        .unwrap()
+        .scan()
+        .map(|r| r.get(0))
+        .collect();
+    let equal: Vec<&Row> = lineitem
+        .scan()
+        .filter(|r| r.get(partkey) == r.get(suppkey))
+        .collect();
+    let joined = equal
+        .iter()
+        .filter(|r| orders.contains(r.get(orderkey)))
+        .count();
+    assert!(
+        joined > 0,
+        "the data has rows whose part and supplier keys agree"
+    );
+    for (sql, want) in [
+        (
+            "SELECT COUNT(*) FROM lineitem WHERE l_partkey = l_suppkey",
+            equal.len(),
+        ),
+        (
+            "SELECT COUNT(*) FROM lineitem, orders \
+             WHERE l_orderkey = o_orderkey AND l_partkey = l_suppkey",
+            joined,
+        ),
+    ] {
+        let want = Value::Int(want as i64);
+        let (local, _) = execute_select(&parse_select(sql).unwrap(), &central).unwrap();
+        assert_eq!(local.rows[0].get(0), &want, "execute_select on {sql}");
+        for engine in ENGINES {
+            let out = net
+                .submit_query(submitter, sql, "R", engine, 0)
+                .unwrap_or_else(|e| panic!("{engine:?} on {sql}: {e}"));
+            assert_eq!(out.result.rows[0].get(0), &want, "{engine:?} on {sql}");
+        }
+    }
+}
+
+/// An unqualified predicate column that two FROM tables have is
+/// ambiguous on every engine (DESIGN §15), not bound to the first of
+/// them; qualifying it answers the same everywhere.
+#[test]
+fn every_engine_rejects_an_ambiguous_predicate_column() {
+    let table = |name: &str| {
+        let cols = vec![
+            ColumnDef::new("x", ColumnType::Int),
+            ColumnDef::new(format!("{name}_only"), ColumnType::Int),
+        ];
+        TableSchema::new(name, cols, vec![]).unwrap()
+    };
+    let mut net = BestPeerNetwork::new(vec![table("t1"), table("t2")], NetworkConfig::default());
+    let cols: [&[&str]; 2] = [&["x", "t1_only"], &["x", "t2_only"]];
+    net.define_role(Role::full_read("R", &[("t1", cols[0]), ("t2", cols[1])]));
+    // Per peer: t1 holds x = 0..8, t2 holds x = 0..4, all joining on 1.
+    for node in 0..2 {
+        let id = net.join(&format!("b{node}")).unwrap();
+        let rows = |n: i64| -> Vec<Row> {
+            (0..n)
+                .map(|x| Row::new(vec![Value::Int(x), Value::Int(1)]))
+                .collect()
+        };
+        let data = BTreeMap::from([("t1".to_string(), rows(8)), ("t2".to_string(), rows(4))]);
+        net.load_peer(id, data, 1).unwrap();
+    }
+    let submitter = net.peer_ids()[0];
+    let ambiguous = "SELECT COUNT(*) FROM t1, t2 WHERE t1_only = t2_only AND x > 3";
+    let qualified = "SELECT COUNT(*) FROM t1, t2 WHERE t1_only = t2_only AND t1.x > 3";
+    for engine in ENGINES {
+        match net.submit_query(submitter, ambiguous, "R", engine, 0) {
+            Ok(out) => panic!("{engine:?} answered {:?}", out.result.rows),
+            Err(e) => {
+                assert_eq!(e.kind(), "plan", "{engine:?}: {e}");
+                assert!(
+                    e.to_string().contains("ambiguous column reference `x`"),
+                    "{engine:?}: {e}"
+                );
+            }
+        }
+        let out = net
+            .submit_query(submitter, qualified, "R", engine, 0)
+            .unwrap();
+        assert_eq!(out.result.rows[0].get(0), &Value::Int(64), "{engine:?}");
+    }
+    let err = net.explain_query(submitter, ambiguous).unwrap_err();
+    assert_eq!(err.kind(), "plan", "{err}");
 }
 
 /// An ORDER BY key the query does not project orders the answer as the

@@ -1,4 +1,5 @@
-//! Query decomposition helpers for the distributed engines.
+//! Query decomposition, and the pushdown and join order every planner
+//! shares.
 //!
 //! BestPeer++'s fetch-and-process and parallel strategies and the SMS
 //! planner (`bestpeer_mapreduce::sqlcompile`, shared by HadoopDB and the
@@ -10,6 +11,12 @@
 //! residual predicates. The P2P engines first move the most selective
 //! table to the front ([`reorder_for_selectivity`]); the SMS planner
 //! keeps FROM order.
+//!
+//! The two decisions inside, which table each conjunct is pushed to and
+//! the order tables are joined in, are one routine each
+//! (`push_down` and `join_order`). The local planner
+//! ([`crate::phys::plan_physical`]) calls the same two, ranking tables by
+//! estimated scan size where [`decompose`] ranks them all equal.
 
 use bestpeer_common::{Error, Result, TableSchema};
 
@@ -164,103 +171,175 @@ pub fn reorder_for_selectivity(
 }
 
 /// Decompose `stmt` against the given table schemas (one per FROM
-/// table, in order).
+/// table, in order). Each part binds the columns the statement
+/// references, and the join order keeps FROM order wherever it has a
+/// choice, so the pipeline starts from `parts[0]`.
 pub fn decompose(stmt: &SelectStmt, schemas: &[TableSchema]) -> Result<Decomposition> {
     assert_eq!(schemas.len(), stmt.from.len(), "one schema per FROM table");
-    let mut parts = Vec::with_capacity(stmt.from.len());
-    let mut pushed = vec![false; stmt.predicates.len()];
-    for (t, schema) in stmt.from.iter().zip(schemas) {
-        let binding = Binding::from_cols(
-            needed_columns(stmt, schema)
-                .into_iter()
-                .map(|c| (Some(t.clone()), c))
-                .collect(),
-        );
-        let mut preds = Vec::new();
-        for (i, p) in stmt.predicates.iter().enumerate() {
-            if !pushed[i] && p.as_equi_join().is_none() && binding.covers(p) {
-                preds.push(p.clone());
-                pushed[i] = true;
-            }
-        }
-        parts.push(TablePart {
+    let bindings: Vec<Binding> = stmt
+        .from
+        .iter()
+        .zip(schemas)
+        .map(|(t, schema)| {
+            let cols = needed_columns(stmt, schema).into_iter();
+            Binding::from_cols(cols.map(|c| (Some(t.clone()), c)).collect())
+        })
+        .collect();
+    let (pushed, rest) = push_down(stmt, &bindings)?;
+    let (_, joins) = join_order(&bindings, &vec![0.0; bindings.len()], rest)?;
+    let parts = stmt
+        .from
+        .iter()
+        .zip(bindings)
+        .zip(pushed)
+        .map(|((t, binding), predicates)| TablePart {
             table: t.clone(),
             subquery: SelectStmt {
                 projections: binding.select_items(),
                 from: vec![t.clone()],
-                predicates: preds,
-                group_by: Vec::new(),
-                order_by: Vec::new(),
-                limit: None,
+                predicates,
+                ..SelectStmt::default()
             },
             binding,
-        });
-    }
-    let mut residual: Vec<Expr> = stmt
-        .predicates
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !pushed[*i])
-        .map(|(_, p)| p.clone())
+        })
         .collect();
+    Ok(Decomposition { parts, joins })
+}
 
-    // Greedy left-deep join order.
-    let mut current = parts[0].binding.clone();
-    let mut remaining: Vec<usize> = (1..parts.len()).collect();
-    let mut joins = Vec::new();
-    while !remaining.is_empty() {
-        let mut chosen: Option<(usize, usize, usize, usize)> = None;
-        'outer: for (ri, &ti) in remaining.iter().enumerate() {
-            for (pi, p) in residual.iter().enumerate() {
-                if let Some((a, b)) = p.as_equi_join() {
-                    if let (Ok(l), Ok(r)) = (current.resolve(a), parts[ti].binding.resolve(b)) {
-                        chosen = Some((ri, pi, l, r));
-                        break 'outer;
-                    }
-                    if let (Ok(l), Ok(r)) = (current.resolve(b), parts[ti].binding.resolve(a)) {
-                        chosen = Some((ri, pi, l, r));
-                        break 'outer;
-                    }
+/// Push `stmt`'s WHERE conjuncts down to its FROM tables, whose rows
+/// `bindings` describe (one per FROM table, in order). Returns each
+/// table's selections and, in statement order, the conjuncts no single
+/// table covers: join predicates and cross-table residuals.
+///
+/// - A conjunct that a table covers is a selection on the first table
+///   that covers it.
+/// - A column equality `a = b` is a selection only when both columns
+///   name columns of one and the same table and of no other; otherwise
+///   it stays a join predicate.
+/// - Any other conjunct with an unqualified column that more than one
+///   table has fails with [`Error::Plan`] (`ambiguous column
+///   reference`) rather than binding to the first of them.
+pub(crate) fn push_down(
+    stmt: &SelectStmt,
+    bindings: &[Binding],
+) -> Result<(Vec<Vec<Expr>>, Vec<Expr>)> {
+    let sole_home = |c: &ColumnRef| {
+        let mut hs = homes(bindings, c);
+        match (hs.next(), hs.next()) {
+            (Some(t), None) => Some(t),
+            _ => None,
+        }
+    };
+    let mut pushed = vec![Vec::new(); bindings.len()];
+    let mut rest = Vec::new();
+    for p in &stmt.predicates {
+        let home = match p.as_equi_join() {
+            Some((a, b)) => sole_home(a).filter(|&t| sole_home(b) == Some(t)),
+            None => {
+                let ambiguous = p
+                    .referenced_columns()
+                    .into_iter()
+                    .find(|c| c.table.is_none() && homes(bindings, c).nth(1).is_some());
+                if let Some(c) = ambiguous {
+                    return Err(Error::Plan(format!("ambiguous column reference `{c}`")));
+                }
+                bindings.iter().position(|b| b.covers(p))
+            }
+        };
+        match home {
+            Some(t) => pushed[t].push(p.clone()),
+            None => rest.push(p.clone()),
+        }
+    }
+    Ok((pushed, rest))
+}
+
+/// The positions of the bindings that resolve `c`.
+fn homes<'a>(bindings: &'a [Binding], c: &'a ColumnRef) -> impl Iterator<Item = usize> + 'a {
+    let resolves = move |(i, b): (usize, &Binding)| b.resolve(c).is_ok().then_some(i);
+    bindings.iter().enumerate().filter_map(resolves)
+}
+
+/// The greedy left-deep join order over the tables `bindings` describe,
+/// given the conjuncts `rest` that [`push_down`] left over. Returns the
+/// table the pipeline starts from and the joins that follow it.
+///
+/// The start is the table of smallest `rank`. Each step then joins the
+/// smallest-ranked pending table that an equi-join conjunct connects to
+/// the joined prefix, keyed on the first such conjunct, or, when none
+/// connects, cross-joins the smallest pending table. Ties keep FROM
+/// order, so equal ranks give FROM order. After each join, the
+/// conjuncts the joined binding now covers become that step's
+/// residuals; one that never does fails with [`Error::Plan`].
+pub(crate) fn join_order(
+    bindings: &[Binding],
+    rank: &[f64],
+    mut rest: Vec<Expr>,
+) -> Result<(usize, Vec<JoinStep>)> {
+    let smallest = |tables: &[usize]| {
+        (1..tables.len()).fold(0, |best, i| {
+            if rank[tables[i]] < rank[tables[best]] {
+                i
+            } else {
+                best
+            }
+        })
+    };
+    let mut pending: Vec<usize> = (0..bindings.len()).collect();
+    let start = pending.remove(smallest(&pending));
+    let mut joins: Vec<JoinStep> = Vec::with_capacity(pending.len());
+    while !pending.is_empty() {
+        let prefix = joins.last().map_or(&bindings[start], |j| &j.out_binding);
+        // The first conjunct keying `right` to the prefix.
+        let connection = |right: &Binding| {
+            rest.iter().enumerate().find_map(|(pi, p)| {
+                let (a, b) = p.as_equi_join()?;
+                let keys = |l: &ColumnRef, r: &ColumnRef| {
+                    Some((prefix.resolve(l).ok()?, right.resolve(r).ok()?))
+                };
+                Some((pi, keys(a, b).or_else(|| keys(b, a))?))
+            })
+        };
+        let mut chosen: Option<(usize, usize, (usize, usize))> = None;
+        for (i, &t) in pending.iter().enumerate() {
+            if chosen.is_none_or(|(c, ..)| rank[t] < rank[pending[c]]) {
+                if let Some((pi, keys)) = connection(&bindings[t]) {
+                    chosen = Some((i, pi, keys));
                 }
             }
         }
-        let (ri, keys) = match chosen {
-            Some((ri, pi, l, r)) => {
-                residual.remove(pi);
-                (ri, Some((l, r)))
+        let (i, keys) = match chosen {
+            Some((i, pi, keys)) => {
+                rest.remove(pi);
+                (i, Some(keys))
             }
-            None => (0, None),
+            None => (smallest(&pending), None),
         };
-        let ti = remaining.remove(ri);
-        let out_binding = current.concat(&parts[ti].binding);
-        let mut level_residuals = Vec::new();
-        residual.retain(|p| {
-            if out_binding.covers(p) {
-                level_residuals.push(p.clone());
-                false
-            } else {
-                true
+        let part = pending.remove(i);
+        let out_binding = prefix.concat(&bindings[part]);
+        let mut residuals = Vec::new();
+        rest.retain(|p| {
+            let covered = out_binding.covers(p);
+            if covered {
+                residuals.push(p.clone());
             }
+            !covered
         });
-        current = out_binding.clone();
         joins.push(JoinStep {
-            part: ti,
+            part,
             keys,
-            residuals: level_residuals,
+            residuals,
             out_binding,
         });
     }
-    if !residual.is_empty() {
+    if !rest.is_empty() {
+        let preds: Vec<String> = rest.iter().map(|p| p.to_string()).collect();
         return Err(Error::Plan(format!(
             "unresolvable predicates: {}",
-            residual
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
+            preds.join(", ")
         )));
     }
-    Ok(Decomposition { parts, joins })
+    Ok((start, joins))
 }
 
 #[cfg(test)]
@@ -324,6 +403,45 @@ mod tests {
         assert_eq!(d.joins.len(), 1);
         assert!(d.joins[0].keys.is_none(), "no equi-join predicate");
         assert_eq!(d.joins[0].residuals.len(), 1, "a1+a2>3 applied post-join");
+    }
+
+    #[test]
+    fn column_equality_within_one_table_lands_in_its_subquery() {
+        let stmt = parse_select(
+            "SELECT COUNT(*) FROM lineitem, orders \
+             WHERE l_orderkey = o_orderkey AND l_partkey = l_suppkey",
+        )
+        .unwrap();
+        let schemas = [
+            schema("lineitem", &["l_orderkey", "l_partkey", "l_suppkey"]),
+            schema("orders", &["o_orderkey"]),
+        ];
+        let d = decompose(&stmt, &schemas).unwrap();
+        let lineitem = &d.parts[0].subquery;
+        assert_eq!(lineitem.from, ["lineitem"]);
+        let preds: Vec<String> = lineitem.predicates.iter().map(|p| p.to_string()).collect();
+        assert_eq!(preds, ["l_partkey = l_suppkey"]);
+        assert!(d.parts[1].subquery.predicates.is_empty());
+        assert_eq!(d.joins[0].keys, Some((0, 0)), "l_orderkey = o_orderkey");
+        assert!(d.joins[0].residuals.is_empty());
+    }
+
+    #[test]
+    fn ambiguous_unqualified_column_fails_and_a_shared_equality_joins() {
+        let schemas = [schema("t1", &["x", "a1"]), schema("t2", &["x", "a2"])];
+        let plan = |sql: &str| decompose(&parse_select(sql).unwrap(), &schemas);
+        let err = plan("SELECT a1 FROM t1, t2 WHERE a1 = a2 AND x > 3").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "plan error: ambiguous column reference `x`"
+        );
+        let d = plan("SELECT a1 FROM t1, t2 WHERE a1 = a2 AND t1.x > 3").unwrap();
+        assert_eq!(d.parts[0].subquery.predicates.len(), 1);
+        // `x` names a column of both tables, so `x = a2` stays a join
+        // predicate and keys on the prefix's `x`.
+        let d = plan("SELECT a1 FROM t1, t2 WHERE x = a2").unwrap();
+        assert!(d.parts.iter().all(|p| p.subquery.predicates.is_empty()));
+        assert_eq!(d.joins[0].keys, Some((0, 1)));
     }
 
     #[test]

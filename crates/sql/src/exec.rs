@@ -79,8 +79,7 @@ impl ResultSet {
         );
         buf.put_u32_le(self.columns.len() as u32);
         for c in &self.columns {
-            buf.put_u32_le(c.len() as u32);
-            buf.put_slice(c.as_bytes());
+            codec::put_str(&mut buf, c);
         }
         codec::encode_batch_into(&mut buf, &self.rows);
         buf.into_vec()
@@ -106,20 +105,7 @@ impl ResultSet {
         }
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            if buf.remaining() < 4 {
-                return Err(Error::Codec("truncated column name length".into()));
-            }
-            let len = buf.get_u32_le() as usize;
-            if len > buf.remaining() {
-                return Err(Error::Codec(format!(
-                    "column name declares {len} bytes but only {} remain",
-                    buf.remaining()
-                )));
-            }
-            let bytes = buf.split_to(len);
-            let name = std::str::from_utf8(&bytes)
-                .map_err(|_| Error::Codec("invalid utf-8 in column name".into()))?;
-            columns.push(name.to_owned());
+            columns.push(codec::get_str(&mut buf)?);
         }
         let rows = codec::decode_batch(buf)?;
         Ok(ResultSet { columns, rows })
@@ -777,15 +763,17 @@ impl<T> Ord for TopKEntry<T> {
 /// Keep the first `k` rows of the sorted sequence using a bounded binary
 /// heap: once the heap holds `k` entries, a candidate that sorts after
 /// its current worst is skipped, and any other replaces that worst.
-/// O(n log k) time, O(k) space; output is byte-identical to
+/// O(n log k) time, O(min(n, k)) space; output is byte-identical to
 /// full-sort-then-truncate because the comparator is total (original
-/// position breaks every tie).
+/// position breaks every tie). The heap is sized by its input, not by
+/// `k`: a LIMIT far above the row count reserves nothing for it.
 fn bounded_top_k<T>(
     items: impl Iterator<Item = (Vec<Value>, T)>,
     desc: Arc<[bool]>,
     k: usize,
 ) -> Vec<T> {
-    let mut heap: BinaryHeap<TopKEntry<T>> = BinaryHeap::with_capacity(k + 1);
+    let cap = k.min(items.size_hint().0) + 1;
+    let mut heap: BinaryHeap<TopKEntry<T>> = BinaryHeap::with_capacity(cap);
     for (idx, (key, payload)) in items.enumerate() {
         if heap.len() == k {
             // Full (or k = 0): only a candidate that sorts before the
@@ -1382,6 +1370,24 @@ mod tests {
                 .unwrap();
         }
         db
+    }
+
+    /// A LIMIT far above the row count sorts what there is: the top-K
+    /// heap is sized by its input, so it reserves nothing for the LIMIT.
+    #[test]
+    fn huge_limit_over_few_rows_returns_them_in_order() {
+        let db = small_db();
+        let (rs, stats) = execute_select(
+            &parse_select("SELECT a FROM t ORDER BY a LIMIT 1000000000").unwrap(),
+            &db,
+        )
+        .unwrap();
+        let a: Vec<i64> = rs.rows.iter().map(|r| r.get(0).as_int().unwrap()).collect();
+        assert_eq!(a, [1, 2, 3]);
+        assert_eq!(
+            stats.topk_short_circuits, 0,
+            "3 rows never exceed the LIMIT"
+        );
     }
 
     fn try_query(sql: &str, db: &Database) -> Result<ResultSet> {

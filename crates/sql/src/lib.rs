@@ -5,10 +5,12 @@
 //! PostgreSQL instances). This crate is the SQL engine for our embedded
 //! store: a recursive-descent parser for the dialect used by the paper's
 //! workload (conjunctive selections, equi-joins, aggregation with GROUP
-//! BY, ORDER BY, LIMIT), a cost-based planner (predicate pushdown,
-//! cardinality-ordered left-deep join trees, and per-table
-//! SeqScan/IndexScan access-path selection in [`phys`]), and a
-//! materializing executor.
+//! BY, ORDER BY, LIMIT), one cost-based planner that builds physical
+//! plans directly ([`phys::plan_physical`]: predicate pushdown,
+//! cardinality-ordered left-deep join trees, per-table SeqScan/IndexScan
+//! access-path selection), and a materializing executor. The planner's
+//! pushdown and join order are the same routines the distributed
+//! decomposition ([`decompose`]) runs.
 //!
 //! The AST is deliberately easy to rewrite: the distributed engines in
 //! `bestpeer-core` decompose a query into per-peer subqueries by editing

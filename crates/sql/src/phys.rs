@@ -1,9 +1,7 @@
-//! Physical plans: cost-based access-path selection and projection
-//! pruning.
+//! Physical plans: the one local planner.
 //!
-//! [`plan_physical`] lowers the logical [`Plan`] produced by
-//! [`crate::plan::plan_select_with`] into a [`PhysPlan`] tree in which
-//! every base-table access is an explicit operator:
+//! [`plan_physical`] builds a [`PhysPlan`] tree for a statement in
+//! which every base-table access is an explicit operator:
 //!
 //! - [`PhysPlan::SeqScan`] reads the whole table in RowId order and
 //!   applies the pushed predicates;
@@ -12,14 +10,21 @@
 //!   (so the visible row sequence equals the sequential scan's), and
 //!   applies the residual predicates.
 //!
-//! The choice is cost-based: for each sargable predicate over an
-//! indexed column the planner estimates the matching fraction — from
-//! the caller's [`SelectivityEstimator`] (histograms) when it covers
-//! the table, else from index statistics (`distinct_keys`, min/max key
-//! interpolation) — and drives off the most selective candidate only
-//! when its fraction is at most [`INDEX_SELECTIVITY_THRESHOLD`];
-//! low-selectivity ranges fall back to the sequential scan rather than
-//! materializing most of the table through the index.
+//! Which table each conjunct is pushed to and the order tables are
+//! joined in come from the routines [`crate::decompose`] shares with
+//! the distributed engines; the local planner ranks tables by their
+//! estimated scan output (smallest first, ties in FROM order), which
+//! never consults an index.
+//!
+//! The access-path choice is cost-based: for each sargable predicate
+//! over an indexed column the planner estimates the matching fraction —
+//! from the caller's [`SelectivityEstimator`] (histograms) when it
+//! covers the table, else from index statistics (`distinct_keys`,
+//! min/max key interpolation) — and drives off the most selective
+//! candidate only when its fraction is at most
+//! [`INDEX_SELECTIVITY_THRESHOLD`]; low-selectivity ranges fall back to
+//! the sequential scan rather than materializing most of the table
+//! through the index.
 //!
 //! For multi-table plans each scan is topped by a [`PhysPlan::Prune`]
 //! that drops columns nothing above the scan references, shrinking the
@@ -31,15 +36,18 @@
 //! thread count.
 
 use std::fmt;
+use std::mem::take;
 use std::ops::Bound;
 use std::slice;
 
-use bestpeer_common::{Result, Value};
+use bestpeer_common::{Error, Result, Value};
 use bestpeer_storage::{Database, RowId, Table};
 
 use crate::ast::{CmpOp, ColumnRef, Expr, SelectStmt};
+use crate::decompose;
 use crate::plan::{
-    estimated_scan_rows, plan_select_with, AggItem, Binding, Plan, SelectivityEstimator,
+    estimated_scan_rows, rewrite_post_agg, substitute_aliases, AggItem, Binding, OutputStage,
+    SelectivityEstimator,
 };
 
 /// Maximum estimated selectivity at which an index scan is chosen over
@@ -112,8 +120,9 @@ impl IndexBounds {
     }
 }
 
-/// A physical plan node. Mirrors [`Plan`] above the leaves; base-table
-/// accesses carry their chosen access path and cost estimates.
+/// A physical plan node. Every node carries its output [`Binding`];
+/// base-table accesses carry their chosen access path and cost
+/// estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysPlan {
     /// Full-table scan in RowId order with pushed-down predicates.
@@ -441,24 +450,154 @@ pub fn explain_physical(
     Ok(plan_physical(stmt, db, est)?.to_string())
 }
 
-/// Build the cost-based physical plan for `stmt`: logical planning
-/// (cardinality-ordered joins) followed by per-table access-path
-/// selection and, for multi-table plans, projection pruning above each
-/// scan.
+/// Build the cost-based physical plan for `stmt` directly: each FROM
+/// table's pushed selections (`decompose::push_down`) scanned by its
+/// cheapest access path, the scans joined left-deep in order of
+/// estimated output, smallest first (`decompose::join_order`), each
+/// join's newly covered residuals filtered right above it, and the
+/// statement's output stage on top: aggregation, ordering, projection
+/// and limit. In a multi-table plan a [`PhysPlan::Prune`] above each
+/// scan drops the columns nothing above it reads.
 pub fn plan_physical(
     stmt: &SelectStmt,
     db: &Database,
     est: &dyn SelectivityEstimator,
 ) -> Result<PhysPlan> {
-    let logical = plan_select_with(stmt, db, est)?;
-    let needed = if stmt.from.len() > 1 {
-        let mut refs = Vec::new();
-        collect_upper_refs(&logical, &mut refs);
-        Some(refs)
-    } else {
-        None
+    if stmt.from.is_empty() {
+        return Err(Error::Plan("FROM clause is empty".into()));
+    }
+    let mut tables = Vec::with_capacity(stmt.from.len());
+    let mut bindings = Vec::with_capacity(stmt.from.len());
+    for name in &stmt.from {
+        let table = db.table(name)?;
+        let cols = table.schema().columns.iter();
+        bindings.push(Binding::from_cols(
+            cols.map(|c| (Some(name.clone()), c.name.clone())).collect(),
+        ));
+        tables.push(table);
+    }
+    let (mut filters, rest) = decompose::push_down(stmt, &bindings)?;
+    let rank: Vec<f64> = (0..tables.len())
+        .map(|i| estimated_scan_rows(est, &stmt.from[i], tables[i].len(), &filters[i]))
+        .collect();
+    let (start, joins) = decompose::join_order(&bindings, &rank, rest)?;
+
+    // Each join's keys as qualified references, which still resolve
+    // once the scans below are pruned.
+    let mut prefix = &bindings[start];
+    let mut key_refs = Vec::with_capacity(joins.len());
+    for j in &joins {
+        let refs = j
+            .keys
+            .map(|(l, r)| (ref_for(prefix, l), ref_for(&bindings[j.part], r)));
+        key_refs.push(refs);
+        prefix = &j.out_binding;
+    }
+    let out = OutputStage::new(stmt, prefix);
+    let aggregate = stmt.is_aggregate();
+    let keys: Vec<(Expr, bool)> = stmt
+        .order_by
+        .iter()
+        .map(|k| {
+            let e = substitute_aliases(&k.expr, &stmt.projections);
+            // Over an aggregation, keys read its output like the projections.
+            let e = if aggregate {
+                rewrite_post_agg(&e, &stmt.group_by)
+            } else {
+                e
+            };
+            (e, k.desc)
+        })
+        .collect();
+
+    // What the operators above the scans read: join keys, residuals,
+    // group keys, aggregate arguments, order keys and projections.
+    let needed: Option<Vec<ColumnRef>> = (stmt.from.len() > 1).then(|| {
+        let mut refs: Vec<ColumnRef> = key_refs
+            .iter()
+            .flatten()
+            .flat_map(|(l, r)| [l.clone(), r.clone()])
+            .collect();
+        let exprs = (joins.iter().flat_map(|j| &j.residuals))
+            .chain(&stmt.group_by)
+            .chain(out.aggs.iter().filter_map(|a| a.arg.as_ref()))
+            .chain(keys.iter().map(|(e, _)| e))
+            .chain(&out.exprs);
+        for e in exprs {
+            refs.extend(e.referenced_columns().into_iter().cloned());
+        }
+        refs
+    });
+    // Each table is scanned once, so its scan takes its filters and
+    // binding.
+    let mut scan = |i: usize| {
+        let (filters, binding) = (take(&mut filters[i]), take(&mut bindings[i]));
+        let scan = choose_access_path(tables[i], &stmt.from[i], filters, binding, rank[i], est);
+        match &needed {
+            Some(refs) => prune_scan(scan, refs),
+            None => scan,
+        }
     };
-    lower(&logical, db, est, needed.as_deref())
+
+    let mut plan = scan(start);
+    for (j, refs) in joins.into_iter().zip(&key_refs) {
+        let right = scan(j.part);
+        let binding = plan.binding().concat(right.binding());
+        plan = match refs {
+            Some((l, r)) => PhysPlan::HashJoin {
+                left_key: plan.binding().resolve(l)?,
+                right_key: right.binding().resolve(r)?,
+                left: Box::new(plan),
+                right: Box::new(right),
+                binding,
+            },
+            None => PhysPlan::CrossJoin {
+                left: Box::new(plan),
+                right: Box::new(right),
+                binding,
+            },
+        };
+        if !j.residuals.is_empty() {
+            let binding = plan.binding().clone();
+            plan = PhysPlan::Filter {
+                input: Box::new(plan),
+                predicates: j.residuals,
+                binding,
+            };
+        }
+    }
+    if aggregate {
+        plan = PhysPlan::Aggregate {
+            input: Box::new(plan),
+            group: stmt.group_by.clone(),
+            aggs: out.aggs,
+            binding: out.binding,
+        };
+    }
+    if !keys.is_empty() {
+        let binding = plan.binding().clone();
+        plan = PhysPlan::Sort {
+            input: Box::new(plan),
+            keys,
+            binding,
+        };
+    }
+    let binding = Binding::from_cols(out.columns.iter().map(|n| (None, n.clone())).collect());
+    plan = PhysPlan::Project {
+        input: Box::new(plan),
+        exprs: out.exprs,
+        names: out.columns,
+        binding,
+    };
+    if let Some(n) = stmt.limit {
+        let binding = plan.binding().clone();
+        plan = PhysPlan::Limit {
+            input: Box::new(plan),
+            n,
+            binding,
+        };
+    }
+    Ok(plan)
 }
 
 /// The column reference naming position `i` of binding `b`.
@@ -468,171 +607,6 @@ fn ref_for(b: &Binding, i: usize) -> ColumnRef {
         Some(t) => ColumnRef::qualified(t.clone(), n.clone()),
         None => ColumnRef::new(n.clone()),
     }
-}
-
-/// Collect every column reference used *above* the scans: join keys,
-/// residual filters, aggregation, sort keys, and projections. Columns
-/// a scan emits that match none of these are dead after the scan's own
-/// pushed filters run and can be pruned.
-fn collect_upper_refs(plan: &Plan, out: &mut Vec<ColumnRef>) {
-    let push_exprs = |exprs: &mut dyn Iterator<Item = &Expr>, out: &mut Vec<ColumnRef>| {
-        for e in exprs {
-            out.extend(e.referenced_columns().into_iter().cloned());
-        }
-    };
-    match plan {
-        Plan::Scan { .. } => {}
-        Plan::HashJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            ..
-        } => {
-            out.push(ref_for(left.binding(), *left_key));
-            out.push(ref_for(right.binding(), *right_key));
-            collect_upper_refs(left, out);
-            collect_upper_refs(right, out);
-        }
-        Plan::CrossJoin { left, right, .. } => {
-            collect_upper_refs(left, out);
-            collect_upper_refs(right, out);
-        }
-        Plan::Filter {
-            input, predicates, ..
-        } => {
-            push_exprs(&mut predicates.iter(), out);
-            collect_upper_refs(input, out);
-        }
-        Plan::Aggregate {
-            input, group, aggs, ..
-        } => {
-            push_exprs(&mut group.iter(), out);
-            push_exprs(&mut aggs.iter().filter_map(|a| a.arg.as_ref()), out);
-            collect_upper_refs(input, out);
-        }
-        Plan::Sort { input, keys, .. } => {
-            push_exprs(&mut keys.iter().map(|(e, _)| e), out);
-            collect_upper_refs(input, out);
-        }
-        Plan::Project { input, exprs, .. } => {
-            push_exprs(&mut exprs.iter(), out);
-            collect_upper_refs(input, out);
-        }
-        Plan::Limit { input, .. } => collect_upper_refs(input, out),
-    }
-}
-
-/// Lower a logical node to its physical counterpart, re-resolving join
-/// keys against the (possibly pruned) child bindings.
-fn lower(
-    plan: &Plan,
-    db: &Database,
-    est: &dyn SelectivityEstimator,
-    needed: Option<&[ColumnRef]>,
-) -> Result<PhysPlan> {
-    Ok(match plan {
-        Plan::Scan {
-            table,
-            filters,
-            binding,
-        } => {
-            let scan = choose_access_path(db.table(table)?, table, filters, binding.clone(), est);
-            match needed {
-                Some(refs) => prune_scan(scan, refs),
-                None => scan,
-            }
-        }
-        Plan::HashJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            ..
-        } => {
-            let lref = ref_for(left.binding(), *left_key);
-            let rref = ref_for(right.binding(), *right_key);
-            let pl = lower(left, db, est, needed)?;
-            let pr = lower(right, db, est, needed)?;
-            let left_key = pl.binding().resolve(&lref)?;
-            let right_key = pr.binding().resolve(&rref)?;
-            let binding = pl.binding().concat(pr.binding());
-            PhysPlan::HashJoin {
-                left: Box::new(pl),
-                right: Box::new(pr),
-                left_key,
-                right_key,
-                binding,
-            }
-        }
-        Plan::CrossJoin { left, right, .. } => {
-            let pl = lower(left, db, est, needed)?;
-            let pr = lower(right, db, est, needed)?;
-            let binding = pl.binding().concat(pr.binding());
-            PhysPlan::CrossJoin {
-                left: Box::new(pl),
-                right: Box::new(pr),
-                binding,
-            }
-        }
-        Plan::Filter {
-            input, predicates, ..
-        } => {
-            let pi = lower(input, db, est, needed)?;
-            let binding = pi.binding().clone();
-            PhysPlan::Filter {
-                input: Box::new(pi),
-                predicates: predicates.clone(),
-                binding,
-            }
-        }
-        Plan::Aggregate {
-            input,
-            group,
-            aggs,
-            binding,
-        } => {
-            let pi = lower(input, db, est, needed)?;
-            PhysPlan::Aggregate {
-                input: Box::new(pi),
-                group: group.clone(),
-                aggs: aggs.clone(),
-                binding: binding.clone(),
-            }
-        }
-        Plan::Sort { input, keys, .. } => {
-            let pi = lower(input, db, est, needed)?;
-            let binding = pi.binding().clone();
-            PhysPlan::Sort {
-                input: Box::new(pi),
-                keys: keys.clone(),
-                binding,
-            }
-        }
-        Plan::Project {
-            input,
-            exprs,
-            names,
-            binding,
-        } => {
-            let pi = lower(input, db, est, needed)?;
-            PhysPlan::Project {
-                input: Box::new(pi),
-                exprs: exprs.clone(),
-                names: names.clone(),
-                binding: binding.clone(),
-            }
-        }
-        Plan::Limit { input, n, .. } => {
-            let pi = lower(input, db, est, needed)?;
-            let binding = pi.binding().clone();
-            PhysPlan::Limit {
-                input: Box::new(pi),
-                n: *n,
-                binding,
-            }
-        }
-    })
 }
 
 /// Wrap `scan` in a [`PhysPlan::Prune`] keeping only columns some
@@ -671,7 +645,7 @@ fn prune_scan(scan: PhysPlan, refs: &[ColumnRef]) -> PhysPlan {
 /// Fractions come from `est` when it covers the single predicate, else
 /// from index statistics; candidates are compared without materializing
 /// any row ids. `None` when no filter can drive an index.
-pub(crate) fn best_index_candidate(
+fn best_index_candidate(
     table: &Table,
     name: &str,
     filters: &[Expr],
@@ -705,23 +679,24 @@ pub(crate) fn best_index_candidate(
 
 /// Choose the access path for one scan: the most selective index
 /// candidate if its estimated fraction clears the threshold, else a
-/// sequential scan.
+/// sequential scan expected to yield `scan_rows` rows.
 fn choose_access_path(
     table: &Table,
     name: &str,
-    filters: &[Expr],
+    filters: Vec<Expr>,
     binding: Binding,
+    scan_rows: f64,
     est: &dyn SelectivityEstimator,
 ) -> PhysPlan {
     let table_rows = table.len() as u64;
-    match best_index_candidate(table, name, filters, est) {
+    match best_index_candidate(table, name, &filters, est) {
         Some((driving, column, bounds, frac)) if frac <= INDEX_SELECTIVITY_THRESHOLD => {
             PhysPlan::IndexScan {
                 table: name.to_owned(),
                 column,
                 bounds,
                 driving,
-                filters: filters.to_vec(),
+                filters,
                 est_rows: (frac * table_rows as f64).round() as u64,
                 table_rows,
                 binding,
@@ -729,8 +704,8 @@ fn choose_access_path(
         }
         _ => PhysPlan::SeqScan {
             table: name.to_owned(),
-            filters: filters.to_vec(),
-            est_rows: estimated_scan_rows(est, name, table.len(), filters).round() as u64,
+            filters,
+            est_rows: scan_rows.round() as u64,
             table_rows,
             binding,
         },
@@ -874,6 +849,124 @@ mod tests {
              \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20Prune [l_orderkey, l_quantity]\n\
              \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20SeqScan lineitem (~4 of 4 rows)"
         );
+    }
+
+    #[test]
+    fn selections_are_pushed_and_joins_hash() {
+        let db = tpch_db();
+        let p = plan(
+            "SELECT l_orderkey FROM lineitem, orders \
+             WHERE l_orderkey = o_orderkey AND l_quantity > 5 AND o_totalprice < 100.0",
+            &db,
+        );
+        assert_eq!(
+            p.to_string(),
+            "Project [l_orderkey]\n\
+             \x20\x20HashJoin on o_orderkey = l_orderkey\n\
+             \x20\x20\x20\x20Prune [o_orderkey]\n\
+             \x20\x20\x20\x20\x20\x20SeqScan orders [o_totalprice < 100] (~1 of 3 rows)\n\
+             \x20\x20\x20\x20Prune [l_orderkey]\n\
+             \x20\x20\x20\x20\x20\x20SeqScan lineitem [l_quantity > 5] (~1 of 4 rows)"
+        );
+    }
+
+    #[test]
+    fn aggregate_sorts_its_output_by_alias() {
+        let db = tpch_db();
+        let p = plan(
+            "SELECT l_orderkey, SUM(l_quantity) AS q FROM lineitem \
+             GROUP BY l_orderkey ORDER BY q DESC",
+            &db,
+        );
+        assert_eq!(
+            p.to_string(),
+            "Project [l_orderkey, q]\n\
+             \x20\x20Sort [SUM(l_quantity) DESC]\n\
+             \x20\x20\x20\x20Aggregate group=[l_orderkey] aggs=[SUM(l_quantity)]\n\
+             \x20\x20\x20\x20\x20\x20SeqScan lineitem (~4 of 4 rows)"
+        );
+        assert_eq!(p.output_names(), ["l_orderkey", "q"]);
+    }
+
+    #[test]
+    fn missing_table_is_a_catalog_error() {
+        let stmt = parse_select("SELECT x FROM nosuch").unwrap();
+        let err = plan_physical(&stmt, &tpch_db(), &NoStats).unwrap_err();
+        assert_eq!(err.kind(), "catalog");
+    }
+
+    /// Join order is chosen by estimated input size, not FROM order: the
+    /// smaller estimated input leads the left-deep tree.
+    #[test]
+    fn join_order_follows_row_counts_not_from_order() {
+        let db = tpch_db();
+        let p = plan(
+            "SELECT o_orderkey FROM lineitem, orders WHERE l_orderkey = o_orderkey",
+            &db,
+        );
+        // orders (3 rows) leads although lineitem (4 rows) comes first.
+        let tables: Vec<String> = p.access_paths().into_iter().map(|a| a.table).collect();
+        assert_eq!(tables, ["orders", "lineitem"]);
+    }
+
+    /// A column equality within one table is a selection on it, alone
+    /// or beside a join.
+    #[test]
+    fn column_equality_within_one_table_is_pushed_to_it() {
+        let db = tpch_db();
+        let p = plan(
+            "SELECT COUNT(*) FROM lineitem WHERE l_orderkey = l_quantity",
+            &db,
+        );
+        assert!(
+            p.to_string()
+                .contains("SeqScan lineitem [l_orderkey = l_quantity]"),
+            "{p}"
+        );
+        let p = plan(
+            "SELECT o_orderkey FROM lineitem, orders \
+             WHERE l_orderkey = o_orderkey AND l_orderkey = l_quantity",
+            &db,
+        );
+        let text = p.to_string();
+        assert!(
+            text.contains("SeqScan lineitem [l_orderkey = l_quantity]"),
+            "{text}"
+        );
+        assert!(!text.contains("Filter"), "{text}");
+    }
+
+    fn ambiguous_db() -> Database {
+        let mut db = Database::new();
+        for name in ["t1", "t2"] {
+            db.create_table(
+                TableSchema::new(
+                    name,
+                    vec![
+                        ColumnDef::new("x", ColumnType::Int),
+                        ColumnDef::new(format!("{name}_only"), ColumnType::Int),
+                    ],
+                    vec![],
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn ambiguous_unqualified_pushdown_column_is_an_error() {
+        let db = ambiguous_db();
+        let stmt =
+            parse_select("SELECT t1_only FROM t1, t2 WHERE t1_only = t2_only AND x > 1").unwrap();
+        let err = plan_physical(&stmt, &db, &NoStats).unwrap_err();
+        assert!(
+            err.to_string().contains("ambiguous column reference `x`"),
+            "{err}"
+        );
+        let ok = "SELECT t1_only FROM t1, t2 WHERE t1_only = t2_only AND t1.x > 1";
+        plan_physical(&parse_select(ok).unwrap(), &db, &NoStats).unwrap();
     }
 
     /// Estimator returning a fixed selectivity per table.

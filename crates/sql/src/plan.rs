@@ -1,21 +1,20 @@
-//! Logical plans and name resolution.
+//! Name resolution, bound expressions, and the output stage.
 //!
-//! [`plan_select`] turns a parsed [`SelectStmt`] into a small logical
-//! [`Plan`] tree: scans with pushed-down predicates, a left-deep tree
-//! of hash equi-joins ordered by estimated input cardinality (smallest
-//! first), residual filters, aggregation, sorting, projection, and
-//! limit. Cardinality estimates come from a [`SelectivityEstimator`]
-//! hook (histograms, when the caller has them) with a predicate-shape
-//! heuristic fallback; estimates never consult secondary indices, so
-//! the join order — and therefore the result row sequence — is
-//! identical with and without indices present. The physical layer in
-//! [`crate::phys`] lowers this tree to access paths; the executor in
-//! [`crate::exec`] runs it.
+//! A [`Binding`] names the columns of a row stream; [`ResolvedExpr`]
+//! binds an expression to one so operators evaluate by position;
+//! [`OutputStage`] decides what a statement outputs (its aggregate
+//! calls, their layout and the final projection) for every planner.
+//! Cardinality estimates for join ordering come from a
+//! [`SelectivityEstimator`] hook (histograms, when the caller has them)
+//! with a predicate-shape heuristic fallback; estimates never consult
+//! secondary indices, so the join order — and therefore the result row
+//! sequence — is identical with and without indices present. The one
+//! local planner is [`crate::phys::plan_physical`]; the executor in
+//! [`crate::exec`] runs its plans.
 
 use std::borrow::Cow;
 
 use bestpeer_common::{Error, Result, Row, SharedRow, Value};
-use bestpeer_storage::Database;
 
 use crate::ast::{AggFunc, ArithOp, CmpOp, ColumnRef, Expr, SelectItem, SelectStmt};
 
@@ -114,7 +113,7 @@ pub trait SelectivityEstimator {
 }
 
 /// The no-information estimator: every query falls back to the
-/// predicate-shape heuristic. Used by [`plan_select`] and by peers
+/// predicate-shape heuristic. Used by `execute_select` and by peers
 /// executing subqueries without global statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoStats;
@@ -290,7 +289,7 @@ impl ResolvedExpr {
     }
 }
 
-/// One aggregate computed by an [`Plan::Aggregate`] node.
+/// One aggregate computed by a [`crate::phys::PhysPlan::Aggregate`] node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggItem {
     /// The aggregate function.
@@ -367,434 +366,6 @@ impl OutputStage {
         let vals = self.resolved.iter().map(|e| Ok(e.value(row)?.into_owned()));
         Ok(Row::new(vals.collect::<Result<_>>()?))
     }
-}
-
-/// A logical plan node. Every node carries its output [`Binding`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Plan {
-    /// Scan one table; `filters` are the predicates pushed to the scan
-    /// (the executor chooses an index when one applies).
-    Scan {
-        /// Table name.
-        table: String,
-        /// Pushed-down single-table predicates.
-        filters: Vec<Expr>,
-        /// Output binding (the table's columns, qualified).
-        binding: Binding,
-    },
-    /// Hash equi-join of two inputs.
-    HashJoin {
-        /// Build side.
-        left: Box<Plan>,
-        /// Probe side.
-        right: Box<Plan>,
-        /// Join key position in the left binding.
-        left_key: usize,
-        /// Join key position in the right binding.
-        right_key: usize,
-        /// Output binding (left ++ right).
-        binding: Binding,
-    },
-    /// Cartesian product (fallback when no equi-join predicate links the
-    /// inputs; residual predicates are applied by a `Filter` above).
-    CrossJoin {
-        /// Left input.
-        left: Box<Plan>,
-        /// Right input.
-        right: Box<Plan>,
-        /// Output binding (left ++ right).
-        binding: Binding,
-    },
-    /// Residual predicate filter.
-    Filter {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Conjuncts to apply.
-        predicates: Vec<Expr>,
-        /// Output binding (same as input).
-        binding: Binding,
-    },
-    /// Grouped aggregation. Output columns: the group expressions (by
-    /// display name) followed by the aggregates.
-    Aggregate {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Group-by expressions (empty = single global group).
-        group: Vec<Expr>,
-        /// Aggregates to compute.
-        aggs: Vec<AggItem>,
-        /// Output binding.
-        binding: Binding,
-    },
-    /// Sort by keys (expression, descending?).
-    Sort {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Sort keys.
-        keys: Vec<(Expr, bool)>,
-        /// Output binding (same as input).
-        binding: Binding,
-    },
-    /// Final projection.
-    Project {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Expressions to output.
-        exprs: Vec<Expr>,
-        /// Output column names.
-        names: Vec<String>,
-        /// Output binding.
-        binding: Binding,
-    },
-    /// Row-count limit.
-    Limit {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Maximum number of rows.
-        n: usize,
-        /// Output binding (same as input).
-        binding: Binding,
-    },
-}
-
-impl Plan {
-    /// This node's output binding.
-    pub fn binding(&self) -> &Binding {
-        match self {
-            Plan::Scan { binding, .. }
-            | Plan::HashJoin { binding, .. }
-            | Plan::CrossJoin { binding, .. }
-            | Plan::Filter { binding, .. }
-            | Plan::Aggregate { binding, .. }
-            | Plan::Sort { binding, .. }
-            | Plan::Project { binding, .. }
-            | Plan::Limit { binding, .. } => binding,
-        }
-    }
-
-    /// Names of the output columns.
-    pub fn output_names(&self) -> Vec<String> {
-        self.binding().cols.iter().map(|(_, n)| n.clone()).collect()
-    }
-}
-
-impl Plan {
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        let pad = "  ".repeat(depth);
-        match self {
-            Plan::Scan { table, filters, .. } => {
-                out.push_str(&format!("{pad}Scan {table}"));
-                if !filters.is_empty() {
-                    let fs: Vec<String> = filters.iter().map(|f| f.to_string()).collect();
-                    out.push_str(&format!(" [{}]", fs.join(" AND ")));
-                }
-                out.push('\n');
-            }
-            Plan::HashJoin {
-                left,
-                right,
-                left_key,
-                right_key,
-                binding,
-            } => {
-                let (_, lname) = binding.col(*left_key);
-                let (_, rname) = binding.col(left.binding().arity() + *right_key);
-                out.push_str(&format!("{pad}HashJoin on {lname} = {rname}\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            Plan::CrossJoin { left, right, .. } => {
-                out.push_str(&format!("{pad}CrossJoin\n"));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            Plan::Filter {
-                input, predicates, ..
-            } => {
-                let fs: Vec<String> = predicates.iter().map(|f| f.to_string()).collect();
-                out.push_str(&format!("{pad}Filter [{}]\n", fs.join(" AND ")));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Aggregate {
-                input, group, aggs, ..
-            } => {
-                let gs: Vec<String> = group.iter().map(|g| g.to_string()).collect();
-                let as_: Vec<String> = aggs.iter().map(|a| a.name.clone()).collect();
-                out.push_str(&format!(
-                    "{pad}Aggregate group=[{}] aggs=[{}]\n",
-                    gs.join(", "),
-                    as_.join(", ")
-                ));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Sort { input, keys, .. } => {
-                let ks: Vec<String> = keys
-                    .iter()
-                    .map(|(e, d)| format!("{e}{}", if *d { " DESC" } else { "" }))
-                    .collect();
-                out.push_str(&format!("{pad}Sort [{}]\n", ks.join(", ")));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Project { input, names, .. } => {
-                out.push_str(&format!("{pad}Project [{}]\n", names.join(", ")));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Limit { input, n, .. } => {
-                out.push_str(&format!("{pad}Limit {n}\n"));
-                input.explain_into(depth + 1, out);
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for Plan {
-    /// EXPLAIN-style rendering of the operator tree, one operator per
-    /// line, children indented.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.explain_into(0, &mut out);
-        f.write_str(out.trim_end())
-    }
-}
-
-/// Build a logical plan for `stmt` against the catalog in `db`, with no
-/// external statistics (join ordering uses the shape heuristic).
-pub fn plan_select(stmt: &SelectStmt, db: &Database) -> Result<Plan> {
-    plan_select_with(stmt, db, &NoStats)
-}
-
-/// Build a logical plan for `stmt`, ordering the join tree by estimated
-/// input cardinality from `est` (smallest estimated input first; ties
-/// break on FROM order).
-pub fn plan_select_with(
-    stmt: &SelectStmt,
-    db: &Database,
-    est: &dyn SelectivityEstimator,
-) -> Result<Plan> {
-    if stmt.from.is_empty() {
-        return Err(Error::Plan("FROM clause is empty".into()));
-    }
-    // Substitute SELECT-list aliases into ORDER BY before planning.
-    let order_by: Vec<(Expr, bool)> = stmt
-        .order_by
-        .iter()
-        .map(|k| (substitute_aliases(&k.expr, &stmt.projections), k.desc))
-        .collect();
-
-    // 1. Per-table scans with single-table predicate pushdown. A
-    //    predicate referencing an unqualified column that exists in
-    //    more than one FROM table must fail resolution (as it would
-    //    against the joined binding) rather than silently binding to
-    //    the first table in FROM order.
-    let mut bindings: Vec<Binding> = Vec::with_capacity(stmt.from.len());
-    for table in &stmt.from {
-        let schema = db.table(table)?.schema().clone();
-        bindings.push(Binding::from_cols(
-            schema
-                .columns
-                .iter()
-                .map(|c| (Some(table.clone()), c.name.clone()))
-                .collect(),
-        ));
-    }
-    for p in &stmt.predicates {
-        if p.as_equi_join().is_some() {
-            continue;
-        }
-        for cref in p.referenced_columns() {
-            if cref.table.is_some() {
-                continue;
-            }
-            let homes = bindings.iter().filter(|b| b.resolve(cref).is_ok()).count();
-            if homes > 1 {
-                return Err(Error::Plan(format!("ambiguous column reference `{cref}`")));
-            }
-        }
-    }
-    let mut scans: Vec<Plan> = Vec::with_capacity(stmt.from.len());
-    let mut remaining: Vec<Expr> = Vec::new();
-    let mut pushed = vec![false; stmt.predicates.len()];
-    for (table, binding) in stmt.from.iter().zip(bindings) {
-        let mut filters = Vec::new();
-        for (i, p) in stmt.predicates.iter().enumerate() {
-            if !pushed[i] && p.as_equi_join().is_none() && binding.covers(p) {
-                filters.push(p.clone());
-                pushed[i] = true;
-            }
-        }
-        scans.push(Plan::Scan {
-            table: table.clone(),
-            filters,
-            binding,
-        });
-    }
-    for (i, p) in stmt.predicates.iter().enumerate() {
-        if !pushed[i] {
-            remaining.push(p.clone());
-        }
-    }
-
-    // 2. Left-deep join tree ordered by estimated cardinality: start
-    //    from the smallest estimated scan, then repeatedly join in the
-    //    smallest pending scan connected to the prefix by an equi-join
-    //    conjunct (cross join with the smallest pending scan when none
-    //    connects). Ties break on FROM order, and estimates never look
-    //    at indices, so the tree shape is stable under index changes.
-    let scan_estimate = |scan: &Plan| -> Result<f64> {
-        let Plan::Scan { table, filters, .. } = scan else {
-            return Err(Error::Internal("join ordering over non-scan".into()));
-        };
-        Ok(estimated_scan_rows(
-            est,
-            table,
-            db.table(table)?.len(),
-            filters,
-        ))
-    };
-    let mut pending: Vec<(Plan, f64)> = Vec::with_capacity(scans.len());
-    for scan in scans {
-        let e = scan_estimate(&scan)?;
-        pending.push((scan, e));
-    }
-    let mut start = 0;
-    for i in 1..pending.len() {
-        if pending[i].1 < pending[start].1 {
-            start = i;
-        }
-    }
-    let mut plan = pending.remove(start).0;
-    while !pending.is_empty() {
-        // The first predicate connecting each pending scan to the prefix.
-        let connection = |scan: &Plan| -> Option<(usize, usize, usize)> {
-            let (lb, rb) = (plan.binding(), scan.binding());
-            for (pi, p) in remaining.iter().enumerate() {
-                if let Some((a, b)) = p.as_equi_join() {
-                    if let (Ok(lk), Ok(rk)) = (lb.resolve(a), rb.resolve(b)) {
-                        return Some((pi, lk, rk));
-                    }
-                    if let (Ok(lk), Ok(rk)) = (lb.resolve(b), rb.resolve(a)) {
-                        return Some((pi, lk, rk));
-                    }
-                }
-            }
-            None
-        };
-        // (scan idx, pred idx, lkey, rkey) of the smallest connected scan.
-        let mut chosen: Option<(usize, usize, usize, usize)> = None;
-        let mut chosen_est = f64::INFINITY;
-        for (si, (scan, e)) in pending.iter().enumerate() {
-            if let Some((pi, lk, rk)) = connection(scan) {
-                if chosen.is_none() || *e < chosen_est {
-                    chosen = Some((si, pi, lk, rk));
-                    chosen_est = *e;
-                }
-            }
-        }
-        match chosen {
-            Some((si, pi, left_key, right_key)) => {
-                let (right, _) = pending.remove(si);
-                remaining.remove(pi);
-                let binding = plan.binding().concat(right.binding());
-                plan = Plan::HashJoin {
-                    left: Box::new(plan),
-                    right: Box::new(right),
-                    left_key,
-                    right_key,
-                    binding,
-                };
-            }
-            None => {
-                let mut smallest = 0;
-                for i in 1..pending.len() {
-                    if pending[i].1 < pending[smallest].1 {
-                        smallest = i;
-                    }
-                }
-                let (right, _) = pending.remove(smallest);
-                let binding = plan.binding().concat(right.binding());
-                plan = Plan::CrossJoin {
-                    left: Box::new(plan),
-                    right: Box::new(right),
-                    binding,
-                };
-            }
-        }
-        // Any remaining predicate now covered becomes an eager filter.
-        let covered: Vec<Expr> = {
-            let b = plan.binding();
-            let mut cov = Vec::new();
-            remaining.retain(|p| {
-                if b.covers(p) {
-                    cov.push(p.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            cov
-        };
-        if !covered.is_empty() {
-            let binding = plan.binding().clone();
-            plan = Plan::Filter {
-                input: Box::new(plan),
-                predicates: covered,
-                binding,
-            };
-        }
-    }
-    if !remaining.is_empty() {
-        return Err(Error::Plan(format!(
-            "unresolvable predicate(s): {}",
-            remaining
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )));
-    }
-
-    // 3. Aggregation, ordering, projection, limit.
-    let out = OutputStage::new(stmt, plan.binding());
-    let keys = if stmt.is_aggregate() {
-        plan = Plan::Aggregate {
-            input: Box::new(plan),
-            group: stmt.group_by.clone(),
-            aggs: out.aggs,
-            binding: out.binding,
-        };
-        // Order keys reference the aggregate output, like the projections.
-        order_by
-            .iter()
-            .map(|(e, d)| (rewrite_post_agg(e, &stmt.group_by), *d))
-            .collect()
-    } else {
-        order_by
-    };
-    if !keys.is_empty() {
-        let binding = plan.binding().clone();
-        plan = Plan::Sort {
-            input: Box::new(plan),
-            keys,
-            binding,
-        };
-    }
-    let binding = Binding::from_cols(out.columns.iter().map(|n| (None, n.clone())).collect());
-    plan = Plan::Project {
-        input: Box::new(plan),
-        exprs: out.exprs,
-        names: out.columns,
-        binding,
-    };
-
-    if let Some(n) = stmt.limit {
-        let binding = plan.binding().clone();
-        plan = Plan::Limit {
-            input: Box::new(plan),
-            n,
-            binding,
-        };
-    }
-    Ok(plan)
 }
 
 /// Replace references to SELECT-list aliases with the aliased expression
@@ -895,37 +466,6 @@ pub fn rewrite_post_agg(e: &Expr, group: &[Expr]) -> Expr {
 mod tests {
     use super::*;
     use crate::parser::parse_select;
-    use bestpeer_common::{ColumnDef, ColumnType, TableSchema};
-
-    fn test_db() -> Database {
-        let mut db = Database::new();
-        db.create_table(
-            TableSchema::new(
-                "lineitem",
-                vec![
-                    ColumnDef::new("l_orderkey", ColumnType::Int),
-                    ColumnDef::new("l_quantity", ColumnType::Int),
-                    ColumnDef::new("l_shipdate", ColumnType::Date),
-                ],
-                vec![],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        db.create_table(
-            TableSchema::new(
-                "orders",
-                vec![
-                    ColumnDef::new("o_orderkey", ColumnType::Int),
-                    ColumnDef::new("o_totalprice", ColumnType::Float),
-                ],
-                vec![0],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        db
-    }
 
     #[test]
     fn binding_resolution() {
@@ -938,114 +478,6 @@ mod tests {
         assert_eq!(b.resolve(&ColumnRef::new("y")).unwrap(), 1);
         assert!(b.resolve(&ColumnRef::new("x")).is_err(), "ambiguous");
         assert!(b.resolve(&ColumnRef::new("zzz")).is_err());
-    }
-
-    #[test]
-    fn single_table_predicates_are_pushed() {
-        let db = test_db();
-        let stmt = parse_select(
-            "SELECT l_orderkey FROM lineitem, orders \
-             WHERE l_orderkey = o_orderkey AND l_quantity > 5 AND o_totalprice < 100.0",
-        )
-        .unwrap();
-        let plan = plan_select(&stmt, &db).unwrap();
-        // Expect: Project(HashJoin(Scan(lineitem f=1), Scan(orders f=1)))
-        fn find_scans(p: &Plan, out: &mut Vec<(String, usize)>) {
-            match p {
-                Plan::Scan { table, filters, .. } => out.push((table.clone(), filters.len())),
-                Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
-                    find_scans(left, out);
-                    find_scans(right, out);
-                }
-                Plan::Filter { input, .. }
-                | Plan::Aggregate { input, .. }
-                | Plan::Sort { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::Limit { input, .. } => find_scans(input, out),
-            }
-        }
-        let mut scans = Vec::new();
-        find_scans(&plan, &mut scans);
-        scans.sort();
-        assert_eq!(scans, vec![("lineitem".into(), 1), ("orders".into(), 1)]);
-        assert!(matches!(plan, Plan::Project { .. }));
-    }
-
-    #[test]
-    fn join_becomes_hash_join() {
-        let db = test_db();
-        let stmt =
-            parse_select("SELECT l_quantity FROM lineitem, orders WHERE l_orderkey = o_orderkey")
-                .unwrap();
-        let plan = plan_select(&stmt, &db).unwrap();
-        fn has_hash_join(p: &Plan) -> bool {
-            match p {
-                Plan::HashJoin { .. } => true,
-                Plan::Scan { .. } => false,
-                Plan::CrossJoin { left, right, .. } => has_hash_join(left) || has_hash_join(right),
-                Plan::Filter { input, .. }
-                | Plan::Aggregate { input, .. }
-                | Plan::Sort { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::Limit { input, .. } => has_hash_join(input),
-            }
-        }
-        assert!(has_hash_join(&plan));
-    }
-
-    #[test]
-    fn missing_table_is_a_plan_error() {
-        let db = test_db();
-        let stmt = parse_select("SELECT x FROM nosuch").unwrap();
-        assert!(plan_select(&stmt, &db).is_err());
-    }
-
-    #[test]
-    fn aggregate_plan_has_aggregate_node() {
-        let db = test_db();
-        let stmt = parse_select(
-            "SELECT l_orderkey, SUM(l_quantity) AS q FROM lineitem GROUP BY l_orderkey ORDER BY q DESC",
-        )
-        .unwrap();
-        let plan = plan_select(&stmt, &db).unwrap();
-        fn has_agg(p: &Plan) -> bool {
-            match p {
-                Plan::Aggregate { .. } => true,
-                Plan::Scan { .. } => false,
-                Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
-                    has_agg(left) || has_agg(right)
-                }
-                Plan::Filter { input, .. }
-                | Plan::Sort { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::Limit { input, .. } => has_agg(input),
-            }
-        }
-        assert!(has_agg(&plan));
-        assert_eq!(plan.output_names(), vec!["l_orderkey", "q"]);
-    }
-
-    #[test]
-    fn explain_renders_the_operator_tree() {
-        let db = test_db();
-        let stmt = parse_select(
-            "SELECT o_orderkey, SUM(l_quantity) AS q FROM lineitem, orders \
-             WHERE l_orderkey = o_orderkey AND o_totalprice > 10.0 \
-             GROUP BY o_orderkey ORDER BY q DESC LIMIT 3",
-        )
-        .unwrap();
-        let plan = plan_select(&stmt, &db).unwrap();
-        let text = plan.to_string();
-        assert!(text.starts_with("Limit 3"), "{text}");
-        assert!(text.contains("Project [o_orderkey, q]"), "{text}");
-        assert!(text.contains("Sort [SUM(l_quantity) DESC]"), "{text}");
-        assert!(text.contains("Aggregate group=[o_orderkey]"), "{text}");
-        assert!(
-            text.contains("HashJoin on l_orderkey = o_orderkey"),
-            "{text}"
-        );
-        assert!(text.contains("Scan orders [o_totalprice > 10"), "{text}");
-        assert!(text.contains("Scan lineitem"), "{text}");
     }
 
     #[test]
@@ -1155,78 +587,5 @@ mod tests {
         );
         let row = Row::new(vec![Value::Int(1), Value::Float(2.5)]);
         assert_eq!(out.project(&row).unwrap(), row);
-    }
-
-    fn ambiguous_db() -> Database {
-        let mut db = Database::new();
-        for name in ["t1", "t2"] {
-            db.create_table(
-                TableSchema::new(
-                    name,
-                    vec![
-                        ColumnDef::new("x", ColumnType::Int),
-                        ColumnDef::new(format!("{name}_only"), ColumnType::Int),
-                    ],
-                    vec![],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        }
-        db
-    }
-
-    #[test]
-    fn ambiguous_unqualified_pushdown_column_is_an_error() {
-        let db = ambiguous_db();
-        let stmt =
-            parse_select("SELECT t1_only FROM t1, t2 WHERE t1_only = t2_only AND x > 1").unwrap();
-        let err = plan_select(&stmt, &db).unwrap_err();
-        assert!(
-            err.to_string().contains("ambiguous column reference `x`"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn qualified_column_disambiguates_pushdown() {
-        let db = ambiguous_db();
-        let stmt = parse_select("SELECT t1_only FROM t1, t2 WHERE t1_only = t2_only AND t1.x > 1")
-            .unwrap();
-        assert!(plan_select(&stmt, &db).is_ok());
-    }
-
-    /// Join order is chosen by estimated input size, not FROM order: the
-    /// smaller estimated input leads the left-deep tree.
-    #[test]
-    fn join_order_follows_row_counts_not_from_order() {
-        let mut db = test_db();
-        for i in 0..20 {
-            db.insert(
-                "lineitem",
-                Row::new(vec![Value::Int(i), Value::Int(1), Value::Date(i as i32)]),
-            )
-            .unwrap();
-        }
-        db.insert("orders", Row::new(vec![Value::Int(1), Value::Float(9.0)]))
-            .unwrap();
-        let stmt =
-            parse_select("SELECT o_orderkey FROM lineitem, orders WHERE l_orderkey = o_orderkey")
-                .unwrap();
-        let plan = plan_select(&stmt, &db).unwrap();
-        // orders (1 row) must be the leftmost leaf even though lineitem
-        // (20 rows) is named first in FROM.
-        fn leftmost(p: &Plan) -> &str {
-            match p {
-                Plan::Scan { table, .. } => table,
-                Plan::HashJoin { left, .. } | Plan::CrossJoin { left, .. } => leftmost(left),
-                Plan::Filter { input, .. }
-                | Plan::Aggregate { input, .. }
-                | Plan::Sort { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::Limit { input, .. } => leftmost(input),
-            }
-        }
-        assert_eq!(leftmost(&plan), "orders");
     }
 }

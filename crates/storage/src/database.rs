@@ -443,7 +443,7 @@ impl Database {
             indexed.sort_unstable();
             buf.put_u16_le(indexed.len() as u16);
             for col in indexed {
-                wal::put_str(&mut buf, col);
+                codec::put_str(&mut buf, col);
             }
             buf.put_u32_le(t.len() as u32);
             for row in t.scan() {

@@ -46,6 +46,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use bestpeer_common::bytes::{Bytes, BytesMut};
+use bestpeer_common::codec::{get_str, put_str};
 use bestpeer_common::{
     codec, stable_hash_bytes, ColumnDef, ColumnType, Error, Result, Row, TableSchema, Value,
 };
@@ -365,23 +366,6 @@ const OP_DELETE_EXACT: u8 = 5;
 const OP_TRUNCATE: u8 = 6;
 const OP_CREATE_INDEX: u8 = 7;
 const OP_SET_LOAD_TS: u8 = 8;
-
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String> {
-    if buf.remaining() < 4 {
-        return Err(Error::Codec("wal: truncated string length".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n {
-        return Err(Error::Codec("wal: truncated string".into()));
-    }
-    let raw = buf.split_to(n);
-    String::from_utf8(raw.to_vec()).map_err(|_| Error::Codec("wal: invalid utf-8".into()))
-}
 
 fn column_type_tag(ty: ColumnType) -> u8 {
     match ty {

@@ -13,7 +13,7 @@
 //! `common::codec`: these bytes come from untrusted sockets.
 
 use bestpeer_common::bytes::{Bytes, BytesMut};
-use bestpeer_common::codec;
+use bestpeer_common::codec::{self, get_bytes, get_str, put_bytes, put_str};
 use bestpeer_common::{Error, Result, Row};
 
 /// A request sent to a remote node.
@@ -138,39 +138,9 @@ const RESP_ERR: u8 = 3;
 const RESP_INVENTORY: u8 = 4;
 const RESP_STATS: u8 = 5;
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_string(buf: &mut Bytes) -> Result<String> {
-    ensure(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    ensure(buf, len)?;
-    let s = std::str::from_utf8(&buf[..len])
-        .map(str::to_owned)
-        .map_err(|_| Error::Codec("invalid utf-8 in protocol string".into()))?;
-    buf.advance(len);
-    Ok(s)
-}
-
-fn put_blob(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
-}
-
-fn get_blob(buf: &mut Bytes) -> Result<Vec<u8>> {
-    ensure(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    ensure(buf, len)?;
-    let blob = buf[..len].to_vec();
-    buf.advance(len);
-    Ok(blob)
-}
-
 /// Append `rows` as a length-prefixed `codec` batch (the layout
-/// `put_blob` gives an encoded batch), encoding the rows in place and
-/// patching the length prefix afterwards.
+/// `codec::put_bytes` gives an encoded batch), encoding the rows in
+/// place and patching the length prefix afterwards.
 fn put_rows(buf: &mut BytesMut, rows: &[Row]) {
     let at = buf.len();
     buf.put_u32_le(0);
@@ -180,7 +150,7 @@ fn put_rows(buf: &mut BytesMut, rows: &[Row]) {
 }
 
 fn get_rows(buf: &mut Bytes) -> Result<Vec<Row>> {
-    let blob = get_blob(buf)?;
+    let blob = get_bytes(buf)?;
     codec::decode_batch(Bytes::from(blob))
 }
 
@@ -226,14 +196,14 @@ impl Request {
                 query_ts,
             } => {
                 buf.put_u8(REQ_SUBQUERY);
-                put_string(&mut buf, sql);
-                put_blob(&mut buf, role);
+                put_str(&mut buf, sql);
+                put_bytes(&mut buf, role);
                 buf.put_u64_le(*query_ts);
             }
             Request::Query { sql, role } => {
                 buf.put_u8(REQ_QUERY);
-                put_string(&mut buf, sql);
-                put_string(&mut buf, role);
+                put_str(&mut buf, sql);
+                put_str(&mut buf, role);
             }
             Request::Inventory => buf.put_u8(REQ_INVENTORY),
             Request::AddRemote {
@@ -244,9 +214,9 @@ impl Request {
             } => {
                 buf.put_u8(REQ_ADD_REMOTE);
                 buf.put_u64_le(*peer);
-                put_string(&mut buf, addr);
+                put_str(&mut buf, addr);
                 buf.put_u64_le(*load_ts);
-                put_blob(&mut buf, entries);
+                put_bytes(&mut buf, entries);
             }
             Request::Load {
                 table,
@@ -254,13 +224,13 @@ impl Request {
                 rows,
             } => {
                 buf.put_u8(REQ_LOAD);
-                put_string(&mut buf, table);
+                put_str(&mut buf, table);
                 buf.put_u64_le(*timestamp);
                 put_rows(&mut buf, rows);
             }
             Request::DefineRole { role } => {
                 buf.put_u8(REQ_DEFINE_ROLE);
-                put_blob(&mut buf, role);
+                put_bytes(&mut buf, role);
             }
             Request::Stats => buf.put_u8(REQ_STATS),
             Request::Shutdown => buf.put_u8(REQ_SHUTDOWN),
@@ -276,25 +246,25 @@ impl Request {
         let req = match tag {
             REQ_PING => Request::Ping,
             REQ_SUBQUERY => Request::Subquery {
-                sql: get_string(&mut buf)?,
-                role: get_blob(&mut buf)?,
+                sql: get_str(&mut buf)?,
+                role: get_bytes(&mut buf)?,
                 query_ts: {
                     ensure(&buf, 8)?;
                     buf.get_u64_le()
                 },
             },
             REQ_QUERY => Request::Query {
-                sql: get_string(&mut buf)?,
-                role: get_string(&mut buf)?,
+                sql: get_str(&mut buf)?,
+                role: get_str(&mut buf)?,
             },
             REQ_INVENTORY => Request::Inventory,
             REQ_ADD_REMOTE => {
                 ensure(&buf, 8)?;
                 let peer = buf.get_u64_le();
-                let addr = get_string(&mut buf)?;
+                let addr = get_str(&mut buf)?;
                 ensure(&buf, 8)?;
                 let load_ts = buf.get_u64_le();
-                let entries = get_blob(&mut buf)?;
+                let entries = get_bytes(&mut buf)?;
                 Request::AddRemote {
                     peer,
                     addr,
@@ -303,7 +273,7 @@ impl Request {
                 }
             }
             REQ_LOAD => {
-                let table = get_string(&mut buf)?;
+                let table = get_str(&mut buf)?;
                 ensure(&buf, 8)?;
                 let timestamp = buf.get_u64_le();
                 let rows = get_rows(&mut buf)?;
@@ -314,7 +284,7 @@ impl Request {
                 }
             }
             REQ_DEFINE_ROLE => Request::DefineRole {
-                role: get_blob(&mut buf)?,
+                role: get_bytes(&mut buf)?,
             },
             REQ_STATS => Request::Stats,
             REQ_SHUTDOWN => Request::Shutdown,
@@ -359,20 +329,20 @@ impl Response {
                 buf.put_u8(RESP_ROWS);
                 buf.put_u32_le(columns.len() as u32);
                 for c in columns {
-                    put_string(&mut buf, c);
+                    put_str(&mut buf, c);
                 }
                 put_rows(&mut buf, rows);
                 buf.put_u32_le(stats.len() as u32);
                 for (name, v) in stats {
-                    put_string(&mut buf, name);
+                    put_str(&mut buf, name);
                     buf.put_u64_le(*v);
                 }
             }
             Response::Ok => buf.put_u8(RESP_OK),
             Response::Err { kind, message } => {
                 buf.put_u8(RESP_ERR);
-                put_string(&mut buf, kind);
-                put_string(&mut buf, message);
+                put_str(&mut buf, kind);
+                put_str(&mut buf, message);
             }
             Response::Inventory {
                 peer,
@@ -382,14 +352,14 @@ impl Response {
                 buf.put_u8(RESP_INVENTORY);
                 buf.put_u64_le(*peer);
                 buf.put_u64_le(*load_ts);
-                put_blob(&mut buf, entries);
+                put_bytes(&mut buf, entries);
             }
             Response::Stats { load_ts, tables } => {
                 buf.put_u8(RESP_STATS);
                 buf.put_u64_le(*load_ts);
                 buf.put_u32_le(tables.len() as u32);
                 for (name, rows, bytes) in tables {
-                    put_string(&mut buf, name);
+                    put_str(&mut buf, name);
                     buf.put_u64_le(*rows);
                     buf.put_u64_le(*bytes);
                 }
@@ -412,7 +382,7 @@ impl Response {
                 let ncols = checked_count(&buf, declared, 4)?;
                 let mut columns = Vec::with_capacity(ncols);
                 for _ in 0..ncols {
-                    columns.push(get_string(&mut buf)?);
+                    columns.push(get_str(&mut buf)?);
                 }
                 let rows = get_rows(&mut buf)?;
                 ensure(&buf, 4)?;
@@ -421,7 +391,7 @@ impl Response {
                 let nstats = checked_count(&buf, declared, 12)?;
                 let mut stats = Vec::with_capacity(nstats);
                 for _ in 0..nstats {
-                    let name = get_string(&mut buf)?;
+                    let name = get_str(&mut buf)?;
                     ensure(&buf, 8)?;
                     stats.push((name, buf.get_u64_le()));
                 }
@@ -433,14 +403,14 @@ impl Response {
             }
             RESP_OK => Response::Ok,
             RESP_ERR => Response::Err {
-                kind: get_string(&mut buf)?,
-                message: get_string(&mut buf)?,
+                kind: get_str(&mut buf)?,
+                message: get_str(&mut buf)?,
             },
             RESP_INVENTORY => {
                 ensure(&buf, 16)?;
                 let peer = buf.get_u64_le();
                 let load_ts = buf.get_u64_le();
-                let entries = get_blob(&mut buf)?;
+                let entries = get_bytes(&mut buf)?;
                 Response::Inventory {
                     peer,
                     load_ts,
@@ -456,7 +426,7 @@ impl Response {
                 let ntables = checked_count(&buf, declared, 20)?;
                 let mut tables = Vec::with_capacity(ntables);
                 for _ in 0..ntables {
-                    let name = get_string(&mut buf)?;
+                    let name = get_str(&mut buf)?;
                     ensure(&buf, 16)?;
                     let rows = buf.get_u64_le();
                     let bytes = buf.get_u64_le();
@@ -578,12 +548,12 @@ mod tests {
         want.put_u8(RESP_ROWS);
         want.put_u32_le(columns.len() as u32);
         for c in &columns {
-            put_string(&mut want, c);
+            put_str(&mut want, c);
         }
-        put_blob(&mut want, &codec::encode_batch(&sample_rows()));
+        put_bytes(&mut want, &codec::encode_batch(&sample_rows()));
         want.put_u32_le(stats.len() as u32);
         for (name, v) in &stats {
-            put_string(&mut want, name);
+            put_str(&mut want, name);
             want.put_u64_le(*v);
         }
         assert_eq!(bytes, want.into_vec());

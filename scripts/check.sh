@@ -3,7 +3,7 @@
 # script locally before pushing.
 #
 #   scripts/check.sh         # everything (lint + test)
-#   scripts/check.sh lint    # fmt + clippy + rustdoc only
+#   scripts/check.sh lint    # fmt + clippy + rustdoc + perfbench type-check only
 #   scripts/check.sh test    # build + benches + tests + bench gate only
 #
 # The split mirrors the two CI jobs so a red job maps to one phase.
@@ -25,6 +25,9 @@ run_lint() {
 
   echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+  echo "==> cargo check perfbench (its own workspace, which no workspace command builds: an API break in sql or core fails here, not after the benches)"
+  CARGO_TARGET_DIR="$PWD/target" cargo check --locked --manifest-path perfbench/Cargo.toml --all-targets
 }
 
 run_test() {
