@@ -14,13 +14,19 @@
 //! reported but never gate, so re-baselining is a one-file commit and
 //! noisy absolute numbers can't fail CI.
 
+use bestpeer_bench::Flags;
 use bestpeer_telemetry::Json;
 
 /// Leaf-field suffixes that gate (bigger is better).
 const FLOOR_METRICS: &[&str] = &["speedup", "reduction", "rows_per_sec", "hit_rate", "qps"];
 
 fn main() {
-    let (fresh_path, baseline_path, tolerance) = parse_args();
+    let flags = Flags::parse(&["--fresh", "--baseline", "--tolerance"], &[]);
+    let fresh_path: String = flags.opt("--fresh").expect("--fresh PATH is required");
+    let baseline_path: String = flags
+        .opt("--baseline")
+        .expect("--baseline PATH is required");
+    let tolerance = flags.get("--tolerance", 0.30);
     let fresh = load(&fresh_path);
     let baseline = load(&baseline_path);
 
@@ -103,35 +109,4 @@ fn compare(
 
 fn is_floor_metric(key: &str) -> bool {
     FLOOR_METRICS.iter().any(|m| key.ends_with(m))
-}
-
-fn parse_args() -> (String, String, f64) {
-    let mut fresh = None;
-    let mut baseline = None;
-    let mut tolerance = 0.30;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--fresh" => {
-                i += 1;
-                fresh = Some(argv[i].clone());
-            }
-            "--baseline" => {
-                i += 1;
-                baseline = Some(argv[i].clone());
-            }
-            "--tolerance" => {
-                i += 1;
-                tolerance = argv[i].parse().expect("--tolerance takes a number");
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 1;
-    }
-    (
-        fresh.expect("--fresh PATH is required"),
-        baseline.expect("--baseline PATH is required"),
-        tolerance,
-    )
 }

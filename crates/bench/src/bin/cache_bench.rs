@@ -25,11 +25,16 @@ use bestpeer_bench::setup::BenchConfig;
 use bestpeer_bench::throughput::{
     build_supply_chain_cached, run_repeated_templates, RepeatedRun, WorkloadKind,
 };
+use bestpeer_bench::Flags;
 
 const SEED: u64 = 0xCAC4E;
 
 fn main() {
-    let (peers, queries, theta, out) = parse_args();
+    let flags = Flags::parse(&["--peers", "--queries", "--theta", "--out"], &[]);
+    let peers: usize = flags.get("--peers", 8);
+    let queries: usize = flags.get("--queries", 400);
+    let theta = flags.get("--theta", 1.1);
+    let out = flags.get("--out", "BENCH_cache.json".to_owned());
     let bench = BenchConfig {
         rows_per_node: 2_000,
         seed: 7,
@@ -104,36 +109,4 @@ fn render_json(
     }
     json.push_str("\n}\n");
     json
-}
-
-fn parse_args() -> (usize, usize, f64, String) {
-    let mut peers = 8;
-    let mut queries = 400;
-    let mut theta = 1.1;
-    let mut out = "BENCH_cache.json".to_owned();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--peers" => {
-                i += 1;
-                peers = argv[i].parse().expect("--peers takes a number");
-            }
-            "--queries" => {
-                i += 1;
-                queries = argv[i].parse().expect("--queries takes a number");
-            }
-            "--theta" => {
-                i += 1;
-                theta = argv[i].parse().expect("--theta takes a number");
-            }
-            "--out" => {
-                i += 1;
-                out = argv[i].clone();
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 1;
-    }
-    (peers, queries, theta, out)
 }

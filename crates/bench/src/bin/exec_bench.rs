@@ -34,6 +34,7 @@
 //! ≥5× fewer refresh hops, ≥5× index point-lookup speedup) so
 //! `scripts/check.sh` fails on a regression.
 
+use bestpeer_bench::Flags;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -55,7 +56,10 @@ const C_CUSTKEY: usize = 0;
 const C_ACCTBAL: usize = 3;
 
 fn main() {
-    let (rows, out, plan_out) = parse_args();
+    let flags = Flags::parse(&["--rows", "--out", "--plan-out"], &[]);
+    let rows: usize = flags.get("--rows", 80_000);
+    let out = flags.get("--out", "BENCH_exec.json".to_owned());
+    let plan_out = flags.get("--plan-out", "BENCH_plan.json".to_owned());
 
     let (ord, cust) = build_tables(rows);
     let pipeline = bench_pipeline(&ord, &cust);
@@ -115,33 +119,6 @@ fn main() {
         plan.wide_fallback,
         "a non-selective range on an indexed column must fall back to SeqScan"
     );
-}
-
-fn parse_args() -> (usize, String, String) {
-    let mut rows = 80_000;
-    let mut out = "BENCH_exec.json".to_owned();
-    let mut plan_out = "BENCH_plan.json".to_owned();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--rows" => {
-                i += 1;
-                rows = argv[i].parse().expect("--rows takes a number");
-            }
-            "--out" => {
-                i += 1;
-                out = argv[i].clone();
-            }
-            "--plan-out" => {
-                i += 1;
-                plan_out = argv[i].clone();
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 1;
-    }
-    (rows, out, plan_out)
 }
 
 fn build_tables(rows: usize) -> (Table, Table) {

@@ -11,7 +11,7 @@
 
 use bestpeer_bench::{
     run_ablations, run_adaptive_figure, run_latency_curve, run_perf_figure, run_scalability,
-    selection_accuracy, BenchConfig, WorkloadKind,
+    selection_accuracy, BenchConfig, Flags, WorkloadKind,
 };
 use bestpeer_tpch::queries::performance_queries;
 
@@ -25,50 +25,22 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut figs = Vec::new();
-    let mut sizes = vec![10, 20, 50];
-    let mut rows = 6_000;
-    let mut steps = 8;
-    let mut ablations = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--fig" => {
-                i += 1;
-                figs.push(argv[i].parse().expect("--fig takes a number 6..=14"));
-            }
-            "--all" => figs.extend(6..=14),
-            "--ablations" => ablations = true,
-            "--sizes" => {
-                i += 1;
-                sizes = argv[i]
-                    .split(',')
-                    .map(|s| s.parse().expect("--sizes takes n,n,n"))
-                    .collect();
-            }
-            "--rows" => {
-                i += 1;
-                rows = argv[i].parse().expect("--rows takes a number");
-            }
-            "--steps" => {
-                i += 1;
-                steps = argv[i].parse().expect("--steps takes a number");
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 1;
-    }
-    if figs.is_empty() && !ablations {
+    let flags = Flags::parse(
+        &["--fig", "--sizes", "--rows", "--steps"],
+        &["--all", "--ablations"],
+    );
+    let ablations = flags.has("--ablations");
+    let mut figs = flags.all("--fig");
+    if flags.has("--all") || (figs.is_empty() && !ablations) {
         figs.extend(6..=14);
     }
     figs.sort_unstable();
     figs.dedup();
     Args {
         figs,
-        sizes,
-        rows,
-        steps,
+        sizes: flags.list("--sizes", vec![10, 20, 50]),
+        rows: flags.get("--rows", 6_000),
+        steps: flags.get("--steps", 8),
         ablations,
     }
 }

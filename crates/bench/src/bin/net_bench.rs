@@ -25,6 +25,7 @@
 //! `BENCH_net.json` is not compared against a committed baseline by
 //! `scripts/bench_compare.sh`; the absolute bound is the gate.
 
+use bestpeer_bench::Flags;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -92,7 +93,10 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let (pings, subqueries, out) = parse_args();
+    let flags = Flags::parse(&["--pings", "--subqueries", "--out"], &[]);
+    let pings: u64 = flags.get("--pings", 2_000);
+    let subqueries: u64 = flags.get("--subqueries", 200);
+    let out = flags.get("--out", "BENCH_net.json".to_owned());
 
     let (service, reference) = build_node();
     let server = TcpServer::bind("127.0.0.1:0", Arc::new(service)).unwrap();
@@ -160,31 +164,4 @@ fn main() {
     print!("{json}");
     std::fs::write(&out, &json).expect("write BENCH_net.json");
     eprintln!("wrote {out}");
-}
-
-fn parse_args() -> (u64, u64, String) {
-    let mut pings = 2_000;
-    let mut subqueries = 200;
-    let mut out = "BENCH_net.json".to_owned();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--pings" => {
-                i += 1;
-                pings = argv[i].parse().expect("--pings takes a number");
-            }
-            "--subqueries" => {
-                i += 1;
-                subqueries = argv[i].parse().expect("--subqueries takes a number");
-            }
-            "--out" => {
-                i += 1;
-                out = argv[i].clone();
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 1;
-    }
-    (pings, subqueries, out)
 }

@@ -28,12 +28,17 @@
 //! to gate against `baselines/BENCH_scale.json`.
 
 use bestpeer_bench::scale::{build_scale_net, run_open_loop, ScaleConfig, ScaleRun};
+use bestpeer_bench::Flags;
 use bestpeer_simnet::SimTime;
 
 const SEED: u64 = 0x5CA1E;
 
 fn main() {
-    let (peers, sessions, theta, out) = parse_args();
+    let flags = Flags::parse(&["--peers", "--sessions", "--theta", "--out"], &[]);
+    let peers: usize = flags.get("--peers", 120);
+    let sessions: usize = flags.get("--sessions", 120_000);
+    let theta = flags.get("--theta", 0.8);
+    let out = flags.get("--out", "BENCH_scale.json".to_owned());
     let cfg = ScaleConfig {
         peers,
         tenants: 4_000,
@@ -220,36 +225,4 @@ fn render_json(
     ));
     json.push_str("\n}\n");
     json
-}
-
-fn parse_args() -> (usize, usize, f64, String) {
-    let mut peers = 120;
-    let mut sessions = 120_000;
-    let mut theta = 0.8;
-    let mut out = "BENCH_scale.json".to_owned();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--peers" => {
-                i += 1;
-                peers = argv[i].parse().expect("--peers takes a number");
-            }
-            "--sessions" => {
-                i += 1;
-                sessions = argv[i].parse().expect("--sessions takes a number");
-            }
-            "--theta" => {
-                i += 1;
-                theta = argv[i].parse().expect("--theta takes a number");
-            }
-            "--out" => {
-                i += 1;
-                out = argv[i].clone();
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 1;
-    }
-    (peers, sessions, theta, out)
 }

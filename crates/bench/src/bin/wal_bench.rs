@@ -23,6 +23,7 @@
 //! `scripts/bench_compare.sh` gates the `*_rows_per_sec` and
 //! `*_speedup` fields against `baselines/BENCH_wal.json`.
 
+use bestpeer_bench::Flags;
 use std::time::Instant;
 
 use bestpeer_common::schema::{ColumnDef, ColumnType, TableSchema};
@@ -85,7 +86,9 @@ fn run_appends(records: u64, window: u64) -> AppendRun {
 }
 
 fn main() {
-    let (records, out) = parse_args();
+    let flags = Flags::parse(&["--records", "--out"], &[]);
+    let records: u64 = flags.get("--records", 100_000);
+    let out = flags.get("--out", "BENCH_wal.json".to_owned());
 
     let mut strict = run_appends(records, 1);
     let grouped = run_appends(records, 64);
@@ -136,26 +139,4 @@ fn main() {
         grouped_rps > strict_rps,
         "group commit must beat strict per-record fsyncs"
     );
-}
-
-fn parse_args() -> (u64, String) {
-    let mut records = 100_000;
-    let mut out = "BENCH_wal.json".to_owned();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--records" => {
-                i += 1;
-                records = argv[i].parse().expect("--records takes a number");
-            }
-            "--out" => {
-                i += 1;
-                out = argv[i].clone();
-            }
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 1;
-    }
-    (records, out)
 }

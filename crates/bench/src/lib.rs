@@ -12,6 +12,7 @@
 
 pub mod ablations;
 pub mod figures;
+pub mod flags;
 pub mod micro;
 pub mod scale;
 pub mod setup;
@@ -21,6 +22,7 @@ pub use ablations::{run_all as run_ablations, AblationRow};
 pub use figures::{
     run_adaptive_figure, run_perf_figure, selection_accuracy, AdaptivePoint, PerfPoint,
 };
+pub use flags::Flags;
 pub use scale::{build_scale_net, run_open_loop, ScaleConfig, ScaleRun};
 pub use setup::{build_bestpeer, build_hadoopdb, resource_config, BenchConfig};
 pub use throughput::{run_latency_curve, run_scalability, CurvePoint, ScalePoint, WorkloadKind};

@@ -51,6 +51,17 @@ pub fn stable_hash_bytes(bytes: &[u8]) -> u64 {
     mix64(fnv1a(FNV_OFFSET, bytes))
 }
 
+/// [`stable_hash_bytes`] of the concatenation of `parts`, hashed part
+/// by part (FNV-1a streams), so a caller never copies the parts into
+/// one buffer just to hash them.
+pub fn stable_hash_parts(parts: &[&[u8]]) -> u64 {
+    mix64(
+        parts
+            .iter()
+            .fold(FNV_OFFSET, |state, part| fnv1a(state, part)),
+    )
+}
+
 /// A cheap bijective finalizer (SplitMix64): derives an independent
 /// second hash from a first — what double-hashing schemes (bloom
 /// filters) need without hashing the value twice.
@@ -105,6 +116,16 @@ mod tests {
         // under any other. Never update these constants.
         assert_eq!(stable_hash_bytes(b""), mix64(FNV_OFFSET));
         assert_eq!(stable_hash_bytes(b"bestpeer"), 0xf866_f78f_7b42_1b0b);
+    }
+
+    #[test]
+    fn part_wise_hash_equals_the_hash_of_the_concatenation() {
+        let whole = b"bestpeer write-ahead log";
+        for cut in 0..=whole.len() {
+            let (a, b) = whole.split_at(cut);
+            assert_eq!(stable_hash_parts(&[a, b]), stable_hash_bytes(whole));
+        }
+        assert_eq!(stable_hash_parts(&[]), stable_hash_bytes(b""));
     }
 
     #[test]

@@ -5,15 +5,14 @@
 //! ([`schema::TableSchema`]), identifiers for peers and cloud instances
 //! ([`ids`]), the shared error type ([`error::Error`]), and a compact
 //! binary codec used to measure (and actually perform) tuple shipping
-//! between peers ([`codec`]).
+//! between peers ([`codec`]), whose checked reads every decoder in the
+//! workspace is built from.
 //!
 //! Everything here is dependency-free (the workspace builds with no
-//! registry access): byte buffers ([`bytes`]) and the seeded PRNG
-//! ([`rng`]) are implemented in-tree, so the substrate crates (BATON
-//! overlay, storage engine, MapReduce engine, ...) can share types
-//! without pulling each other in.
+//! registry access): the seeded PRNG ([`rng`]) is implemented in-tree,
+//! so the substrate crates (BATON overlay, storage engine, MapReduce
+//! engine, ...) can share types without pulling each other in.
 
-pub mod bytes;
 pub mod codec;
 pub mod error;
 pub mod hash;
@@ -25,7 +24,7 @@ pub mod schema;
 pub mod value;
 
 pub use error::{Error, Result};
-pub use hash::{mix64, stable_hash, stable_hash_bytes};
+pub use hash::{mix64, stable_hash, stable_hash_bytes, stable_hash_parts};
 pub use ids::{InstanceId, PeerId, UserId};
 pub use row::{Row, SharedRow};
 pub use schema::{ColumnDef, ColumnType, TableSchema};

@@ -12,7 +12,7 @@
 //! role cannot read comes back as NULL, and a readable column with a
 //! range condition returns NULL outside the range.
 
-use bestpeer_common::codec::{get_str, put_str};
+use bestpeer_common::codec::{self, finish, get_count, get_str, get_u8, put_str};
 use bestpeer_common::{Error, Result, Row, Value};
 
 /// What a rule permits on its column.
@@ -174,63 +174,48 @@ impl Role {
     /// privilege byte (`read | write << 1`), and an optional-range tag
     /// followed by the two bound values.
     pub fn encode(&self) -> Vec<u8> {
-        use bestpeer_common::{bytes::BytesMut, codec};
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         put_str(&mut buf, &self.name);
-        buf.put_u32_le(self.rules.len() as u32);
+        buf.extend_from_slice(&(self.rules.len() as u32).to_le_bytes());
         for rule in &self.rules {
             put_str(&mut buf, &rule.table);
             put_str(&mut buf, &rule.column);
-            buf.put_u8(u8::from(rule.privileges.read) | (u8::from(rule.privileges.write) << 1));
+            buf.push(u8::from(rule.privileges.read) | (u8::from(rule.privileges.write) << 1));
             match &rule.range {
-                None => buf.put_u8(0),
+                None => buf.push(0),
                 Some((lo, hi)) => {
-                    buf.put_u8(1);
+                    buf.push(1);
                     codec::encode_value(&mut buf, lo);
                     codec::encode_value(&mut buf, hi);
                 }
             }
         }
-        buf.into_vec()
+        buf
     }
 
     /// Decode a role encoded by [`Role::encode`]. Counts and lengths
-    /// are capped against the remaining bytes before allocation — role
+    /// are checked against the bytes left before allocation — role
     /// blobs arrive over untrusted sockets.
     pub fn decode(payload: &[u8]) -> Result<Role> {
-        use bestpeer_common::{bytes::Bytes, codec};
-        let mut buf = Bytes::from(payload);
+        let mut buf = payload;
         let name = get_str(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(Error::Codec("truncated role: missing rule count".into()));
-        }
-        let n = buf.get_u32_le() as usize;
         // A rule is at least 2 × 4 name-length bytes + 2 tag bytes.
-        if n > buf.remaining() / 10 {
-            return Err(Error::Codec(format!(
-                "role declares {n} rules but only {} bytes remain",
-                buf.remaining()
-            )));
-        }
+        let n = get_count(&mut buf, 10)?;
         let mut rules = Vec::with_capacity(n);
         for _ in 0..n {
             let table = get_str(&mut buf)?;
             let column = get_str(&mut buf)?;
-            if buf.remaining() < 2 {
-                return Err(Error::Codec("truncated role rule".into()));
-            }
-            let priv_bits = buf.get_u8();
+            let priv_bits = get_u8(&mut buf)?;
             let privileges = Privilege {
                 read: priv_bits & 1 != 0,
                 write: priv_bits & 2 != 0,
             };
-            let range = match buf.get_u8() {
+            let range = match get_u8(&mut buf)? {
                 0 => None,
-                1 => {
-                    let lo = codec::decode_value(&mut buf)?;
-                    let hi = codec::decode_value(&mut buf)?;
-                    Some((lo, hi))
-                }
+                1 => Some((
+                    codec::decode_value(&mut buf)?,
+                    codec::decode_value(&mut buf)?,
+                )),
                 other => {
                     return Err(Error::Codec(format!("unknown role range tag {other}")));
                 }
@@ -242,12 +227,7 @@ impl Role {
                 range,
             });
         }
-        if buf.has_remaining() {
-            return Err(Error::Codec(format!(
-                "{} trailing bytes after role",
-                buf.remaining()
-            )));
-        }
+        finish(buf, "role")?;
         Ok(Role { name, rules })
     }
 

@@ -85,87 +85,61 @@ impl IndexEntry {
 /// (little-endian): `u32` count, then per entry the BATON key, a type
 /// tag, and the tag-specific fields.
 pub fn encode_entries(entries: &[(Key, IndexEntry)]) -> Vec<u8> {
-    use bestpeer_common::{bytes::BytesMut, codec, codec::put_str};
-    let mut buf = BytesMut::with_capacity(32 + entries.len() * 32);
-    buf.put_u32_le(entries.len() as u32);
+    use bestpeer_common::{codec, codec::put_str};
+    let mut buf = Vec::with_capacity(32 + entries.len() * 32);
+    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for (key, entry) in entries {
-        buf.put_u64_le(*key);
+        buf.extend_from_slice(&key.to_le_bytes());
         match entry {
             IndexEntry::Table(e) => {
-                buf.put_u8(0);
+                buf.push(0);
                 put_str(&mut buf, &e.table);
-                buf.put_u64_le(e.peer.raw());
+                buf.extend_from_slice(&e.peer.raw().to_le_bytes());
             }
             IndexEntry::Column(e) => {
-                buf.put_u8(1);
+                buf.push(1);
                 put_str(&mut buf, &e.column);
-                buf.put_u64_le(e.peer.raw());
-                buf.put_u32_le(e.tables.len() as u32);
+                buf.extend_from_slice(&e.peer.raw().to_le_bytes());
+                buf.extend_from_slice(&(e.tables.len() as u32).to_le_bytes());
                 for t in &e.tables {
                     put_str(&mut buf, t);
                 }
             }
             IndexEntry::Range(e) => {
-                buf.put_u8(2);
+                buf.push(2);
                 put_str(&mut buf, &e.table);
                 put_str(&mut buf, &e.column);
                 codec::encode_value(&mut buf, &e.min);
                 codec::encode_value(&mut buf, &e.max);
-                buf.put_u64_le(e.peer.raw());
+                buf.extend_from_slice(&e.peer.raw().to_le_bytes());
             }
         }
     }
-    buf.into_vec()
+    buf
 }
 
 /// Decode an entry set encoded by [`encode_entries`]. Every count and
-/// length is capped against the remaining bytes before allocation —
-/// these blobs arrive over untrusted sockets.
+/// length is checked against the bytes left before allocation — these
+/// blobs arrive over untrusted sockets.
 pub fn decode_entries(payload: &[u8]) -> Result<Vec<(Key, IndexEntry)>> {
-    use bestpeer_common::{bytes::Bytes, codec, codec::get_str, Error};
-    let mut buf = Bytes::from(payload);
-    if buf.remaining() < 4 {
-        return Err(Error::Codec("truncated entry set: missing count".into()));
-    }
-    let n = buf.get_u32_le() as usize;
+    use bestpeer_common::codec::{decode_value, finish, get_count, get_str, get_u64, get_u8};
+    use bestpeer_common::Error;
+    let mut buf = payload;
     // An entry is at least its 8 key bytes + 1 tag byte.
-    if n > buf.remaining() / 9 {
-        return Err(Error::Codec(format!(
-            "entry set declares {n} entries but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
+    let n = get_count(&mut buf, 9)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        if buf.remaining() < 9 {
-            return Err(Error::Codec("truncated index entry".into()));
-        }
-        let key = buf.get_u64_le();
-        let entry = match buf.get_u8() {
-            0 => {
-                let table = get_str(&mut buf)?;
-                if buf.remaining() < 8 {
-                    return Err(Error::Codec("truncated table entry".into()));
-                }
-                IndexEntry::Table(TableIndexEntry {
-                    table,
-                    peer: PeerId::new(buf.get_u64_le()),
-                })
-            }
+        let key = get_u64(&mut buf)?;
+        let entry = match get_u8(&mut buf)? {
+            0 => IndexEntry::Table(TableIndexEntry {
+                table: get_str(&mut buf)?,
+                peer: PeerId::new(get_u64(&mut buf)?),
+            }),
             1 => {
                 let column = get_str(&mut buf)?;
-                if buf.remaining() < 12 {
-                    return Err(Error::Codec("truncated column entry".into()));
-                }
-                let peer = PeerId::new(buf.get_u64_le());
-                let ntables = buf.get_u32_le() as usize;
+                let peer = PeerId::new(get_u64(&mut buf)?);
                 // Each table name occupies at least its 4 length bytes.
-                if ntables > buf.remaining() / 4 {
-                    return Err(Error::Codec(format!(
-                        "column entry declares {ntables} tables but only {} bytes remain",
-                        buf.remaining()
-                    )));
-                }
+                let ntables = get_count(&mut buf, 4)?;
                 let mut tables = Vec::with_capacity(ntables);
                 for _ in 0..ntables {
                     tables.push(get_str(&mut buf)?);
@@ -176,34 +150,20 @@ pub fn decode_entries(payload: &[u8]) -> Result<Vec<(Key, IndexEntry)>> {
                     tables,
                 })
             }
-            2 => {
-                let table = get_str(&mut buf)?;
-                let column = get_str(&mut buf)?;
-                let min = codec::decode_value(&mut buf)?;
-                let max = codec::decode_value(&mut buf)?;
-                if buf.remaining() < 8 {
-                    return Err(Error::Codec("truncated range entry".into()));
-                }
-                IndexEntry::Range(RangeIndexEntry {
-                    table,
-                    column,
-                    min,
-                    max,
-                    peer: PeerId::new(buf.get_u64_le()),
-                })
-            }
+            2 => IndexEntry::Range(RangeIndexEntry {
+                table: get_str(&mut buf)?,
+                column: get_str(&mut buf)?,
+                min: decode_value(&mut buf)?,
+                max: decode_value(&mut buf)?,
+                peer: PeerId::new(get_u64(&mut buf)?),
+            }),
             other => {
                 return Err(Error::Codec(format!("unknown index entry tag {other}")));
             }
         };
         out.push((key, entry));
     }
-    if buf.has_remaining() {
-        return Err(Error::Codec(format!(
-            "{} trailing bytes after entry set",
-            buf.remaining()
-        )));
-    }
+    finish(buf, "entry set")?;
     Ok(out)
 }
 

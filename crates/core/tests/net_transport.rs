@@ -9,9 +9,12 @@ use std::sync::Arc;
 use bestpeer_common::{PeerId, Row, Value};
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig};
 use bestpeer_core::{indexer, NodeService, Role};
+use bestpeer_sql::parser::MAX_EXPR_DEPTH;
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
 use bestpeer_tpch::schema;
-use bestpeer_transport::{Request, Response, ServerHandle, TcpServer, TcpTransport, Transport};
+use bestpeer_transport::{
+    Handler, Request, Response, ServerHandle, TcpServer, TcpTransport, Transport,
+};
 
 const ROWS: usize = 300;
 
@@ -206,6 +209,59 @@ fn remote_load_is_visible_to_the_next_query() {
 
     assert_eq!(count(&mut net), n + 1, "the remote's new row is counted");
     node1.stop();
+}
+
+/// A `Subquery` and a `Query` for `depth` parentheses around `depth - 1`
+/// additions under a comparison, answered by a node's service on a
+/// thread with the 2 MiB stack `TcpServer` gives each connection.
+fn serve_nested_sql(depth: usize) -> [Response; 2] {
+    let (net, id) = build_network(1, 100);
+    let service = NodeService::new(net, id);
+    let sql = format!(
+        "SELECT l_orderkey FROM lineitem WHERE {}l_quantity{}{} > 45",
+        "(".repeat(depth),
+        " + 0".repeat(depth.min(MAX_EXPR_DEPTH) - 1),
+        ")".repeat(depth)
+    );
+    let requests = [
+        Request::Subquery {
+            sql: sql.clone(),
+            role: full_read_role().encode(),
+            query_ts: 0,
+        },
+        Request::Query {
+            sql,
+            role: "R".into(),
+        },
+    ];
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, || requests.map(|req| service.handle(req)))
+            .unwrap()
+            .join()
+            .unwrap()
+    })
+}
+
+#[test]
+fn deeply_nested_sql_is_a_parse_error_not_a_dead_node() {
+    for resp in serve_nested_sql(2_000) {
+        match resp {
+            Response::Err { kind, .. } => assert_eq!(kind, "parse"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn sql_at_the_depth_limit_is_answered() {
+    for resp in serve_nested_sql(MAX_EXPR_DEPTH) {
+        match resp {
+            Response::Rows { rows, .. } => assert!(!rows.is_empty()),
+            other => panic!("expected rows, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -74,35 +74,23 @@ impl ResultSet {
     /// encoded size, so a caller that keeps it holds no growth slack.
     pub fn encode(&self) -> Vec<u8> {
         let header: usize = 4 + self.columns.iter().map(|c| 4 + c.len()).sum::<usize>();
-        let mut buf = bestpeer_common::bytes::BytesMut::with_capacity(
-            header + codec::batch_encoded_size(&self.rows) as usize,
-        );
-        buf.put_u32_le(self.columns.len() as u32);
+        let mut buf = Vec::with_capacity(header + codec::batch_encoded_size(&self.rows) as usize);
+        buf.extend_from_slice(&(self.columns.len() as u32).to_le_bytes());
         for c in &self.columns {
             codec::put_str(&mut buf, c);
         }
         codec::encode_batch_into(&mut buf, &self.rows);
-        buf.into_vec()
+        buf
     }
 
-    /// Decode an encoding produced by [`ResultSet::encode`]. Counts and
-    /// lengths are capped against the remaining bytes before
-    /// allocation; result sets can arrive over untrusted sockets.
+    /// Decode an encoding produced by [`ResultSet::encode`], straight
+    /// from `payload`. Counts and lengths are checked against the bytes
+    /// left before allocation; result sets can arrive over untrusted
+    /// sockets.
     pub fn decode(payload: &[u8]) -> Result<ResultSet> {
-        let mut buf = bestpeer_common::bytes::Bytes::from(payload);
-        if buf.remaining() < 4 {
-            return Err(Error::Codec(
-                "truncated result set: missing column count".into(),
-            ));
-        }
-        let ncols = buf.get_u32_le() as usize;
+        let mut buf = payload;
         // Each column name occupies at least its 4 length bytes.
-        if ncols > buf.remaining() / 4 {
-            return Err(Error::Codec(format!(
-                "result set declares {ncols} columns but only {} bytes remain",
-                buf.remaining()
-            )));
-        }
+        let ncols = codec::get_count(&mut buf, 4)?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             columns.push(codec::get_str(&mut buf)?);

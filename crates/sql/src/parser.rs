@@ -19,16 +19,33 @@
 //! The top-level WHERE expression is split into its conjuncts, which is
 //! the form the planner, the distributed decomposer, and the
 //! access-control rewriter all operate on.
+//!
+//! No expression nests deeper than [`MAX_EXPR_DEPTH`], so neither the
+//! parser nor any walker of the tree it builds recurses without bound
+//! on hostile SQL.
 
 use bestpeer_common::{Error, Result, Value};
 
 use crate::ast::{AggFunc, ArithOp, CmpOp, ColumnRef, Expr, OrderKey, SelectItem, SelectStmt};
 use crate::lexer::{lex, Sym, Token};
 
+/// The deepest expression the parser accepts, counted two ways: as
+/// nested parentheses and aggregate arguments, which the parser recurses
+/// into before any node exists, and as operator nodes on one
+/// root-to-leaf path, which every walker after the parser recurses
+/// into. A node parses the SQL of every `Subquery` and `Query` frame on
+/// a connection thread with a 2 MiB stack, so the limit is sized for a
+/// debug build's frames on such a thread.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
 /// Parse a single `SELECT` statement.
 pub fn parse_select(sql: &str) -> Result<SelectStmt> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
     let stmt = p.select()?;
     p.eat_symbol(Sym::Semi); // optional trailing semicolon
     if !p.at_end() {
@@ -43,6 +60,27 @@ pub fn parse_select(sql: &str) -> Result<SelectStmt> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses and aggregate arguments open at `pos`.
+    nesting: usize,
+}
+
+/// An expression and its depth: the operator nodes on its deepest
+/// root-to-leaf path.
+type Parsed = (Expr, usize);
+
+fn too_deep() -> Error {
+    Error::Parse(format!(
+        "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+    ))
+}
+
+/// The depth of a node over children of depths `a` and `b`.
+fn node_depth(a: usize, b: usize) -> Result<usize> {
+    let depth = 1 + a.max(b);
+    if depth > MAX_EXPR_DEPTH {
+        return Err(too_deep());
+    }
+    Ok(depth)
 }
 
 impl Parser {
@@ -127,22 +165,21 @@ impl Parser {
         }
         let mut predicates = Vec::new();
         if self.eat_keyword("WHERE") {
-            let e = self.expr()?;
-            split_conjuncts(e, &mut predicates);
+            split_conjuncts(self.expr()?.0, &mut predicates);
         }
         let mut group_by = Vec::new();
         if self.eat_keyword("GROUP") {
             self.expect_keyword("BY")?;
-            group_by.push(self.expr()?);
+            group_by.push(self.expr()?.0);
             while self.eat_symbol(Sym::Comma) {
-                group_by.push(self.expr()?);
+                group_by.push(self.expr()?.0);
             }
         }
         let mut order_by = Vec::new();
         if self.eat_keyword("ORDER") {
             self.expect_keyword("BY")?;
             loop {
-                let expr = self.expr()?;
+                let expr = self.expr()?.0;
                 let desc = if self.eat_keyword("DESC") {
                     true
                 } else {
@@ -190,7 +227,7 @@ impl Parser {
     }
 
     fn select_item(&mut self) -> Result<SelectItem> {
-        let expr = self.expr()?;
+        let expr = self.expr()?.0;
         let alias = if self.eat_keyword("AS") {
             Some(self.ident()?)
         } else {
@@ -199,26 +236,40 @@ impl Parser {
         Ok(SelectItem { expr, alias })
     }
 
-    fn expr(&mut self) -> Result<Expr> {
-        let mut left = self.and_expr()?;
+    /// Parse an expression one nesting level down: inside parentheses
+    /// or as an aggregate's argument.
+    fn nested_expr(&mut self) -> Result<Parsed> {
+        if self.nesting == MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        self.nesting += 1;
+        let parsed = self.expr();
+        self.nesting -= 1;
+        parsed
+    }
+
+    fn expr(&mut self) -> Result<Parsed> {
+        let (mut left, mut depth) = self.and_expr()?;
         while self.eat_keyword("OR") {
-            let right = self.and_expr()?;
+            let (right, d) = self.and_expr()?;
+            depth = node_depth(depth, d)?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut left = self.cmp_expr()?;
+    fn and_expr(&mut self) -> Result<Parsed> {
+        let (mut left, mut depth) = self.cmp_expr()?;
         while self.eat_keyword("AND") {
-            let right = self.cmp_expr()?;
+            let (right, d) = self.cmp_expr()?;
+            depth = node_depth(depth, d)?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr> {
-        let left = self.add_expr()?;
+    fn cmp_expr(&mut self) -> Result<Parsed> {
+        let (left, depth) = self.add_expr()?;
         let op = match self.peek() {
             Some(Token::Symbol(Sym::Eq)) => Some(CmpOp::Eq),
             Some(Token::Symbol(Sym::Ne)) => Some(CmpOp::Ne),
@@ -230,19 +281,20 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let right = self.add_expr()?;
-            Ok(Expr::Cmp {
+            let (right, d) = self.add_expr()?;
+            let cmp = Expr::Cmp {
                 left: Box::new(left),
                 op,
                 right: Box::new(right),
-            })
+            };
+            Ok((cmp, node_depth(depth, d)?))
         } else {
-            Ok(left)
+            Ok((left, depth))
         }
     }
 
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut left = self.mul_expr()?;
+    fn add_expr(&mut self) -> Result<Parsed> {
+        let (mut left, mut depth) = self.mul_expr()?;
         loop {
             let op = match self.peek() {
                 Some(Token::Symbol(Sym::Plus)) => ArithOp::Add,
@@ -250,18 +302,19 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
-            let right = self.mul_expr()?;
+            let (right, d) = self.mul_expr()?;
+            depth = node_depth(depth, d)?;
             left = Expr::Arith {
                 left: Box::new(left),
                 op,
                 right: Box::new(right),
             };
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn mul_expr(&mut self) -> Result<Expr> {
-        let mut left = self.primary()?;
+    fn mul_expr(&mut self) -> Result<Parsed> {
+        let (mut left, mut depth) = self.primary()?;
         loop {
             let op = match self.peek() {
                 Some(Token::Symbol(Sym::Star)) => ArithOp::Mul,
@@ -269,35 +322,36 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
-            let right = self.primary()?;
+            let (right, d) = self.primary()?;
+            depth = node_depth(depth, d)?;
             left = Expr::Arith {
                 left: Box::new(left),
                 op,
                 right: Box::new(right),
             };
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn primary(&mut self) -> Result<Expr> {
+    fn primary(&mut self) -> Result<Parsed> {
         match self.peek().cloned() {
             Some(Token::Symbol(Sym::LParen)) => {
                 self.pos += 1;
-                let e = self.expr()?;
+                let parsed = self.nested_expr()?;
                 self.expect_symbol(Sym::RParen)?;
-                Ok(e)
+                Ok(parsed)
             }
             Some(Token::Int(v)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Value::Int(v)))
+                Ok((Expr::Literal(Value::Int(v)), 0))
             }
             Some(Token::Float(v)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Value::Float(v)))
+                Ok((Expr::Literal(Value::Float(v)), 0))
             }
             Some(Token::Str(s)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Value::Str(s)))
+                Ok((Expr::Literal(Value::Str(s)), 0))
             }
             Some(Token::Ident(id)) => {
                 // DATE 'YYYY-MM-DD' literal
@@ -305,7 +359,7 @@ impl Parser {
                     if let Some(Token::Str(_)) = self.peek2() {
                         self.pos += 1; // DATE
                         if let Some(Token::Str(s)) = self.next() {
-                            return Ok(Expr::Literal(Value::date_from_str(&s)?));
+                            return Ok((Expr::Literal(Value::date_from_str(&s)?), 0));
                         }
                         unreachable!("peeked a string literal");
                     }
@@ -319,14 +373,15 @@ impl Parser {
                             if func != AggFunc::Count {
                                 return Err(Error::Parse(format!("{func}(*) is not valid")));
                             }
-                            return Ok(Expr::Agg { func, arg: None });
+                            return Ok((Expr::Agg { func, arg: None }, 1));
                         }
-                        let arg = self.expr()?;
+                        let (arg, d) = self.nested_expr()?;
                         self.expect_symbol(Sym::RParen)?;
-                        return Ok(Expr::Agg {
+                        let agg = Expr::Agg {
                             func,
                             arg: Some(Box::new(arg)),
-                        });
+                        };
+                        return Ok((agg, node_depth(d, 0)?));
                     }
                 }
                 // Plain or qualified column.
@@ -334,12 +389,11 @@ impl Parser {
                 if self.peek() == Some(&Token::Symbol(Sym::Dot)) {
                     self.pos += 1;
                     let col = self.ident()?;
-                    Ok(Expr::Column(ColumnRef::qualified(
-                        id.to_ascii_lowercase(),
-                        col.to_ascii_lowercase(),
-                    )))
+                    let column =
+                        ColumnRef::qualified(id.to_ascii_lowercase(), col.to_ascii_lowercase());
+                    Ok((Expr::Column(column), 0))
                 } else {
-                    Ok(Expr::Column(ColumnRef::new(id.to_ascii_lowercase())))
+                    Ok((Expr::Column(ColumnRef::new(id.to_ascii_lowercase())), 0))
                 }
             }
             other => Err(Error::Parse(format!(
@@ -471,6 +525,66 @@ mod tests {
         assert!(parse_select("SELECT a FROM t LIMIT x").is_err());
         assert!(parse_select("SELECT a FROM t extra").is_err());
         assert!(parse_select("SELECT a FROM t WHERE a = DATE 'nope'").is_err());
+    }
+
+    /// Parse `sql` and drop the result on a thread with the 2 MiB stack
+    /// a node serves each connection on; returns the error kind.
+    fn parse_on_small_stack(sql: &str) -> Option<&'static str> {
+        std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(s, || parse_select(sql).err().map(|e| e.kind()))
+                .unwrap()
+                .join()
+                .unwrap()
+        })
+    }
+
+    #[test]
+    fn deep_expressions_fail_with_parse() {
+        let d = MAX_EXPR_DEPTH;
+        let nested = format!(
+            "SELECT a FROM t WHERE {}a = 1{}",
+            "(".repeat(2_000),
+            ")".repeat(2_000)
+        );
+        let ands = format!(
+            "SELECT a FROM t WHERE a = 1{}",
+            " AND a = 1".repeat(200_000)
+        );
+        let ors = format!("SELECT a FROM t WHERE a = 1{}", " OR a = 1".repeat(100_000));
+        let sum = format!("SELECT a{} FROM t", " + 1".repeat(100_000));
+        // Nesting within the limit, but each level's AND chain adds a node.
+        let chains = format!(
+            "SELECT a FROM t WHERE {}a = 1{}",
+            "(a = 1 AND a = 2 AND ".repeat(d - 1),
+            ")".repeat(d - 1)
+        );
+        // One level past the limit, counted either way.
+        let past_nesting = format!(
+            "SELECT a FROM t WHERE {}a{} = 1",
+            "(".repeat(d + 1),
+            ")".repeat(d + 1)
+        );
+        let past_depth = format!("SELECT a FROM t WHERE a{} = 1", " + 1".repeat(d));
+        for sql in [nested, ands, ors, sum, chains, past_nesting, past_depth] {
+            assert_eq!(parse_on_small_stack(&sql), Some("parse"), "{}", &sql[..40]);
+        }
+    }
+
+    #[test]
+    fn statements_at_the_depth_limit_parse() {
+        let d = MAX_EXPR_DEPTH;
+        let (open, close) = ("(".repeat(d), ")".repeat(d));
+        // `d` parentheses around a chain of `d - 1` additions under one
+        // comparison, and `d` nested aggregates: both counts at the limit.
+        let at_limit = format!(
+            "SELECT a FROM t WHERE {open}a{}{close} = 1",
+            " + 1".repeat(d - 1)
+        );
+        let aggregates = format!("SELECT {}a{close} FROM t", "SUM(".repeat(d));
+        assert_eq!(parse_on_small_stack(&at_limit), None);
+        assert_eq!(parse_on_small_stack(&aggregates), None);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use bestpeer_common::bytes::BytesMut;
 use bestpeer_common::{codec, stable_hash_bytes, Error, Result, Row, TableSchema, Value};
 
 use crate::stats::TableStats;
@@ -434,18 +433,17 @@ impl Database {
     /// equal digests answer every query identically — the witness the
     /// recovery tests use for "byte-identical".
     pub fn digest(&self) -> u64 {
-        let mut buf = BytesMut::new();
-        buf.put_i64_le(self.load_timestamp as i64);
-        buf.put_u32_le(self.tables.len() as u32);
+        let mut buf = self.load_timestamp.to_le_bytes().to_vec();
+        buf.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
         for t in self.tables.values() {
             wal::encode_schema(&mut buf, t.schema());
             let mut indexed: Vec<&str> = t.indexed_columns().collect();
             indexed.sort_unstable();
-            buf.put_u16_le(indexed.len() as u16);
+            buf.extend_from_slice(&(indexed.len() as u16).to_le_bytes());
             for col in indexed {
                 codec::put_str(&mut buf, col);
             }
-            buf.put_u32_le(t.len() as u32);
+            buf.extend_from_slice(&(t.len() as u32).to_le_bytes());
             for row in t.scan() {
                 codec::encode_row(&mut buf, row);
             }

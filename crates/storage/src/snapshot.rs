@@ -13,7 +13,6 @@
 
 use std::cmp::Ordering;
 
-use bestpeer_common::bytes::BytesMut;
 use bestpeer_common::codec;
 use bestpeer_common::Row;
 
@@ -37,7 +36,7 @@ impl Snapshot {
         I: IntoIterator<Item = Row>,
     {
         let mut fp = Rabin::new();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut entries: Vec<(u32, Row)> = rows
             .into_iter()
             .map(|row| {

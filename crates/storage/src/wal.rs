@@ -19,8 +19,9 @@
 //! ```
 //!
 //! `len` counts only the payload. `checksum` is `stable_hash_bytes` over
-//! `lsn_le ++ payload`, so a record whose frame was torn mid-write (or
-//! whose bytes rotted) fails verification. LSNs are assigned
+//! `lsn_le ++ payload` (hashed part by part, never copied into one
+//! buffer), so a record whose frame was torn mid-write (or whose bytes
+//! rotted) fails verification. LSNs are assigned
 //! monotonically starting at 1 and never reused.
 //!
 //! The checkpoint is a separate object (file / buffer) holding a full
@@ -45,10 +46,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use bestpeer_common::bytes::{Bytes, BytesMut};
-use bestpeer_common::codec::{get_str, put_str};
+use bestpeer_common::codec::{
+    self, checked_count, finish, get_count, get_str, get_u16, get_u32, get_u64, get_u8, put_str,
+};
 use bestpeer_common::{
-    codec, stable_hash_bytes, ColumnDef, ColumnType, Error, Result, Row, TableSchema, Value,
+    stable_hash_bytes, stable_hash_parts, ColumnDef, ColumnType, Error, Result, Row, TableSchema,
+    Value,
 };
 
 /// Log sequence number. Monotonic per [`Wal`], starting at 1; 0 means
@@ -388,43 +391,32 @@ fn column_type_from_tag(tag: u8) -> Result<ColumnType> {
 
 /// Serialize a schema (used by both `CreateTable` records and checkpoint
 /// table images).
-pub(crate) fn encode_schema(buf: &mut BytesMut, schema: &TableSchema) {
+pub(crate) fn encode_schema(buf: &mut Vec<u8>, schema: &TableSchema) {
     put_str(buf, &schema.name);
-    buf.put_u16_le(schema.columns.len() as u16);
+    buf.extend_from_slice(&(schema.columns.len() as u16).to_le_bytes());
     for c in &schema.columns {
         put_str(buf, &c.name);
-        buf.put_u8(column_type_tag(c.ty));
+        buf.push(column_type_tag(c.ty));
     }
-    buf.put_u16_le(schema.primary_key.len() as u16);
+    buf.extend_from_slice(&(schema.primary_key.len() as u16).to_le_bytes());
     for &k in &schema.primary_key {
-        buf.put_u16_le(k as u16);
+        buf.extend_from_slice(&(k as u16).to_le_bytes());
     }
 }
 
-pub(crate) fn decode_schema(buf: &mut Bytes) -> Result<TableSchema> {
+pub(crate) fn decode_schema(buf: &mut &[u8]) -> Result<TableSchema> {
     let name = get_str(buf)?;
-    if buf.remaining() < 2 {
-        return Err(Error::Codec("wal: truncated schema".into()));
-    }
-    let ncols = buf.get_u16_le() as usize;
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
+    // A column is at least its name's 4 length bytes and its type tag.
+    let n = get_u16(buf)? as usize;
+    let mut columns = Vec::with_capacity(checked_count(buf, n, 5)?);
+    for _ in 0..n {
         let cname = get_str(buf)?;
-        if !buf.has_remaining() {
-            return Err(Error::Codec("wal: truncated column type".into()));
-        }
-        columns.push(ColumnDef::new(cname, column_type_from_tag(buf.get_u8())?));
+        columns.push(ColumnDef::new(cname, column_type_from_tag(get_u8(buf)?)?));
     }
-    if buf.remaining() < 2 {
-        return Err(Error::Codec("wal: truncated primary key".into()));
-    }
-    let nkey = buf.get_u16_le() as usize;
-    let mut primary_key = Vec::with_capacity(nkey);
-    for _ in 0..nkey {
-        if buf.remaining() < 2 {
-            return Err(Error::Codec("wal: truncated primary key".into()));
-        }
-        primary_key.push(buf.get_u16_le() as usize);
+    let n = get_u16(buf)? as usize;
+    let mut primary_key = Vec::with_capacity(checked_count(buf, n, 2)?);
+    for _ in 0..n {
+        primary_key.push(get_u16(buf)? as usize);
     }
     TableSchema::new(name, columns, primary_key)
 }
@@ -436,67 +428,60 @@ pub(crate) fn decode_schema(buf: &mut Bytes) -> Result<TableSchema> {
 pub(crate) mod payload {
     use super::*;
 
+    /// A payload that starts with its op tag and a table name, with
+    /// room for a typical row behind them.
+    fn named(tag: u8, table: &str) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(128);
+        buf.push(tag);
+        put_str(&mut buf, table);
+        buf
+    }
+
     pub(crate) fn create_table(schema: &TableSchema) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(OP_CREATE_TABLE);
+        let mut buf = vec![OP_CREATE_TABLE];
         encode_schema(&mut buf, schema);
-        buf.into_vec()
+        buf
     }
 
     pub(crate) fn drop_table(name: &str) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(OP_DROP_TABLE);
-        put_str(&mut buf, name);
-        buf.into_vec()
+        named(OP_DROP_TABLE, name)
     }
 
     pub(crate) fn insert(table: &str, row: &Row) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(OP_INSERT);
-        put_str(&mut buf, table);
+        let mut buf = named(OP_INSERT, table);
         codec::encode_row(&mut buf, row);
-        buf.into_vec()
+        buf
     }
 
     pub(crate) fn delete_by_key(table: &str, key: &[Value]) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(OP_DELETE_BY_KEY);
-        put_str(&mut buf, table);
-        buf.put_u16_le(key.len() as u16);
+        let mut buf = named(OP_DELETE_BY_KEY, table);
+        buf.extend_from_slice(&(key.len() as u16).to_le_bytes());
         for v in key {
             codec::encode_value(&mut buf, v);
         }
-        buf.into_vec()
+        buf
     }
 
     pub(crate) fn delete_exact(table: &str, row: &Row) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(OP_DELETE_EXACT);
-        put_str(&mut buf, table);
+        let mut buf = named(OP_DELETE_EXACT, table);
         codec::encode_row(&mut buf, row);
-        buf.into_vec()
+        buf
     }
 
     pub(crate) fn truncate(name: &str) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(OP_TRUNCATE);
-        put_str(&mut buf, name);
-        buf.into_vec()
+        named(OP_TRUNCATE, name)
     }
 
     pub(crate) fn create_index(table: &str, column: &str) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(OP_CREATE_INDEX);
-        put_str(&mut buf, table);
+        let mut buf = named(OP_CREATE_INDEX, table);
         put_str(&mut buf, column);
-        buf.into_vec()
+        buf
     }
 
     pub(crate) fn set_load_timestamp(ts: u64) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(OP_SET_LOAD_TS);
-        buf.put_i64_le(ts as i64);
-        buf.into_vec()
+        let mut buf = vec![OP_SET_LOAD_TS];
+        buf.extend_from_slice(&ts.to_le_bytes());
+        buf
     }
 }
 
@@ -517,11 +502,8 @@ impl WalOp {
 
     /// Decode from record payload bytes.
     pub fn decode(payload: &[u8]) -> Result<WalOp> {
-        let mut buf = Bytes::from(payload);
-        if !buf.has_remaining() {
-            return Err(Error::Codec("wal: empty record payload".into()));
-        }
-        let op = match buf.get_u8() {
+        let mut buf = payload;
+        let op = match get_u8(&mut buf)? {
             OP_CREATE_TABLE => WalOp::CreateTable(decode_schema(&mut buf)?),
             OP_DROP_TABLE => WalOp::DropTable(get_str(&mut buf)?),
             OP_INSERT => WalOp::Insert {
@@ -530,11 +512,9 @@ impl WalOp {
             },
             OP_DELETE_BY_KEY => {
                 let table = get_str(&mut buf)?;
-                if buf.remaining() < 2 {
-                    return Err(Error::Codec("wal: truncated delete key".into()));
-                }
-                let n = buf.get_u16_le() as usize;
-                let mut key = Vec::with_capacity(n);
+                // A key value is at least its tag byte.
+                let n = get_u16(&mut buf)? as usize;
+                let mut key = Vec::with_capacity(checked_count(buf, n, 1)?);
                 for _ in 0..n {
                     key.push(codec::decode_value(&mut buf)?);
                 }
@@ -549,17 +529,10 @@ impl WalOp {
                 table: get_str(&mut buf)?,
                 column: get_str(&mut buf)?,
             },
-            OP_SET_LOAD_TS => {
-                if buf.remaining() < 8 {
-                    return Err(Error::Codec("wal: truncated load timestamp".into()));
-                }
-                WalOp::SetLoadTimestamp(buf.get_i64_le() as u64)
-            }
+            OP_SET_LOAD_TS => WalOp::SetLoadTimestamp(get_u64(&mut buf)?),
             other => return Err(Error::Codec(format!("wal: unknown op tag {other}"))),
         };
-        if buf.has_remaining() {
-            return Err(Error::Codec("wal: trailing bytes in record".into()));
-        }
+        finish(buf, "wal record")?;
         Ok(op)
     }
 }
@@ -595,25 +568,24 @@ pub struct CheckpointImage {
 impl CheckpointImage {
     /// Serialize with a trailing checksum over everything before it.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(CHECKPOINT_MAGIC);
-        buf.put_i64_le(self.last_lsn as i64);
-        buf.put_i64_le(self.load_timestamp as i64);
-        buf.put_u32_le(self.tables.len() as u32);
+        let mut buf = CHECKPOINT_MAGIC.to_le_bytes().to_vec();
+        buf.extend_from_slice(&self.last_lsn.to_le_bytes());
+        buf.extend_from_slice(&self.load_timestamp.to_le_bytes());
+        buf.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
         for t in &self.tables {
             encode_schema(&mut buf, &t.schema);
-            buf.put_u16_le(t.indexed.len() as u16);
+            buf.extend_from_slice(&(t.indexed.len() as u16).to_le_bytes());
             for c in &t.indexed {
                 put_str(&mut buf, c);
             }
-            buf.put_u32_le(t.rows.len() as u32);
+            buf.extend_from_slice(&(t.rows.len() as u32).to_le_bytes());
             for r in &t.rows {
                 codec::encode_row(&mut buf, r);
             }
         }
         let checksum = stable_hash_bytes(&buf);
-        buf.put_i64_le(checksum as i64);
-        buf.into_vec()
+        buf.extend_from_slice(&checksum.to_le_bytes());
+        buf
     }
 
     /// Decode and verify. Any mismatch — bad magic, short buffer, failed
@@ -621,40 +593,33 @@ impl CheckpointImage {
     /// checkpoint is written atomically, so unlike the log tail it has
     /// no legitimate torn state.
     pub fn decode(bytes: &[u8]) -> Result<CheckpointImage> {
-        if bytes.len() < 8 {
-            return Err(Error::Codec("wal: checkpoint too short".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let want = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if stable_hash_bytes(body) != want {
+        let (mut buf, checksum) = bytes
+            .split_last_chunk::<8>()
+            .ok_or_else(|| Error::Codec("wal: checkpoint too short".into()))?;
+        if stable_hash_bytes(buf) != u64::from_le_bytes(*checksum) {
             return Err(Error::Codec("wal: checkpoint checksum mismatch".into()));
         }
-        let mut buf = Bytes::from(body);
-        if buf.remaining() < 4 + 8 + 8 + 4 {
-            return Err(Error::Codec("wal: truncated checkpoint header".into()));
-        }
-        if buf.get_u32_le() != CHECKPOINT_MAGIC {
+        if get_u32(&mut buf)? != CHECKPOINT_MAGIC {
             return Err(Error::Codec("wal: bad checkpoint magic".into()));
         }
-        let last_lsn = buf.get_i64_le() as Lsn;
-        let load_timestamp = buf.get_i64_le() as u64;
-        let ntables = buf.get_u32_le() as usize;
+        let last_lsn = get_u64(&mut buf)?;
+        let load_timestamp = get_u64(&mut buf)?;
+        // A table image is at least its name's 4 length bytes, three
+        // u16 counts (columns, key columns, indexed names) and a u32 row
+        // count.
+        let ntables = get_count(&mut buf, 14)?;
         let mut tables = Vec::with_capacity(ntables);
         for _ in 0..ntables {
             let schema = decode_schema(&mut buf)?;
-            if buf.remaining() < 2 {
-                return Err(Error::Codec("wal: truncated checkpoint table".into()));
-            }
-            let nidx = buf.get_u16_le() as usize;
-            let mut indexed = Vec::with_capacity(nidx);
-            for _ in 0..nidx {
+            // An indexed name is at least its 4 length bytes.
+            let n = get_u16(&mut buf)? as usize;
+            let mut indexed = Vec::with_capacity(checked_count(buf, n, 4)?);
+            for _ in 0..n {
                 indexed.push(get_str(&mut buf)?);
             }
-            if buf.remaining() < 4 {
-                return Err(Error::Codec("wal: truncated checkpoint rows".into()));
-            }
-            let nrows = buf.get_u32_le() as usize;
-            let mut rows = Vec::with_capacity(nrows.min(1 << 20));
+            // A row is at least its 2 arity bytes.
+            let nrows = get_count(&mut buf, 2)?;
+            let mut rows = Vec::with_capacity(nrows);
             for _ in 0..nrows {
                 rows.push(codec::decode_row(&mut buf)?);
             }
@@ -664,9 +629,7 @@ impl CheckpointImage {
                 rows,
             });
         }
-        if buf.has_remaining() {
-            return Err(Error::Codec("wal: trailing bytes in checkpoint".into()));
-        }
+        finish(buf, "checkpoint")?;
         Ok(CheckpointImage {
             last_lsn,
             load_timestamp,
@@ -694,6 +657,23 @@ pub struct Replay {
     pub last_lsn: Lsn,
 }
 
+/// The checksum a log frame carries: `stable_hash_bytes` over
+/// `lsn_le ++ payload`, hashed in two parts so the payload is never
+/// copied just to be hashed.
+fn frame_checksum(lsn: Lsn, payload: &[u8]) -> u64 {
+    stable_hash_parts(&[&lsn.to_le_bytes(), payload])
+}
+
+/// Read the next frame off `buf`: its LSN and payload, or `None` when
+/// the frame is cut short or its checksum fails (a torn write).
+fn next_frame<'a>(buf: &mut &'a [u8]) -> Option<(Lsn, &'a [u8])> {
+    let len = get_u32(buf).ok()? as usize;
+    let lsn = get_u64(buf).ok()?;
+    let checksum = get_u64(buf).ok()?;
+    let payload = codec::get_slice(buf, len).ok()?;
+    (frame_checksum(lsn, payload) == checksum).then_some((lsn, payload))
+}
+
 /// Decode the durable log bytes into records.
 ///
 /// Stops cleanly (`torn_tail = true`) at an incomplete final frame or a
@@ -705,30 +685,12 @@ type DecodedLog = (Vec<(Lsn, WalOp)>, bool, Lsn);
 
 fn decode_log(bytes: &[u8], after: Lsn) -> Result<DecodedLog> {
     let mut records = Vec::new();
-    let mut pos = 0usize;
+    let mut buf = bytes;
     let mut last = after;
-    let mut torn = false;
-    while pos < bytes.len() {
-        if bytes.len() - pos < FRAME_HEADER {
-            torn = true;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let lsn = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-        let want = u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().expect("8 bytes"));
-        let body_start = pos + FRAME_HEADER;
-        if bytes.len() - body_start < len {
-            torn = true;
-            break;
-        }
-        let payload = &bytes[body_start..body_start + len];
-        let mut checked = Vec::with_capacity(8 + len);
-        checked.extend_from_slice(&lsn.to_le_bytes());
-        checked.extend_from_slice(payload);
-        if stable_hash_bytes(&checked) != want {
-            torn = true;
-            break;
-        }
+    while !buf.is_empty() {
+        let Some((lsn, payload)) = next_frame(&mut buf) else {
+            return Ok((records, true, last));
+        };
         if lsn <= last {
             return Err(Error::Codec(format!(
                 "wal: LSN regressed ({lsn} after {last}) — log corrupt"
@@ -736,12 +698,10 @@ fn decode_log(bytes: &[u8], after: Lsn) -> Result<DecodedLog> {
         }
         // A verified frame must decode; if it does not, the log is
         // corrupt (records are only ever written for applied ops).
-        let op = WalOp::decode(payload)?;
-        records.push((lsn, op));
+        records.push((lsn, WalOp::decode(payload)?));
         last = lsn;
-        pos = body_start + len;
     }
-    Ok((records, torn, last))
+    Ok((records, false, last))
 }
 
 // -------------------------------------------------------------------------
@@ -834,16 +794,11 @@ impl Wal {
     pub(crate) fn append_payload(&mut self, payload: &[u8]) -> Result<Lsn> {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let mut checked = Vec::with_capacity(8 + payload.len());
-        checked.extend_from_slice(&lsn.to_le_bytes());
-        checked.extend_from_slice(payload);
-        let checksum = stable_hash_bytes(&checked);
-        let mut frame = BytesMut::with_capacity(FRAME_HEADER + payload.len());
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_i64_le(lsn as i64);
-        frame.put_i64_le(checksum as i64);
-        frame.put_slice(payload);
-        let frame = frame.freeze();
+        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&lsn.to_le_bytes());
+        frame.extend_from_slice(&frame_checksum(lsn, payload).to_le_bytes());
+        frame.extend_from_slice(payload);
         self.device.append(&frame)?;
         self.pending += 1;
         self.log_bytes += frame.len() as u64;
@@ -1111,15 +1066,11 @@ mod tests {
         let dup = {
             let payload = WalOp::SetLoadTimestamp(3).encode();
             let lsn: u64 = 1; // regresses
-            let mut checked = Vec::new();
-            checked.extend_from_slice(&lsn.to_le_bytes());
-            checked.extend_from_slice(&payload);
-            let mut frame = BytesMut::new();
-            frame.put_u32_le(payload.len() as u32);
-            frame.put_i64_le(lsn as i64);
-            frame.put_i64_le(stable_hash_bytes(&checked) as i64);
-            frame.put_slice(&payload);
-            frame.into_vec()
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&lsn.to_le_bytes());
+            frame.extend_from_slice(&frame_checksum(lsn, &payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            frame
         };
         wal.device_mut().append(&dup).unwrap();
         wal.device_mut().sync().unwrap();
@@ -1149,6 +1100,22 @@ mod tests {
         bad[10] ^= 0x01;
         assert!(CheckpointImage::decode(&bad).is_err());
         assert!(CheckpointImage::decode(&enc[..enc.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn hostile_checkpoint_count_fails_before_allocation() {
+        // A 48-byte image with a valid checksum that declares u32::MAX
+        // tables: a codec error, never a Vec sized from the count.
+        let mut image = CHECKPOINT_MAGIC.to_le_bytes().to_vec();
+        image.extend_from_slice(&7u64.to_le_bytes());
+        image.extend_from_slice(&3u64.to_le_bytes());
+        image.extend_from_slice(&u32::MAX.to_le_bytes());
+        image.extend_from_slice(&[0; 16]);
+        let checksum = stable_hash_bytes(&image);
+        image.extend_from_slice(&checksum.to_le_bytes());
+        assert_eq!(image.len(), 48);
+        let err = CheckpointImage::decode(&image).unwrap_err();
+        assert_eq!(err.kind(), "codec");
     }
 
     #[test]

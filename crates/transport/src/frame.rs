@@ -14,6 +14,7 @@
 
 use std::io::{Read, Write};
 
+use bestpeer_common::codec::{get_u32, get_u64};
 use bestpeer_common::{stable_hash_bytes, Error, Result};
 
 /// Frame header size on the wire: u32 length + u64 checksum.
@@ -57,8 +58,9 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
 pub fn read_frame<R: Read>(r: &mut R, cfg: &FrameConfig) -> Result<Vec<u8>> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     r.read_exact(&mut header).map_err(map_io_error)?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(header[4..].try_into().unwrap());
+    let mut buf = &header[..];
+    let len = get_u32(&mut buf)? as usize;
+    let checksum = get_u64(&mut buf)?;
     if len > cfg.max_frame_bytes {
         return Err(Error::Codec(format!(
             "frame declares {len} payload bytes, cap is {}",

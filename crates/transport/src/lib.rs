@@ -7,7 +7,8 @@
 //! traces) and that deployment reality:
 //!
 //! - [`proto`] — the request/response messages and their hardened
-//!   binary encoding (`common::bytes` + `common::codec`).
+//!   binary encoding (`common::codec`'s checked reads over borrowed
+//!   bytes).
 //! - [`frame`] — length-prefixed, checksummed frames over a byte
 //!   stream, with hostile-length caps enforced before allocation.
 //! - [`tcp`] — [`tcp::TcpTransport`], a `std::net` client runtime with

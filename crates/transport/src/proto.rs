@@ -1,19 +1,20 @@
 //! The request/response protocol spoken between BestPeer++ nodes.
 //!
-//! Messages are encoded with `common::bytes` + `common::codec` and
-//! travel as single [frames](crate::frame). Layering is deliberate:
+//! Messages are encoded with `common::codec` and travel as single
+//! [frames](crate::frame). Layering is deliberate:
 //! this crate knows about rows and values (they live in
 //! `bestpeer-common`) but nothing about SQL plans, roles, or index
 //! entries — those cross the wire as pre-encoded opaque byte blobs
 //! produced and consumed by `bestpeer-core`, and execution statistics
 //! travel as self-describing named counters.
 //!
-//! Every length and count read off the wire is capped against the
-//! remaining buffer *before* allocation, mirroring the hardening in
-//! `common::codec`: these bytes come from untrusted sockets.
+//! Every read goes through `common::codec`'s checked cursor over the
+//! frame's bytes, and every count is checked against the bytes left
+//! *before* allocation: these bytes come from untrusted sockets.
 
-use bestpeer_common::bytes::{Bytes, BytesMut};
-use bestpeer_common::codec::{self, get_bytes, get_str, put_bytes, put_str};
+use bestpeer_common::codec::{
+    self, finish, get_bytes, get_count, get_str, get_u64, get_u8, put_bytes, put_str,
+};
 use bestpeer_common::{Error, Result, Row};
 
 /// A request sent to a remote node.
@@ -141,17 +142,16 @@ const RESP_STATS: u8 = 5;
 /// Append `rows` as a length-prefixed `codec` batch (the layout
 /// `codec::put_bytes` gives an encoded batch), encoding the rows in
 /// place and patching the length prefix afterwards.
-fn put_rows(buf: &mut BytesMut, rows: &[Row]) {
+fn put_rows(buf: &mut Vec<u8>, rows: &[Row]) {
     let at = buf.len();
-    buf.put_u32_le(0);
+    buf.extend_from_slice(&[0; 4]);
     codec::encode_batch_into(buf, rows);
     let len = (buf.len() - at - 4) as u32;
     buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-fn get_rows(buf: &mut Bytes) -> Result<Vec<Row>> {
-    let blob = get_bytes(buf)?;
-    codec::decode_batch(Bytes::from(blob))
+fn get_rows(buf: &mut &[u8]) -> Result<Vec<Row>> {
+    codec::decode_batch(get_bytes(buf)?)
 }
 
 /// Encoded size of a `u32` count followed by length-prefixed strings.
@@ -159,63 +159,38 @@ fn strings_len<'s>(strings: impl Iterator<Item = &'s String>) -> usize {
     4 + strings.map(|s| 4 + s.len()).sum::<usize>()
 }
 
-fn ensure(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(Error::Codec(format!(
-            "truncated message: need {n} bytes, have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-/// Cap a declared element count against the remaining bytes, given the
-/// minimum encoded size of one element; rejects hostile counts before
-/// they size a `Vec`.
-fn checked_count(buf: &Bytes, n: usize, min_elem_bytes: usize) -> Result<usize> {
-    if n > buf.remaining() / min_elem_bytes.max(1) {
-        Err(Error::Codec(format!(
-            "message declares {n} elements but only {} bytes remain",
-            buf.remaining()
-        )))
-    } else {
-        Ok(n)
-    }
-}
-
 impl Request {
     /// Encode this request as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         match self {
-            Request::Ping => buf.put_u8(REQ_PING),
+            Request::Ping => buf.push(REQ_PING),
             Request::Subquery {
                 sql,
                 role,
                 query_ts,
             } => {
-                buf.put_u8(REQ_SUBQUERY);
+                buf.push(REQ_SUBQUERY);
                 put_str(&mut buf, sql);
                 put_bytes(&mut buf, role);
-                buf.put_u64_le(*query_ts);
+                buf.extend_from_slice(&query_ts.to_le_bytes());
             }
             Request::Query { sql, role } => {
-                buf.put_u8(REQ_QUERY);
+                buf.push(REQ_QUERY);
                 put_str(&mut buf, sql);
                 put_str(&mut buf, role);
             }
-            Request::Inventory => buf.put_u8(REQ_INVENTORY),
+            Request::Inventory => buf.push(REQ_INVENTORY),
             Request::AddRemote {
                 peer,
                 addr,
                 load_ts,
                 entries,
             } => {
-                buf.put_u8(REQ_ADD_REMOTE);
-                buf.put_u64_le(*peer);
+                buf.push(REQ_ADD_REMOTE);
+                buf.extend_from_slice(&peer.to_le_bytes());
                 put_str(&mut buf, addr);
-                buf.put_u64_le(*load_ts);
+                buf.extend_from_slice(&load_ts.to_le_bytes());
                 put_bytes(&mut buf, entries);
             }
             Request::Load {
@@ -223,79 +198,55 @@ impl Request {
                 timestamp,
                 rows,
             } => {
-                buf.put_u8(REQ_LOAD);
+                buf.push(REQ_LOAD);
                 put_str(&mut buf, table);
-                buf.put_u64_le(*timestamp);
+                buf.extend_from_slice(&timestamp.to_le_bytes());
                 put_rows(&mut buf, rows);
             }
             Request::DefineRole { role } => {
-                buf.put_u8(REQ_DEFINE_ROLE);
+                buf.push(REQ_DEFINE_ROLE);
                 put_bytes(&mut buf, role);
             }
-            Request::Stats => buf.put_u8(REQ_STATS),
-            Request::Shutdown => buf.put_u8(REQ_SHUTDOWN),
+            Request::Stats => buf.push(REQ_STATS),
+            Request::Shutdown => buf.push(REQ_SHUTDOWN),
         }
-        buf.into_vec()
+        buf
     }
 
     /// Decode a request from one frame payload.
     pub fn decode(payload: &[u8]) -> Result<Request> {
-        let mut buf = Bytes::from(payload);
-        ensure(&buf, 1)?;
-        let tag = buf.get_u8();
-        let req = match tag {
+        let mut buf = payload;
+        let req = match get_u8(&mut buf)? {
             REQ_PING => Request::Ping,
             REQ_SUBQUERY => Request::Subquery {
                 sql: get_str(&mut buf)?,
-                role: get_bytes(&mut buf)?,
-                query_ts: {
-                    ensure(&buf, 8)?;
-                    buf.get_u64_le()
-                },
+                role: get_bytes(&mut buf)?.to_vec(),
+                query_ts: get_u64(&mut buf)?,
             },
             REQ_QUERY => Request::Query {
                 sql: get_str(&mut buf)?,
                 role: get_str(&mut buf)?,
             },
             REQ_INVENTORY => Request::Inventory,
-            REQ_ADD_REMOTE => {
-                ensure(&buf, 8)?;
-                let peer = buf.get_u64_le();
-                let addr = get_str(&mut buf)?;
-                ensure(&buf, 8)?;
-                let load_ts = buf.get_u64_le();
-                let entries = get_bytes(&mut buf)?;
-                Request::AddRemote {
-                    peer,
-                    addr,
-                    load_ts,
-                    entries,
-                }
-            }
-            REQ_LOAD => {
-                let table = get_str(&mut buf)?;
-                ensure(&buf, 8)?;
-                let timestamp = buf.get_u64_le();
-                let rows = get_rows(&mut buf)?;
-                Request::Load {
-                    table,
-                    timestamp,
-                    rows,
-                }
-            }
+            REQ_ADD_REMOTE => Request::AddRemote {
+                peer: get_u64(&mut buf)?,
+                addr: get_str(&mut buf)?,
+                load_ts: get_u64(&mut buf)?,
+                entries: get_bytes(&mut buf)?.to_vec(),
+            },
+            REQ_LOAD => Request::Load {
+                table: get_str(&mut buf)?,
+                timestamp: get_u64(&mut buf)?,
+                rows: get_rows(&mut buf)?,
+            },
             REQ_DEFINE_ROLE => Request::DefineRole {
-                role: get_bytes(&mut buf)?,
+                role: get_bytes(&mut buf)?.to_vec(),
             },
             REQ_STATS => Request::Stats,
             REQ_SHUTDOWN => Request::Shutdown,
             other => return Err(Error::Codec(format!("unknown request tag {other}"))),
         };
-        if buf.has_remaining() {
-            return Err(Error::Codec(format!(
-                "{} trailing bytes after request",
-                buf.remaining()
-            )));
-        }
+        finish(buf, "request")?;
         Ok(req)
     }
 }
@@ -318,29 +269,29 @@ impl Response {
             }
             _ => 64,
         };
-        let mut buf = BytesMut::with_capacity(capacity);
+        let mut buf = Vec::with_capacity(capacity);
         match self {
-            Response::Pong => buf.put_u8(RESP_PONG),
+            Response::Pong => buf.push(RESP_PONG),
             Response::Rows {
                 columns,
                 rows,
                 stats,
             } => {
-                buf.put_u8(RESP_ROWS);
-                buf.put_u32_le(columns.len() as u32);
+                buf.push(RESP_ROWS);
+                buf.extend_from_slice(&(columns.len() as u32).to_le_bytes());
                 for c in columns {
                     put_str(&mut buf, c);
                 }
                 put_rows(&mut buf, rows);
-                buf.put_u32_le(stats.len() as u32);
+                buf.extend_from_slice(&(stats.len() as u32).to_le_bytes());
                 for (name, v) in stats {
                     put_str(&mut buf, name);
-                    buf.put_u64_le(*v);
+                    buf.extend_from_slice(&v.to_le_bytes());
                 }
             }
-            Response::Ok => buf.put_u8(RESP_OK),
+            Response::Ok => buf.push(RESP_OK),
             Response::Err { kind, message } => {
-                buf.put_u8(RESP_ERR);
+                buf.push(RESP_ERR);
                 put_str(&mut buf, kind);
                 put_str(&mut buf, message);
             }
@@ -349,51 +300,44 @@ impl Response {
                 load_ts,
                 entries,
             } => {
-                buf.put_u8(RESP_INVENTORY);
-                buf.put_u64_le(*peer);
-                buf.put_u64_le(*load_ts);
+                buf.push(RESP_INVENTORY);
+                buf.extend_from_slice(&peer.to_le_bytes());
+                buf.extend_from_slice(&load_ts.to_le_bytes());
                 put_bytes(&mut buf, entries);
             }
             Response::Stats { load_ts, tables } => {
-                buf.put_u8(RESP_STATS);
-                buf.put_u64_le(*load_ts);
-                buf.put_u32_le(tables.len() as u32);
+                buf.push(RESP_STATS);
+                buf.extend_from_slice(&load_ts.to_le_bytes());
+                buf.extend_from_slice(&(tables.len() as u32).to_le_bytes());
                 for (name, rows, bytes) in tables {
                     put_str(&mut buf, name);
-                    buf.put_u64_le(*rows);
-                    buf.put_u64_le(*bytes);
+                    buf.extend_from_slice(&rows.to_le_bytes());
+                    buf.extend_from_slice(&bytes.to_le_bytes());
                 }
             }
         }
-        buf.into_vec()
+        buf
     }
 
-    /// Decode a response from one frame payload.
+    /// Decode a response from one frame payload. A `Rows` reply's batch
+    /// is decoded straight from the payload.
     pub fn decode(payload: &[u8]) -> Result<Response> {
-        let mut buf = Bytes::from(payload);
-        ensure(&buf, 1)?;
-        let tag = buf.get_u8();
-        let resp = match tag {
+        let mut buf = payload;
+        let resp = match get_u8(&mut buf)? {
             RESP_PONG => Response::Pong,
             RESP_ROWS => {
-                ensure(&buf, 4)?;
                 // Each column name occupies at least its 4 length bytes.
-                let declared = buf.get_u32_le() as usize;
-                let ncols = checked_count(&buf, declared, 4)?;
+                let ncols = get_count(&mut buf, 4)?;
                 let mut columns = Vec::with_capacity(ncols);
                 for _ in 0..ncols {
                     columns.push(get_str(&mut buf)?);
                 }
                 let rows = get_rows(&mut buf)?;
-                ensure(&buf, 4)?;
                 // Each counter is at least 4 name-length bytes + 8 value bytes.
-                let declared = buf.get_u32_le() as usize;
-                let nstats = checked_count(&buf, declared, 12)?;
+                let nstats = get_count(&mut buf, 12)?;
                 let mut stats = Vec::with_capacity(nstats);
                 for _ in 0..nstats {
-                    let name = get_str(&mut buf)?;
-                    ensure(&buf, 8)?;
-                    stats.push((name, buf.get_u64_le()));
+                    stats.push((get_str(&mut buf)?, get_u64(&mut buf)?));
                 }
                 Response::Rows {
                     columns,
@@ -406,42 +350,25 @@ impl Response {
                 kind: get_str(&mut buf)?,
                 message: get_str(&mut buf)?,
             },
-            RESP_INVENTORY => {
-                ensure(&buf, 16)?;
-                let peer = buf.get_u64_le();
-                let load_ts = buf.get_u64_le();
-                let entries = get_bytes(&mut buf)?;
-                Response::Inventory {
-                    peer,
-                    load_ts,
-                    entries,
-                }
-            }
+            RESP_INVENTORY => Response::Inventory {
+                peer: get_u64(&mut buf)?,
+                load_ts: get_u64(&mut buf)?,
+                entries: get_bytes(&mut buf)?.to_vec(),
+            },
             RESP_STATS => {
-                ensure(&buf, 12)?;
-                let load_ts = buf.get_u64_le();
+                let load_ts = get_u64(&mut buf)?;
                 // Each table entry is at least 4 name-length bytes + 16
                 // counter bytes.
-                let declared = buf.get_u32_le() as usize;
-                let ntables = checked_count(&buf, declared, 20)?;
+                let ntables = get_count(&mut buf, 20)?;
                 let mut tables = Vec::with_capacity(ntables);
                 for _ in 0..ntables {
-                    let name = get_str(&mut buf)?;
-                    ensure(&buf, 16)?;
-                    let rows = buf.get_u64_le();
-                    let bytes = buf.get_u64_le();
-                    tables.push((name, rows, bytes));
+                    tables.push((get_str(&mut buf)?, get_u64(&mut buf)?, get_u64(&mut buf)?));
                 }
                 Response::Stats { load_ts, tables }
             }
             other => return Err(Error::Codec(format!("unknown response tag {other}"))),
         };
-        if buf.has_remaining() {
-            return Err(Error::Codec(format!(
-                "{} trailing bytes after response",
-                buf.remaining()
-            )));
-        }
+        finish(buf, "response")?;
         Ok(resp)
     }
 
@@ -544,19 +471,18 @@ mod tests {
         .encode();
         // The layout: tag, columns, the batch as a length-prefixed
         // blob, then the named counters.
-        let mut want = BytesMut::new();
-        want.put_u8(RESP_ROWS);
-        want.put_u32_le(columns.len() as u32);
+        let mut want = vec![RESP_ROWS];
+        want.extend_from_slice(&(columns.len() as u32).to_le_bytes());
         for c in &columns {
             put_str(&mut want, c);
         }
         put_bytes(&mut want, &codec::encode_batch(&sample_rows()));
-        want.put_u32_le(stats.len() as u32);
+        want.extend_from_slice(&(stats.len() as u32).to_le_bytes());
         for (name, v) in &stats {
             put_str(&mut want, name);
-            want.put_u64_le(*v);
+            want.extend_from_slice(&v.to_le_bytes());
         }
-        assert_eq!(bytes, want.into_vec());
+        assert_eq!(bytes, want);
         assert_eq!(bytes.capacity(), bytes.len(), "no growth slack");
     }
 
@@ -573,49 +499,15 @@ mod tests {
     #[test]
     fn hostile_counts_fail_before_allocation() {
         // Rows response claiming u32::MAX columns with a tiny payload.
-        let mut buf = BytesMut::new();
-        buf.put_u8(1); // RESP_ROWS
-        buf.put_u32_le(u32::MAX);
-        assert!(Response::decode(&buf.freeze()).is_err());
+        let mut buf = vec![RESP_ROWS];
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Response::decode(&buf).is_err());
 
         // Stats response claiming a billion tables.
-        let mut buf = BytesMut::new();
-        buf.put_u8(5); // RESP_STATS
-        buf.put_u64_le(1);
-        buf.put_u32_le(1_000_000_000);
-        buf.put_slice(&[0u8; 32]);
-        assert!(Response::decode(&buf.freeze()).is_err());
-    }
-
-    #[test]
-    fn corrupt_messages_error_not_panic() {
-        let encodings: Vec<Vec<u8>> = vec![
-            Request::Subquery {
-                sql: "SELECT a FROM t".into(),
-                role: vec![0; 16],
-                query_ts: 1,
-            }
-            .encode(),
-            Response::Rows {
-                columns: vec!["a".into()],
-                rows: sample_rows(),
-                stats: vec![("rows_output".into(), 2)],
-            }
-            .encode(),
-        ];
-        let mut rng = bestpeer_common::rng::Rng::seed_from_u64(0x00F4_A33D);
-        for encoded in &encodings {
-            for cut in 0..encoded.len() {
-                let _ = Request::decode(&encoded[..cut]);
-                let _ = Response::decode(&encoded[..cut]);
-            }
-            for _ in 0..500 {
-                let mut mutated = encoded.clone();
-                let pos = (rng.next_u64() as usize) % mutated.len();
-                mutated[pos] ^= 1 << (rng.next_u64() % 8);
-                let _ = Request::decode(&mutated);
-                let _ = Response::decode(&mutated);
-            }
-        }
+        let mut buf = vec![RESP_STATS];
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&1_000_000_000u32.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 32]);
+        assert!(Response::decode(&buf).is_err());
     }
 }

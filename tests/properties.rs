@@ -217,7 +217,7 @@ fn codec_round_trips_any_batch() {
             bestpeer::common::codec::batch_encoded_size(&rows),
             "case {case}"
         );
-        let decoded = bestpeer::common::codec::decode_batch(encoded).unwrap();
+        let decoded = bestpeer::common::codec::decode_batch(&encoded).unwrap();
         assert_eq!(decoded, rows, "case {case}");
     }
 }
