@@ -215,7 +215,7 @@ fn dropped_index_inserts_degrade_until_republish_heals() {
 
     // Open a lossy window, synchronised into the overlay by the next
     // query's fault sync.
-    net.faults()
+    net.faults_mut()
         .inject_now(FaultAction::DropIndexInserts(100_000));
     let unaffected = submit(&mut net, sql, EngineChoice::Basic);
     assert_eq!(

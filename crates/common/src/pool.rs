@@ -145,16 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_runs_inline() {
-        set_threads(1);
-        let tid = std::thread::current().id();
-        let got = run_tasks(&[1, 2, 3], |_, x| (std::thread::current().id(), *x));
-        clear_threads();
-        assert!(got.iter().all(|(t, _)| *t == tid));
-        assert_eq!(got.iter().map(|(_, x)| *x).collect::<Vec<_>>(), [1, 2, 3]);
-    }
-
-    #[test]
     fn parallel_matches_sequential_exactly() {
         let items: Vec<i64> = (0..5000).map(|i| i * 7 % 113).collect();
         set_threads(1);
@@ -163,16 +153,5 @@ mod tests {
         let par = run_tasks(&items, |i, x| x.wrapping_mul(i as i64 + 1));
         clear_threads();
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn counters_drain_to_zero() {
-        drain_counters();
-        set_threads(4);
-        let _ = run_tasks(&[1u8; 64], |_, x| *x);
-        clear_threads();
-        let (tasks, _) = drain_counters();
-        assert_eq!(tasks, 64);
-        assert_eq!(drain_counters(), (0, 0));
     }
 }

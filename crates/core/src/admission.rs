@@ -17,15 +17,11 @@
 //! [`AdmissionState::queue_depth`] guards scale-in (a peer with queued
 //! work is never evicted).
 //!
-//! Like [`crate::fault::FaultState`], the state uses interior
-//! mutability so the engines' shared [`crate::engine::EngineCtx`] can
-//! admit requests without threading `&mut` through every serve path.
 //! A depth limit of 0 disables admission entirely (the default): every
 //! request is admitted at zero cost and no state is kept, so networks
 //! that never opt in behave byte-identically to before this module
 //! existed.
 
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 
 use bestpeer_common::{Error, PeerId, Result};
@@ -59,92 +55,84 @@ impl Default for AdmissionConfig {
 /// peer plus shed/admit counters.
 #[derive(Debug, Default)]
 pub struct AdmissionState {
-    now: Cell<SimTime>,
-    queue_depth: Cell<u32>,
-    service_time: Cell<SimTime>,
-    queues: RefCell<BTreeMap<PeerId, VecDeque<SimTime>>>,
-    admitted: Cell<u64>,
-    shed: Cell<u64>,
+    config: AdmissionConfig,
+    now: SimTime,
+    queues: BTreeMap<PeerId, VecDeque<SimTime>>,
+    admitted: u64,
+    shed: u64,
 }
 
 impl AdmissionState {
     /// Build state for `config` (depth 0 = disabled).
     pub fn new(config: AdmissionConfig) -> Self {
-        let s = AdmissionState::default();
-        s.queue_depth.set(config.queue_depth);
-        s.service_time.set(config.service_time);
-        s
+        AdmissionState {
+            config,
+            ..AdmissionState::default()
+        }
     }
 
     /// True when a non-zero queue depth is configured.
     pub fn enabled(&self) -> bool {
-        self.queue_depth.get() > 0
+        self.config.queue_depth > 0
     }
 
     /// The admission clock's current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now.get()
+        self.now
     }
 
     /// Advance the admission clock to `t` (monotone: earlier times are
     /// ignored).
-    pub fn set_now(&self, t: SimTime) {
-        if t > self.now.get() {
-            self.now.set(t);
-        }
+    pub fn set_now(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
     }
 
     /// Advance the admission clock by `span` — used by the retry loop so
     /// a shed request's backoff actually drains the queue it bounced off.
-    pub fn advance(&self, span: SimTime) {
-        self.now.set(self.now.get() + span);
+    pub fn advance(&mut self, span: SimTime) {
+        self.now += span;
     }
 
     /// Admit one request at `peer`, returning its virtual completion
     /// time, or shed it with [`Error::Overloaded`] when the peer's queue
     /// is full. Disabled admission admits everything instantly.
-    pub fn admit(&self, peer: PeerId) -> Result<SimTime> {
+    pub fn admit(&mut self, peer: PeerId) -> Result<SimTime> {
+        let now = self.now;
         if !self.enabled() {
-            return Ok(self.now.get());
+            return Ok(now);
         }
-        let now = self.now.get();
-        let mut queues = self.queues.borrow_mut();
-        let q = queues.entry(peer).or_default();
+        let depth = self.config.queue_depth;
+        let q = self.queues.entry(peer).or_default();
         while q.front().is_some_and(|done| *done <= now) {
             q.pop_front();
         }
-        if q.len() >= self.queue_depth.get() as usize {
-            self.shed.set(self.shed.get() + 1);
+        if q.len() >= depth as usize {
+            self.shed += 1;
             return Err(Error::Overloaded(format!(
-                "peer {peer} admission queue full ({} requests queued, depth limit {})",
-                q.len(),
-                self.queue_depth.get()
+                "peer {peer} admission queue full ({} requests queued, depth limit {depth})",
+                q.len()
             )));
         }
         let start = q.back().copied().unwrap_or(now).max(now);
-        let done = start + self.service_time.get();
+        let done = start + self.config.service_time;
         q.push_back(done);
-        self.admitted.set(self.admitted.get() + 1);
+        self.admitted += 1;
         Ok(done)
     }
 
     /// Requests queued at `peer` that have not yet completed.
     pub fn queue_depth(&self, peer: PeerId) -> u32 {
-        let now = self.now.get();
         self.queues
-            .borrow()
             .get(&peer)
-            .map(|q| q.iter().filter(|done| **done > now).count() as u32)
+            .map(|q| q.iter().filter(|done| **done > self.now).count() as u32)
             .unwrap_or(0)
     }
 
     /// Total outstanding requests across all peers.
     pub fn total_depth(&self) -> u64 {
-        let now = self.now.get();
         self.queues
-            .borrow()
             .values()
-            .map(|q| q.iter().filter(|done| **done > now).count() as u64)
+            .map(|q| q.iter().filter(|done| **done > self.now).count() as u64)
             .sum()
     }
 
@@ -155,26 +143,27 @@ impl AdmissionState {
         if window == SimTime::ZERO {
             return 0.0;
         }
-        let now = self.now.get();
         let backlog = self
             .queues
-            .borrow()
             .get(&peer)
             .and_then(|q| q.back().copied())
-            .map(|done| done.saturating_sub(now))
+            .map(|done| done.saturating_sub(self.now))
             .unwrap_or(SimTime::ZERO);
         (backlog.as_secs_f64() / window.as_secs_f64()).clamp(0.0, 1.0)
     }
 
     /// Drop all queue state for a departed peer.
-    pub fn remove_peer(&self, peer: PeerId) {
-        self.queues.borrow_mut().remove(&peer);
+    pub fn remove_peer(&mut self, peer: PeerId) {
+        self.queues.remove(&peer);
     }
 
     /// Drain the admit/shed counters accumulated since the last call —
     /// the network layer publishes these as monotone registry counters.
-    pub fn take_counters(&self) -> (u64, u64) {
-        (self.admitted.take(), self.shed.take())
+    pub fn take_counters(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.admitted),
+            std::mem::take(&mut self.shed),
+        )
     }
 }
 
@@ -191,7 +180,7 @@ mod tests {
 
     #[test]
     fn disabled_admission_admits_everything_for_free() {
-        let a = AdmissionState::new(AdmissionConfig::default());
+        let mut a = AdmissionState::new(AdmissionConfig::default());
         assert!(!a.enabled());
         let p = PeerId::new(1);
         for _ in 0..10_000 {
@@ -203,7 +192,7 @@ mod tests {
 
     #[test]
     fn queue_fills_sheds_and_drains() {
-        let a = enabled(2, 100);
+        let mut a = enabled(2, 100);
         let p = PeerId::new(7);
         // Two requests fill the queue back-to-back...
         assert_eq!(a.admit(p).unwrap(), SimTime::from_micros(100));
@@ -224,7 +213,7 @@ mod tests {
 
     #[test]
     fn utilization_is_backlog_over_window() {
-        let a = enabled(100, 1_000);
+        let mut a = enabled(100, 1_000);
         let p = PeerId::new(1);
         for _ in 0..5 {
             a.admit(p).unwrap();
@@ -242,7 +231,7 @@ mod tests {
 
     #[test]
     fn clock_is_monotone_and_advance_drains() {
-        let a = enabled(1, 100);
+        let mut a = enabled(1, 100);
         let p = PeerId::new(3);
         a.admit(p).unwrap();
         assert!(a.admit(p).is_err());

@@ -167,16 +167,13 @@ pub fn execute(
     let mut graph = build_processing_graph(stmt, stats, &ctx.from_schemas(stmt)?)?;
     // Cache-aware costing: the fraction of a base table already resident
     // in the submitter's result cache is read from memory, not scanned.
-    {
-        let cache = ctx.rescache.borrow();
-        if cache.enabled() {
-            for level in &mut graph.levels {
-                if level.op == LevelOp::Join && !level.table.is_empty() {
-                    let total = stats.bytes(&level.table);
-                    if total > 0.0 {
-                        level.warm =
-                            (cache.table_bytes(&level.table) as f64 / total).clamp(0.0, 1.0);
-                    }
+    let cache = &*ctx.rescache;
+    if cache.enabled() {
+        for level in &mut graph.levels {
+            if level.op == LevelOp::Join && !level.table.is_empty() {
+                let total = stats.bytes(&level.table);
+                if total > 0.0 {
+                    level.warm = (cache.table_bytes(&level.table) as f64 / total).clamp(0.0, 1.0);
                 }
             }
         }

@@ -20,7 +20,6 @@ pub mod mr;
 pub mod online;
 pub mod parallel;
 
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
 use bestpeer_common::{Error, PeerId, Result, TableSchema};
@@ -63,32 +62,29 @@ pub struct EngineCtx<'a> {
     pub query_ts: u64,
     /// The network's fault-injection state; every subquery served ticks
     /// its virtual clock, so scheduled faults land mid-query.
-    pub faults: &'a FaultState,
+    pub faults: &'a mut FaultState,
     /// The network's admission-control state: each serve claims a slot
     /// in the owner's bounded queue or is shed with
     /// [`Error::Overloaded`]. Disabled (zero-cost) by default.
-    pub admission: &'a AdmissionState,
+    pub admission: &'a mut AdmissionState,
     /// Execution counters accumulated across every subquery this query
-    /// touches (rows shared vs cloned, top-K short-circuits, …); a
-    /// `Cell` because [`EngineCtx::serve_batch`] takes `&self`. The
+    /// touches (rows shared vs cloned, top-K short-circuits, …). The
     /// network folds these into the telemetry registry after the engine
     /// runs.
-    pub exec: Cell<ExecStats>,
+    pub exec: ExecStats,
     /// The submitting peer's remote-fetch result cache (level 2 of the
-    /// caching subsystem; consulted by [`EngineCtx::serve_batch`]). A
-    /// `RefCell` because serving takes `&self`.
-    pub rescache: &'a RefCell<ResultCache>,
+    /// caching subsystem; consulted by [`EngineCtx::serve_batch`]).
+    pub rescache: &'a mut ResultCache,
     /// The network's learned routing advisor: confirmed query templates
     /// short-circuit [`EngineCtx::locate`] to their remembered owner
     /// maps (zero overlay hops); misses fall through to BATON and are
-    /// observed. A `RefCell` because the network owns the advisor
-    /// across queries.
-    pub advisor: &'a RefCell<RoutingAdvisor>,
+    /// observed.
+    pub advisor: &'a mut RoutingAdvisor,
 }
 
-impl EngineCtx<'_> {
+impl<'a> EngineCtx<'a> {
     /// Look up a normal peer.
-    pub fn peer(&self, id: PeerId) -> Result<&NormalPeer> {
+    pub fn peer(&self, id: PeerId) -> Result<&'a NormalPeer> {
         self.peers
             .get(&id)
             .ok_or_else(|| Error::Network(format!("{id} is not a live peer")))
@@ -129,13 +125,12 @@ impl EngineCtx<'_> {
     /// check, so crashes, retries, and stale-snapshot rejections land
     /// identically to a cold serve — only the data movement differs.
     pub fn serve_batch(
-        &self,
+        &mut self,
         owners: &[PeerId],
         stmt: &SelectStmt,
     ) -> Result<Vec<(ResultSet, ExecStats, bool)>> {
         let fp = self
             .rescache
-            .borrow()
             .enabled()
             .then(|| ResultCache::fingerprint(stmt, &self.role.name));
         let mut prepared: Vec<Prepared> = Vec::with_capacity(owners.len());
@@ -156,9 +151,8 @@ impl EngineCtx<'_> {
                 Prepared::Empty | Prepared::Hit(_) => None,
             })
             .collect();
-        // The closure captures only `Sync` state (the transport is
-        // `Sync` by trait bound) — never `self`, whose `Cell`/`RefCell`
-        // fields must stay on this thread.
+        // The closure captures only shared `Sync` state (the transport
+        // is `Sync` by trait bound), never `self`.
         let role = self.role;
         let query_ts = self.query_ts;
         let transport = self.transport;
@@ -176,13 +170,8 @@ impl EngineCtx<'_> {
                     let (rs, stats) = executed.next().expect("one result per miss")?;
                     self.note_exec(&stats);
                     if let Some((fp, load_ts)) = cache_key {
-                        self.rescache.borrow_mut().insert(
-                            owner,
-                            fp,
-                            stmt.from.clone(),
-                            &rs,
-                            load_ts,
-                        );
+                        self.rescache
+                            .insert(owner, fp, stmt.from.clone(), &rs, load_ts);
                     }
                     (rs, stats, false)
                 }
@@ -200,7 +189,12 @@ impl EngineCtx<'_> {
     /// answers. The owner's snapshot check (Definition 2) runs before
     /// the cache probe, so a hit cannot outrun the loader. `fp` is the
     /// statement's cache fingerprint, `None` when the cache is disabled.
-    fn prepare(&self, owner: PeerId, stmt: &SelectStmt, fp: Option<u64>) -> Result<Prepared<'_>> {
+    fn prepare(
+        &mut self,
+        owner: PeerId,
+        stmt: &SelectStmt,
+        fp: Option<u64>,
+    ) -> Result<Prepared<'a>> {
         self.faults.tick();
         if self.faults.is_down(owner) {
             return Err(Error::Unavailable(format!(
@@ -227,7 +221,7 @@ impl EngineCtx<'_> {
             )));
         }
         if let Some(fp) = fp {
-            if let Some(rs) = self.rescache.borrow_mut().get(owner, fp, load_ts) {
+            if let Some(rs) = self.rescache.get(owner, fp, load_ts) {
                 return Ok(Prepared::Hit(rs));
             }
         }
@@ -239,19 +233,15 @@ impl EngineCtx<'_> {
     }
 
     /// Fold one execution's stats into the query-wide counters.
-    pub fn note_exec(&self, stats: &ExecStats) {
-        let mut agg = self.exec.get();
-        agg.merge(stats);
-        self.exec.set(agg);
+    pub fn note_exec(&mut self, stats: &ExecStats) {
+        self.exec.merge(stats);
     }
 
     /// Record one coordinator-side top-K short-circuit (an engine's
     /// [`bestpeer_sql::apply_order_limit`] answered `ORDER BY … LIMIT`
     /// with the bounded heap instead of a full sort).
-    pub fn note_topk(&self) {
-        let mut agg = self.exec.get();
-        agg.topk_short_circuits += 1;
-        self.exec.set(agg);
+    pub fn note_topk(&mut self) {
+        self.exec.topk_short_circuits += 1;
     }
 
     /// The schema of one global table.
@@ -282,9 +272,9 @@ impl EngineCtx<'_> {
         stmt: &SelectStmt,
         trace: &mut Trace,
     ) -> Result<BTreeMap<String, Vec<PeerId>>> {
-        let fp = if self.advisor.borrow().enabled() {
+        let fp = if self.advisor.enabled() {
             let fp = QueryFingerprint::of(stmt);
-            if let Some(routed) = self.advisor.borrow_mut().route(&fp) {
+            if let Some(routed) = self.advisor.route(&fp) {
                 return Ok(routed);
             }
             Some(fp)
@@ -305,7 +295,7 @@ impl EngineCtx<'_> {
         }
         let located: BTreeMap<String, Vec<PeerId>> = located.into_iter().collect();
         if let Some(fp) = fp {
-            self.advisor.borrow_mut().observe(&fp, &located, stmt);
+            self.advisor.observe(&fp, &located, stmt);
         }
         Ok(located)
     }

@@ -26,14 +26,14 @@ use super::{EngineCtx, EngineOutput};
 /// and admission, access control, Definition 2's snapshot check, the
 /// result cache, and exec-stat folding apply exactly as in the native
 /// engines.
-struct PeerSource<'c, 'a>(&'c EngineCtx<'a>);
+struct PeerSource<'c, 'a>(&'c mut EngineCtx<'a>);
 
 impl LocalSource for PeerSource<'_, '_> {
     fn peers(&self) -> Vec<PeerId> {
         self.0.peers.keys().copied().collect()
     }
 
-    fn run_local(&self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>> {
+    fn run_local(&mut self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>> {
         Ok(self
             .0
             .serve_batch(peers, stmt)?
@@ -59,7 +59,7 @@ pub fn execute(
     let workers: Vec<PeerId> = ctx.peers.keys().copied().collect();
     let engine = MapReduceEngine::new(workers.clone(), ctx.config.mr);
     let mut hdfs = Hdfs::new(workers, ctx.config.hdfs_replication);
-    let (mut rs, trace) = run_stmt(stmt, &PeerSource(ctx), &engine, &mut hdfs)?;
+    let (mut rs, trace) = run_stmt(stmt, &mut PeerSource(ctx), &engine, &mut hdfs)?;
     // `run_stmt` leaves ordering and truncation to its caller, so they
     // run once, here, like every engine's coordinator step.
     if bestpeer_sql::apply_order_limit(stmt, &mut rs) {

@@ -6,14 +6,7 @@
 //! time has come, so the same schedule against the same query workload
 //! always lands faults at exactly the same operations — the basis of the
 //! chaos suite's same-seed-same-trace assertion.
-//!
-//! The state is interior-mutable ([`Cell`]/[`RefCell`]) because the
-//! engines only hold `&FaultState` while serving subqueries; the network
-//! layer synchronises the *side effects* of newly applied events (cloud
-//! metrics, BATON crash/recover, load timestamps) between retry
-//! attempts, where it has `&mut self`.
 
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -109,17 +102,17 @@ impl fmt::Display for FaultRecord {
 /// the set of logically-down peers, link slowdowns, and the applied log.
 #[derive(Debug, Default)]
 pub struct FaultState {
-    clock: Cell<u64>,
+    clock: u64,
     /// Pending events, kept sorted by `at`.
-    schedule: RefCell<Vec<ScheduledFault>>,
-    down: RefCell<BTreeSet<PeerId>>,
-    slow: RefCell<BTreeMap<PeerId, SimTime>>,
+    schedule: Vec<ScheduledFault>,
+    down: BTreeSet<PeerId>,
+    slow: BTreeMap<PeerId, SimTime>,
     /// Extra latency accumulated by serves at slowed peers since the
     /// last drain (charged to the trace by the network layer).
-    slow_latency: Cell<u64>,
+    slow_latency: u64,
     /// Index-insert messages to drop (synchronised into the overlay).
-    pending_drops: Cell<u32>,
-    log: RefCell<Vec<FaultRecord>>,
+    pending_drops: u32,
+    log: Vec<FaultRecord>,
 }
 
 impl FaultState {
@@ -129,124 +122,101 @@ impl FaultState {
     }
 
     /// Install scheduled faults (appended to anything still pending).
-    pub fn schedule(&self, events: impl IntoIterator<Item = ScheduledFault>) {
-        let mut sched = self.schedule.borrow_mut();
-        sched.extend(events);
-        sched.sort_by_key(|e| e.at);
+    pub fn schedule(&mut self, events: impl IntoIterator<Item = ScheduledFault>) {
+        self.schedule.extend(events);
+        self.schedule.sort_by_key(|e| e.at);
     }
 
     /// The virtual clock (operations performed so far).
     pub fn clock(&self) -> u64 {
-        self.clock.get()
+        self.clock
     }
 
     /// Advance the virtual clock by one operation and apply every due
     /// event. Called by the engine context once per subquery served.
-    pub fn tick(&self) {
-        let now = self.clock.get() + 1;
-        self.clock.set(now);
-        loop {
-            let next = {
-                let sched = self.schedule.borrow();
-                match sched.first() {
-                    Some(e) if e.at <= now => *e,
-                    _ => break,
-                }
-            };
-            self.schedule.borrow_mut().remove(0);
-            self.apply(now, next.action);
+    pub fn tick(&mut self) {
+        self.clock += 1;
+        while self.schedule.first().is_some_and(|e| e.at <= self.clock) {
+            let next = self.schedule.remove(0);
+            self.apply(self.clock, next.action);
         }
     }
 
-    fn apply(&self, now: u64, action: FaultAction) {
+    fn apply(&mut self, now: u64, action: FaultAction) {
         match action {
             FaultAction::Crash(p) | FaultAction::TornCrash { peer: p, .. } => {
-                self.down.borrow_mut().insert(p);
+                self.down.insert(p);
             }
             FaultAction::Recover(p) => {
-                self.down.borrow_mut().remove(&p);
+                self.down.remove(&p);
             }
             FaultAction::SlowLink { peer, extra } => {
-                self.slow.borrow_mut().insert(peer, extra);
+                self.slow.insert(peer, extra);
             }
             FaultAction::FastLink(p) => {
-                self.slow.borrow_mut().remove(&p);
+                self.slow.remove(&p);
             }
-            FaultAction::DropIndexInserts(n) => {
-                self.pending_drops.set(self.pending_drops.get() + n);
-            }
+            FaultAction::DropIndexInserts(n) => self.pending_drops += n,
             FaultAction::AdvanceLoad { .. } => {} // side effect applied at sync
         }
-        self.log.borrow_mut().push(FaultRecord { at: now, action });
+        self.log.push(FaultRecord { at: now, action });
     }
 
     /// Apply an action immediately (unscheduled injection at the
     /// current virtual time), recording it in the log.
-    pub fn inject_now(&self, action: FaultAction) {
-        self.apply(self.clock.get(), action);
+    pub fn inject_now(&mut self, action: FaultAction) {
+        self.apply(self.clock, action);
     }
 
     /// Is the peer's process currently down?
     pub fn is_down(&self, peer: PeerId) -> bool {
-        self.down.borrow().contains(&peer)
+        self.down.contains(&peer)
     }
 
     /// Peers currently down, ascending.
     pub fn down_peers(&self) -> Vec<PeerId> {
-        self.down.borrow().iter().copied().collect()
+        self.down.iter().copied().collect()
     }
 
     /// Record one subquery served by `peer`; charges slow-link latency
     /// when its link is degraded.
-    pub fn note_serve(&self, peer: PeerId) {
-        if let Some(extra) = self.slow.borrow().get(&peer) {
-            self.slow_latency
-                .set(self.slow_latency.get() + extra.as_micros());
+    pub fn note_serve(&mut self, peer: PeerId) {
+        if let Some(extra) = self.slow.get(&peer) {
+            self.slow_latency += extra.as_micros();
         }
     }
 
     /// Drain the slow-link latency accumulated since the last drain.
-    pub fn take_slow_latency(&self) -> SimTime {
-        let us = self.slow_latency.replace(0);
-        SimTime::from_micros(us)
+    pub fn take_slow_latency(&mut self) -> SimTime {
+        SimTime::from_micros(std::mem::take(&mut self.slow_latency))
     }
 
     /// Drain the pending index-message drop count (the network layer
     /// forwards it to the BATON overlay).
-    pub fn take_pending_drops(&self) -> u32 {
-        self.pending_drops.replace(0)
+    pub fn take_pending_drops(&mut self) -> u32 {
+        std::mem::take(&mut self.pending_drops)
     }
 
     /// Mark a peer up without a scheduled recovery — the bootstrap's
     /// fail-over healed it. Logged like any other event so the trace
     /// stays a complete account of availability transitions.
-    pub fn mark_failed_over(&self, peer: PeerId) {
-        if self.down.borrow_mut().remove(&peer) {
-            self.log.borrow_mut().push(FaultRecord {
-                at: self.clock.get(),
+    pub fn mark_failed_over(&mut self, peer: PeerId) {
+        if self.down.remove(&peer) {
+            self.log.push(FaultRecord {
+                at: self.clock,
                 action: FaultAction::Recover(peer),
             });
         }
     }
 
     /// The applied-event log (the deterministic fault trace).
-    pub fn log(&self) -> Vec<FaultRecord> {
-        self.log.borrow().clone()
-    }
-
-    /// Events applied since `from` (a previous `log().len()`).
-    pub fn log_since(&self, from: usize) -> Vec<FaultRecord> {
-        self.log.borrow()[from..].to_vec()
-    }
-
-    /// How many events have applied so far.
-    pub fn log_len(&self) -> usize {
-        self.log.borrow().len()
+    pub fn log(&self) -> &[FaultRecord] {
+        &self.log
     }
 
     /// Are any scheduled events still pending?
     pub fn pending(&self) -> usize {
-        self.schedule.borrow().len()
+        self.schedule.len()
     }
 }
 
@@ -256,7 +226,7 @@ mod tests {
 
     #[test]
     fn ticks_apply_events_in_order() {
-        let f = FaultState::new();
+        let mut f = FaultState::new();
         let p = PeerId::new(7);
         f.schedule([
             ScheduledFault {
@@ -297,7 +267,7 @@ mod tests {
 
     #[test]
     fn past_events_apply_on_next_tick() {
-        let f = FaultState::new();
+        let mut f = FaultState::new();
         let p = PeerId::new(1);
         f.tick();
         f.tick();
@@ -314,7 +284,7 @@ mod tests {
 
     #[test]
     fn slow_link_latency_accumulates_and_drains() {
-        let f = FaultState::new();
+        let mut f = FaultState::new();
         let p = PeerId::new(3);
         f.schedule([ScheduledFault {
             at: 1,
@@ -340,7 +310,7 @@ mod tests {
 
     #[test]
     fn failed_over_peers_are_logged_as_recovered() {
-        let f = FaultState::new();
+        let mut f = FaultState::new();
         let p = PeerId::new(5);
         f.schedule([ScheduledFault {
             at: 1,
@@ -352,14 +322,14 @@ mod tests {
         assert!(!f.is_down(p));
         assert_eq!(f.log().last().unwrap().action, FaultAction::Recover(p));
         // Marking an up peer again is a no-op (no duplicate log entry).
-        let len = f.log_len();
+        let len = f.log().len();
         f.mark_failed_over(p);
-        assert_eq!(f.log_len(), len);
+        assert_eq!(f.log().len(), len);
     }
 
     #[test]
     fn drop_counter_drains_once() {
-        let f = FaultState::new();
+        let mut f = FaultState::new();
         f.schedule([ScheduledFault {
             at: 1,
             action: FaultAction::DropIndexInserts(3),

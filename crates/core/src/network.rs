@@ -7,7 +7,6 @@
 //! which runs one of the four engines and returns both the real result
 //! and the cost trace for the simulator.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -217,9 +216,8 @@ pub struct BestPeerNetwork {
     /// may have made the remembered view diverge.
     published: BTreeMap<PeerId, Vec<(Key, IndexEntry)>>,
     locators: BTreeMap<PeerId, PeerLocator>,
-    /// Per-submitter remote-fetch result caches (level 2). `RefCell`
-    /// because engines consult them through a shared [`EngineCtx`].
-    rescaches: BTreeMap<PeerId, RefCell<ResultCache>>,
+    /// Per-submitter remote-fetch result caches (level 2).
+    rescaches: BTreeMap<PeerId, ResultCache>,
     stats: Option<GlobalStats>,
     /// Peers served by other processes, keyed by id. Empty in the
     /// classic in-process configuration — every query path is then
@@ -244,9 +242,8 @@ pub struct BestPeerNetwork {
     /// Network-wide metrics (query counts, byte totals, latency
     /// histograms, bootstrap health). Virtual-time only.
     metrics: MetricsRegistry,
-    /// The learned routing advisor (see [`crate::router`]). `RefCell`
-    /// because the engines consult it through the shared [`EngineCtx`].
-    advisor: RefCell<RoutingAdvisor>,
+    /// The learned routing advisor (see [`crate::router`]).
+    advisor: RoutingAdvisor,
     /// The advisor counters already mirrored into the registry
     /// (monotone; [`BestPeerNetwork::publish_router_metrics`] emits the
     /// delta since this snapshot).
@@ -277,14 +274,14 @@ impl BestPeerNetwork {
             admission: AdmissionState::new(config_admission),
             overload_since: None,
             metrics: MetricsRegistry::new(),
-            advisor: RefCell::new(RoutingAdvisor::new(config_router)),
+            advisor: RoutingAdvisor::new(config_router),
             router_published: RouterStats::default(),
         }
     }
 
     /// The routing advisor (inspection: communities, templates, stats).
-    pub fn advisor(&self) -> std::cell::Ref<'_, RoutingAdvisor> {
-        self.advisor.borrow()
+    pub fn advisor(&self) -> &RoutingAdvisor {
+        &self.advisor
     }
 
     /// The configuration.
@@ -456,7 +453,7 @@ impl BestPeerNetwork {
             // let a departed remote's stale queue depth keep vetoing
             // scale-in and skewing utilization).
             self.admission.remove_peer(id);
-            self.advisor.get_mut().remove_peer(id);
+            self.advisor.remove_peer(id);
             self.invalidate_changed(id, &changed_keys);
             return Ok(());
         }
@@ -485,7 +482,7 @@ impl BestPeerNetwork {
         self.locators.remove(&id);
         self.rescaches.remove(&id);
         self.admission.remove_peer(id);
-        self.advisor.get_mut().remove_peer(id);
+        self.advisor.remove_peer(id);
         // Fine-grained notification: only lookups under the departed
         // peer's index keys are stale, and only results fetched *from*
         // it can no longer be trusted.
@@ -502,11 +499,11 @@ impl BestPeerNetwork {
             l.invalidate();
         }
         for c in self.rescaches.values_mut() {
-            c.get_mut().purge_all();
+            c.purge_all();
         }
         // The advisor's verification tail: an unknown set of index keys
         // changed, so every learned route is demoted back to BATON.
-        self.advisor.get_mut().demote_all();
+        self.advisor.demote_all();
         self.stats = None;
     }
 
@@ -521,13 +518,13 @@ impl BestPeerNetwork {
             l.invalidate_keys(keys);
         }
         for c in self.rescaches.values_mut() {
-            c.get_mut().invalidate_peer(peer);
+            c.invalidate_peer(peer);
         }
         // The advisor's verification tail: any template depending on a
         // changed key, or answered by the mutated peer, is demoted —
         // a superset of the locator lines dropped above, so a learned
         // route can never outlive the cache lines it was built from.
-        self.advisor.get_mut().invalidate(peer, keys);
+        self.advisor.invalidate(peer, keys);
         self.stats = None;
     }
 
@@ -655,7 +652,7 @@ impl BestPeerNetwork {
         // definition (the cache key carries only the role *name*), so
         // every result cache is purged.
         for c in self.rescaches.values_mut() {
-            c.get_mut().purge_all();
+            c.purge_all();
         }
         self.stats = None;
     }
@@ -809,11 +806,7 @@ impl BestPeerNetwork {
             Some(stats) => bestpeer_sql::explain_physical(&stmt, db, &stats.estimator()),
             None => bestpeer_sql::explain_physical(&stmt, db, &bestpeer_sql::NoStats),
         }?;
-        let route = match self
-            .advisor
-            .borrow()
-            .route_preview(&QueryFingerprint::of(&stmt))
-        {
+        let route = match self.advisor.route_preview(&QueryFingerprint::of(&stmt)) {
             Some(community) => format!("advisor(community={community})"),
             None => "baton".to_string(),
         };
@@ -821,9 +814,9 @@ impl BestPeerNetwork {
         Ok(plan)
     }
 
-    /// The fault-injection state (chaos harnesses schedule faults here).
-    pub fn faults(&self) -> &FaultState {
-        &self.faults
+    /// The fault-injection state (chaos harnesses inject faults here).
+    pub fn faults_mut(&mut self) -> &mut FaultState {
+        &mut self.faults
     }
 
     /// Install a schedule of faults against the virtual operation clock.
@@ -833,7 +826,7 @@ impl BestPeerNetwork {
 
     /// The applied fault trace (deterministic for a given schedule and
     /// workload — the chaos suite's reproducibility witness).
-    pub fn fault_log(&self) -> Vec<FaultRecord> {
+    pub fn fault_log(&self) -> &[FaultRecord] {
         self.faults.log()
     }
 
@@ -882,8 +875,8 @@ impl BestPeerNetwork {
             self.overlay.drop_next_inserts(drops);
         }
         self.drain_wal_metrics();
-        let new = self.faults.log_since(self.fault_sync_cursor);
-        self.fault_sync_cursor = self.faults.log_len();
+        let new = self.faults.log()[self.fault_sync_cursor..].to_vec();
+        self.fault_sync_cursor += new.len();
         if new.is_empty() {
             return Ok(());
         }
@@ -1059,10 +1052,7 @@ impl BestPeerNetwork {
             .entry(submitter)
             .or_insert_with(|| PeerLocator::new(self.config.index_cache));
         let rescache = self.rescaches.entry(submitter).or_insert_with(|| {
-            RefCell::new(ResultCache::new(
-                self.config.result_cache,
-                self.config.result_cache_budget,
-            ))
+            ResultCache::new(self.config.result_cache, self.config.result_cache_budget)
         });
         let mut ctx = EngineCtx {
             peers: &self.peers,
@@ -1074,11 +1064,11 @@ impl BestPeerNetwork {
             schemas,
             role,
             query_ts,
-            faults: &self.faults,
-            admission: &self.admission,
-            exec: std::cell::Cell::new(Default::default()),
-            rescache: &*rescache,
-            advisor: &self.advisor,
+            faults: &mut self.faults,
+            admission: &mut self.admission,
+            exec: Default::default(),
+            rescache,
+            advisor: &mut self.advisor,
         };
         let out = match engine {
             EngineChoice::Basic => {
@@ -1104,7 +1094,7 @@ impl BestPeerNetwork {
                 (rs, tr, used, Some(report.decision))
             }
         };
-        let exec = ctx.exec.get();
+        let exec = ctx.exec;
         self.record_exec_metrics(&exec);
         Ok(out)
     }
@@ -1145,12 +1135,7 @@ impl BestPeerNetwork {
         engine: EngineChoice,
         query_ts: u64,
     ) -> Result<QueryOutput> {
-        let stmt = parse_select(sql)?;
-        let role = self.bootstrap.role(role)?.clone();
-        let schemas = self.bootstrap.global_schemas().to_vec();
-        // One rule for every engine: a name that resolves nowhere fails
-        // here, before any peer is asked.
-        bestpeer_sql::decompose::check_columns(&stmt, &schemas)?;
+        let (stmt, role, schemas) = self.query_front(sql, role)?;
         // ORDER BY keys the output lacks ride along as hidden columns,
         // dropped once the engine has ordered and truncated its answer.
         let (stmt, hidden) = bestpeer_sql::expose_order_keys(stmt);
@@ -1169,9 +1154,7 @@ impl BestPeerNetwork {
         self.validate_statistics();
         let policy = self.config.retry.clone();
         let (loc0, res0) = self.cache_counters(submitter);
-        let adv0 = self.advisor.borrow().stats();
-        // Admission queues drain in registry time between queries.
-        self.admission.set_now(self.metrics.now());
+        let adv0 = self.advisor.stats();
         let mut pre = Trace::new(); // backoff/slowdown phases across attempts
         let mut attempts = 0u32;
         let mut down_retries = 0u32;
@@ -1214,14 +1197,10 @@ impl BestPeerNetwork {
                     report.cache_hits = res1.hits - res0.hits;
                     report.cache_misses = res1.misses - res0.misses;
                     report.overlay_hops = loc1.hops - loc0.hops;
-                    report.advisor_hit = self.advisor.borrow().stats().hits > adv0.hits;
+                    report.advisor_hit = self.advisor.stats().hits > adv0.hits;
                     self.metrics
                         .inc_by("cache.result.evictions", res1.evictions - res0.evictions);
-                    let resident: u64 = self
-                        .rescaches
-                        .values()
-                        .map(|c| c.borrow().stats().bytes)
-                        .sum();
+                    let resident: u64 = self.rescaches.values().map(|c| c.stats().bytes).sum();
                     self.metrics
                         .set_gauge("cache.result.bytes", resident as f64);
                     self.record_query_metrics(&report);
@@ -1296,6 +1275,23 @@ impl BestPeerNetwork {
         }
     }
 
+    /// The front both query entry points share: parse `sql`, look up
+    /// `role`, fail any name that resolves nowhere (an unknown FROM
+    /// table or column) before a peer is asked, and let the admission
+    /// queues drain in registry time since the last query.
+    fn query_front(
+        &mut self,
+        sql: &str,
+        role: &str,
+    ) -> Result<(SelectStmt, Role, Vec<TableSchema>)> {
+        let stmt = parse_select(sql)?;
+        let role = self.bootstrap.role(role)?.clone();
+        let schemas = self.bootstrap.global_schemas().to_vec();
+        bestpeer_sql::decompose::check_columns(&stmt, &schemas)?;
+        self.admission.set_now(self.metrics.now());
+        Ok((stmt, role, schemas))
+    }
+
     /// The submitter's cache counters (level 1 locator + level 2 result
     /// cache), zero if the submitter has no cache state yet.
     fn cache_counters(&self, submitter: PeerId) -> (LocatorStats, CacheStats) {
@@ -1307,7 +1303,7 @@ impl BestPeerNetwork {
         let res = self
             .rescaches
             .get(&submitter)
-            .map(|c| c.borrow().stats())
+            .map(|c| c.stats())
             .unwrap_or_default();
         (loc, res)
     }
@@ -1378,10 +1374,10 @@ impl BestPeerNetwork {
     /// disabled, so advisor-off networks export exactly the metric set
     /// they always did.
     fn publish_router_metrics(&mut self) {
-        if !self.advisor.borrow().enabled() {
+        if !self.advisor.enabled() {
             return;
         }
-        let s = self.advisor.borrow().stats();
+        let s = self.advisor.stats();
         let p = self.router_published;
         let m = &mut self.metrics;
         m.inc_by("route.advisor.hits", s.hits - p.hits);
@@ -1393,7 +1389,7 @@ impl BestPeerNetwork {
         );
         m.set_gauge(
             "route.advisor.communities",
-            self.advisor.borrow().communities() as f64,
+            self.advisor.communities() as f64,
         );
         self.router_published = s;
     }
@@ -1480,13 +1476,13 @@ impl BestPeerNetwork {
         match self.offer_request(peer, at) {
             Ok(done) => Ok((peer, done)),
             Err(e) if e.kind() == "overloaded" => {
-                let alternates = self.advisor.borrow().shed_alternates(peer);
+                let alternates = self.advisor.shed_alternates(peer);
                 for alt in alternates {
                     if !self.peers.contains_key(&alt) || self.faults.is_down(alt) {
                         continue;
                     }
                     if let Ok(done) = self.admission.admit(alt) {
-                        self.advisor.get_mut().note_shed_reroute();
+                        self.advisor.note_shed_reroute();
                         self.metrics.observe(
                             "admission.latency_secs",
                             done.saturating_sub(at).as_secs_f64(),
@@ -1572,7 +1568,7 @@ impl BestPeerNetwork {
                     self.locators.remove(peer);
                     self.rescaches.remove(peer);
                     self.admission.remove_peer(*peer);
-                    self.advisor.get_mut().remove_peer(*peer);
+                    self.advisor.remove_peer(*peer);
                     self.metrics.inc("scale.in");
                 }
                 _ => {}
@@ -1614,9 +1610,7 @@ impl BestPeerNetwork {
         role: &str,
         query_ts: u64,
     ) -> Result<crate::engine::online::OnlineOutput> {
-        let stmt = parse_select(sql)?;
-        let role = self.bootstrap.role(role)?.clone();
-        let schemas = self.bootstrap.global_schemas().to_vec();
+        let (stmt, role, schemas) = self.query_front(sql, role)?;
         self.sync_faults()?;
         let locator = self
             .locators
@@ -1624,7 +1618,7 @@ impl BestPeerNetwork {
             .or_insert_with(|| PeerLocator::new(self.config.index_cache));
         // The online engine streams progressive estimates from fresh
         // owner serves: its context carries a disabled result cache.
-        let rescache = RefCell::new(ResultCache::new(false, 0));
+        let mut rescache = ResultCache::new(false, 0);
         let mut ctx = EngineCtx {
             peers: &self.peers,
             remotes: &self.remotes,
@@ -1635,14 +1629,14 @@ impl BestPeerNetwork {
             schemas: &schemas,
             role: &role,
             query_ts,
-            faults: &self.faults,
-            admission: &self.admission,
-            exec: std::cell::Cell::new(Default::default()),
-            rescache: &rescache,
-            advisor: &self.advisor,
+            faults: &mut self.faults,
+            admission: &mut self.admission,
+            exec: Default::default(),
+            rescache: &mut rescache,
+            advisor: &mut self.advisor,
         };
         let mut out = crate::engine::online::execute(&mut ctx, submitter, &stmt)?;
-        let exec = ctx.exec.get();
+        let exec = ctx.exec;
         self.record_exec_metrics(&exec);
         let slow = self.faults.take_slow_latency();
         if slow > SimTime::ZERO {

@@ -1,9 +1,10 @@
 //! One network process exposed over a wire transport.
 //!
 //! [`NodeService`] implements [`bestpeer_transport::Handler`]: it owns a
-//! [`BestPeerNetwork`] (behind a mutex — the transport server is
-//! multi-threaded, the network is not) plus the id of the local data
-//! peer this process hosts, and answers the [`Request`] vocabulary —
+//! [`BestPeerNetwork`] (behind a mutex, which serialises the requests
+//! that need `&mut` access to it on the multi-threaded transport
+//! server) plus the id of the local data peer this process hosts, and
+//! answers the [`Request`] vocabulary —
 //! pushed-down subqueries, full queries, inventory exchanges, remote
 //! registration, data loading, role definition, and statistics probes.
 //! The `bestpeer-node` binary wraps this in a
@@ -221,6 +222,11 @@ impl Handler for NodeService {
 #[allow(dead_code)]
 fn _assert_send_sync(s: NodeService) -> impl Send + Sync {
     s
+}
+
+#[allow(dead_code)]
+fn _assert_network_send_sync(net: BestPeerNetwork) -> impl Send + Sync {
+    net
 }
 
 #[cfg(test)]

@@ -230,10 +230,10 @@ struct TemplateState {
     community: Option<u32>,
 }
 
-/// The per-network routing advisor. Owned by the network behind a
-/// `RefCell` (the engines' shared [`crate::engine::EngineCtx`] consults
-/// it on every locate); all state is `BTreeMap`-ordered and clocked by
-/// an observation counter, so equal workloads produce equal routing
+/// The per-network routing advisor. Owned by the network and lent to
+/// the engines through [`crate::engine::EngineCtx`], which consults it
+/// on every locate; all state is `BTreeMap`-ordered and clocked by an
+/// observation counter, so equal workloads produce equal routing
 /// decisions at any thread count.
 #[derive(Debug)]
 pub struct RoutingAdvisor {

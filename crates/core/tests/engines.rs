@@ -5,8 +5,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bestpeer_common::{ColumnDef, ColumnType, Row, TableSchema, Value};
+use bestpeer_core::admission::AdmissionConfig;
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig};
 use bestpeer_core::Role;
+use bestpeer_simnet::SimTime;
 use bestpeer_sql::{execute_select, parse_select};
 use bestpeer_storage::Database;
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
@@ -626,6 +628,61 @@ fn online_aggregation_converges_to_exact() {
     assert!(net
         .submit_online_aggregate(submitter, bestpeer_tpch::Q4, "R", 0)
         .is_err());
+}
+
+#[test]
+fn online_aggregation_admits_in_registry_time() {
+    // One slot per peer and a 1 ms service time: each query fills every
+    // queue, so a later query is admitted only if the admission clock
+    // has moved on since the last one.
+    let cfg = NetworkConfig {
+        admission: AdmissionConfig {
+            queue_depth: 1,
+            service_time: SimTime::from_millis(1),
+        },
+        ..NetworkConfig::default()
+    };
+    let (mut net, _) = setup_with(cfg, 2, 200);
+    let submitter = net.peer_ids()[0];
+    let sql = "SELECT SUM(l_quantity) AS q FROM lineitem";
+    let answers: Vec<Vec<Row>> = (0..3)
+        .map(|run| {
+            let out = net
+                .submit_online_aggregate(submitter, sql, "R", 0)
+                .unwrap_or_else(|e| panic!("run {run}: {e}"));
+            assert_eq!(out.skipped_peers, 0, "run {run}");
+            out.final_result.rows
+        })
+        .collect();
+    assert!(answers.windows(2).all(|w| w[0] == w[1]));
+}
+
+#[test]
+fn an_unknown_from_table_is_a_catalog_error_on_every_engine() {
+    let (mut net, _) = setup(2, 200);
+    let submitter = net.peer_ids()[0];
+    for sql in [
+        "SELECT x FROM nosuch",
+        "SELECT COUNT(*) FROM nosuch",
+        "SELECT COUNT(*) FROM lineitem, nosuch",
+        "SELECT SUM(l_quantity) FROM nosuch",
+    ] {
+        for engine in [
+            EngineChoice::Basic,
+            EngineChoice::ParallelP2P,
+            EngineChoice::MapReduce,
+            EngineChoice::Adaptive,
+        ] {
+            let err = net
+                .submit_query(submitter, sql, "R", engine, 0)
+                .unwrap_err();
+            assert_eq!(err.kind(), "catalog", "{engine:?} {sql}: {err}");
+        }
+        let err = net
+            .submit_online_aggregate(submitter, sql, "R", 0)
+            .unwrap_err();
+        assert_eq!(err.kind(), "catalog", "online {sql}: {err}");
+    }
 }
 
 /// Each phase's label and its tasks' summed disk, CPU and sent bytes.

@@ -89,8 +89,8 @@ impl HadoopDb {
     /// Execute a SQL query through the SMS planner; returns the real
     /// result rows and the cost trace of the job chain.
     pub fn execute(&mut self, sql: &str) -> Result<(ResultSet, Trace)> {
-        let source = WorkerSource(&self.workers);
-        sqlcompile::compile_and_run(sql, &source, &self.engine, &mut self.hdfs)
+        let mut source = WorkerSource(&self.workers);
+        sqlcompile::compile_and_run(sql, &mut source, &self.engine, &mut self.hdfs)
     }
 }
 
@@ -102,7 +102,7 @@ impl LocalSource for WorkerSource<'_> {
         self.0.iter().map(|w| w.peer).collect()
     }
 
-    fn run_local(&self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>> {
+    fn run_local(&mut self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>> {
         peers
             .iter()
             .map(|&peer| {

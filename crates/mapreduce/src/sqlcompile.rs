@@ -47,7 +47,7 @@ pub trait LocalSource {
     /// bytes the scan touched)` pair per peer, in peer order. Sources
     /// may fan the work out, provided results, errors, and side effects
     /// stay order-identical to a one-peer-at-a-time loop.
-    fn run_local(&self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>>;
+    fn run_local(&mut self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>>;
     /// The schema of a base table (shared across nodes).
     fn table_schema(&self, table: &str) -> Result<TableSchema>;
 }
@@ -57,7 +57,7 @@ pub trait LocalSource {
 /// rides along as a hidden column until then ([`expose_order_keys`]).
 pub fn compile_and_run(
     sql: &str,
-    workers: &dyn LocalSource,
+    workers: &mut dyn LocalSource,
     engine: &MapReduceEngine,
     hdfs: &mut Hdfs,
 ) -> Result<(ResultSet, Trace)> {
@@ -73,7 +73,7 @@ pub fn compile_and_run(
 /// LIMIT once, with [`apply_order_limit`].
 pub fn run_stmt(
     stmt: &SelectStmt,
-    workers: &dyn LocalSource,
+    workers: &mut dyn LocalSource,
     engine: &MapReduceEngine,
     hdfs: &mut Hdfs,
 ) -> Result<(ResultSet, Trace)> {
@@ -96,7 +96,7 @@ type LocalPart = (PeerId, Vec<Row>, u64);
 /// `(peer, rows, disk bytes scanned)` per node plus the column names.
 fn local_results(
     stmt: &SelectStmt,
-    workers: &dyn LocalSource,
+    workers: &mut dyn LocalSource,
 ) -> Result<(Vec<LocalPart>, Vec<String>)> {
     let peers = workers.peers();
     let mut parts = Vec::with_capacity(peers.len());
@@ -111,7 +111,7 @@ fn local_results(
 /// Q1 class: one map-only job; map tasks run the full SQL locally.
 fn map_only_query(
     stmt: &SelectStmt,
-    workers: &dyn LocalSource,
+    workers: &mut dyn LocalSource,
     engine: &MapReduceEngine,
     hdfs: &mut Hdfs,
 ) -> Result<(ResultSet, Trace)> {
@@ -131,7 +131,7 @@ fn map_only_query(
 /// shuffle partial rows by group key; reducers combine.
 fn single_job_aggregate(
     stmt: &SelectStmt,
-    workers: &dyn LocalSource,
+    workers: &mut dyn LocalSource,
     engine: &MapReduceEngine,
     hdfs: &mut Hdfs,
 ) -> Result<(ResultSet, Trace)> {
@@ -167,7 +167,7 @@ fn single_job_aggregate(
 /// query aggregates) one aggregation job.
 fn join_pipeline(
     stmt: &SelectStmt,
-    workers: &dyn LocalSource,
+    workers: &mut dyn LocalSource,
     engine: &MapReduceEngine,
     hdfs: &mut Hdfs,
 ) -> Result<(ResultSet, Trace)> {

@@ -14,7 +14,7 @@ impl LocalSource for Dbs {
     fn peers(&self) -> Vec<PeerId> {
         self.0.iter().map(|(p, _)| *p).collect()
     }
-    fn run_local(&self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>> {
+    fn run_local(&mut self, peers: &[PeerId], stmt: &SelectStmt) -> Result<Vec<(ResultSet, u64)>> {
         peers
             .iter()
             .map(|&peer| {
@@ -84,11 +84,11 @@ fn source(workers: usize) -> Dbs {
 }
 
 fn run(sql: &str, workers: usize) -> ResultSet {
-    let src = source(workers);
+    let mut src = source(workers);
     let peers = src.peers();
     let engine = MapReduceEngine::new(peers.clone(), MrConfig::default());
     let mut hdfs = Hdfs::new(peers, 3);
-    let (rs, trace) = compile_and_run(sql, &src, &engine, &mut hdfs).unwrap();
+    let (rs, trace) = compile_and_run(sql, &mut src, &engine, &mut hdfs).unwrap();
     assert!(!trace.phases.is_empty());
     rs
 }
@@ -171,7 +171,7 @@ fn null_foreign_keys_join_nothing() {
     let engine = MapReduceEngine::new(peers.clone(), MrConfig::default());
     let mut hdfs = Hdfs::new(peers, 3);
     let sql = "SELECT eid, dname FROM emp, dept WHERE dept = did";
-    let (rs, _) = compile_and_run(sql, &src, &engine, &mut hdfs).unwrap();
+    let (rs, _) = compile_and_run(sql, &mut src, &engine, &mut hdfs).unwrap();
     assert_eq!(rs.rows.len(), 12, "six employees per worker");
     assert!(rs.rows.iter().all(|r| r.get(0) != &Value::Int(999)));
     assert!(rs.rows.iter().all(|r| r.get(1) != &Value::str("void")));
@@ -232,11 +232,11 @@ fn charged_bytes_and_row_order_are_pinned_per_compiled_shape() {
         ),
     ];
     for (sql, phases, digest) in cases {
-        let src = source(3);
+        let mut src = source(3);
         let peers = src.peers();
         let engine = MapReduceEngine::new(peers.clone(), MrConfig::default());
         let mut hdfs = Hdfs::new(peers, 3);
-        let (rs, trace) = compile_and_run(sql, &src, &engine, &mut hdfs).unwrap();
+        let (rs, trace) = compile_and_run(sql, &mut src, &engine, &mut hdfs).unwrap();
         let want: Vec<(String, u64, u64, u64)> = phases
             .iter()
             .map(|&(l, d, c, s)| (l.to_string(), d, c, s))

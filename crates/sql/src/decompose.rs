@@ -89,22 +89,24 @@ pub fn needed_columns(stmt: &SelectStmt, schema: &TableSchema) -> Vec<String> {
     out
 }
 
-/// Check that every column `stmt` references names a column of one of
-/// its FROM tables, whose schemas are looked up by name in `schemas`;
-/// an ORDER BY key may also name an output column. Fails with
-/// [`Error::Plan`] on the first reference that does not resolve, so
-/// every engine rejects a misspelt name the same way, however many
-/// peers hold the data and whether or not a row reaches it. A FROM
-/// table missing from `schemas` leaves the statement to the catalog
-/// checks that follow.
+/// Check that every FROM table names one of `schemas` and every column
+/// `stmt` references names a column of one of its FROM tables; an ORDER
+/// BY key may also name an output column. Fails with [`Error::Catalog`]
+/// on the first unknown table and with [`Error::Plan`] on the first
+/// reference that does not resolve, so every engine rejects a misspelt
+/// name the same way, however many peers hold the data and whether or
+/// not a row reaches it.
 pub fn check_columns(stmt: &SelectStmt, schemas: &[TableSchema]) -> Result<()> {
-    let mut from = Vec::with_capacity(stmt.from.len());
-    for t in &stmt.from {
-        match schemas.iter().find(|s| s.name == *t) {
-            Some(s) => from.push(s),
-            None => return Ok(()),
-        }
-    }
+    let from = stmt
+        .from
+        .iter()
+        .map(|t| {
+            schemas
+                .iter()
+                .find(|s| s.name == *t)
+                .ok_or_else(|| Error::Catalog(format!("no global table `{t}`")))
+        })
+        .collect::<Result<Vec<_>>>()?;
     let in_from = |c: &ColumnRef| {
         from.iter().any(|s| {
             c.table.as_deref().is_none_or(|t| t == s.name)
@@ -452,10 +454,11 @@ mod tests {
             "SELECT a1 AS x, t2.a2 FROM t1, t2 WHERE a1 = a2 ORDER BY x, t1.b1",
             "SELECT b1, COUNT(*) AS n FROM t1 GROUP BY b1 ORDER BY n DESC",
             "SELECT * FROM t1 ORDER BY b1",
-            // An unknown FROM table is left to the catalog checks.
-            "SELECT zzz FROM nosuch",
         ] {
             check(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
+        for unknown in ["SELECT zzz FROM nosuch", "SELECT a1 FROM t1, nosuch"] {
+            assert_eq!(check(unknown).unwrap_err().kind(), "catalog", "{unknown}");
         }
         for bad in [
             "SELECT zzz FROM t1 WHERE a1 < 0",

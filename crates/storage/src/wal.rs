@@ -81,8 +81,9 @@ const CHECKPOINT_MAGIC: u32 = 0xBE57_C4B0;
 /// workers, which share the peers; mutation — and thus logging — stays
 /// on the single coordinator thread.)
 pub trait LogDevice: fmt::Debug + Send + Sync {
-    /// Buffer bytes at the end of the log (volatile until `sync`).
-    fn append(&mut self, bytes: &[u8]) -> Result<()>;
+    /// Buffer one frame, `header` then `payload`, at the end of the log
+    /// (volatile until `sync`).
+    fn append(&mut self, header: &[u8], payload: &[u8]) -> Result<()>;
     /// Make all buffered appends durable (fsync).
     fn sync(&mut self) -> Result<()>;
     /// The durable log contents (synced bytes only).
@@ -182,10 +183,13 @@ impl MemDevice {
 }
 
 impl LogDevice for MemDevice {
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.buffered.extend_from_slice(bytes);
-        // Ceiling division so even a 1-byte append costs time.
-        self.virtual_us += self.append_us_per_kib * (bytes.len() as u64).div_ceil(1024);
+    fn append(&mut self, header: &[u8], payload: &[u8]) -> Result<()> {
+        self.buffered.extend_from_slice(header);
+        self.buffered.extend_from_slice(payload);
+        // One charge per frame; ceiling division so even a 1-byte
+        // append costs time.
+        let len = (header.len() + payload.len()) as u64;
+        self.virtual_us += self.append_us_per_kib * len.div_ceil(1024);
         Ok(())
     }
 
@@ -280,8 +284,9 @@ impl FileDevice {
 }
 
 impl LogDevice for FileDevice {
-    fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.buffered.extend_from_slice(bytes);
+    fn append(&mut self, header: &[u8], payload: &[u8]) -> Result<()> {
+        self.buffered.extend_from_slice(header);
+        self.buffered.extend_from_slice(payload);
         Ok(())
     }
 
@@ -664,6 +669,16 @@ fn frame_checksum(lsn: Lsn, payload: &[u8]) -> u64 {
     stable_hash_parts(&[&lsn.to_le_bytes(), payload])
 }
 
+/// The header that precedes `payload` in its log frame: payload length,
+/// LSN and [`frame_checksum`], little-endian.
+fn frame_header(lsn: Lsn, payload: &[u8]) -> [u8; FRAME_HEADER] {
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..12].copy_from_slice(&lsn.to_le_bytes());
+    header[12..].copy_from_slice(&frame_checksum(lsn, payload).to_le_bytes());
+    header
+}
+
 /// Read the next frame off `buf`: its LSN and payload, or `None` when
 /// the frame is cut short or its checksum fails (a torn write).
 fn next_frame<'a>(buf: &mut &'a [u8]) -> Option<(Lsn, &'a [u8])> {
@@ -794,16 +809,12 @@ impl Wal {
     pub(crate) fn append_payload(&mut self, payload: &[u8]) -> Result<Lsn> {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&lsn.to_le_bytes());
-        frame.extend_from_slice(&frame_checksum(lsn, payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.device.append(&frame)?;
+        self.device.append(&frame_header(lsn, payload), payload)?;
+        let bytes = (FRAME_HEADER + payload.len()) as u64;
         self.pending += 1;
-        self.log_bytes += frame.len() as u64;
+        self.log_bytes += bytes;
         self.stats.appends += 1;
-        self.stats.bytes += frame.len() as u64;
+        self.stats.bytes += bytes;
         Ok(lsn)
     }
 
@@ -1063,16 +1074,11 @@ mod tests {
         // unreachable; the decoded stream stops early. That alone looks
         // like a torn tail, so instead corrupt the LSN ordering: append
         // a frame with a duplicate LSN by hand.
-        let dup = {
-            let payload = WalOp::SetLoadTimestamp(3).encode();
-            let lsn: u64 = 1; // regresses
-            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&lsn.to_le_bytes());
-            frame.extend_from_slice(&frame_checksum(lsn, &payload).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            frame
-        };
-        wal.device_mut().append(&dup).unwrap();
+        let payload = WalOp::SetLoadTimestamp(3).encode();
+        let lsn: u64 = 1; // regresses
+        wal.device_mut()
+            .append(&frame_header(lsn, &payload), &payload)
+            .unwrap();
         wal.device_mut().sync().unwrap();
         assert!(wal.replay().is_err(), "LSN regression is corruption");
     }
