@@ -116,8 +116,7 @@ impl ScaleRun {
 
 /// Build a data-free peer fleet with the bench's admission settings.
 /// The scale bench exercises the admission/elasticity path only, so
-/// peers carry a schema but no rows, and durability is off (no WAL to
-/// attach per elastic join).
+/// peers carry a schema but no rows.
 pub fn build_scale_net(cfg: &ScaleConfig, queue_depth: u32) -> BestPeerNetwork {
     let schemas = vec![TableSchema::new(
         "session",
@@ -133,7 +132,6 @@ pub fn build_scale_net(cfg: &ScaleConfig, queue_depth: u32) -> BestPeerNetwork {
                 service_time: cfg.service,
             },
             slo_latency: cfg.slo,
-            durability: false,
             ..NetworkConfig::default()
         },
     );

@@ -95,11 +95,6 @@ pub fn batch_bytes(rows: &[Row]) -> u64 {
     rows.iter().map(Row::byte_size).sum()
 }
 
-/// Total logical bytes of a batch of shared rows.
-pub fn shared_batch_bytes(rows: &[SharedRow]) -> u64 {
-    rows.iter().map(|r| r.byte_size()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

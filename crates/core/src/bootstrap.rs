@@ -245,11 +245,6 @@ impl BootstrapPeer {
             .ok_or_else(|| Error::AccessDenied(format!("no role `{name}` defined")))
     }
 
-    /// All defined role names.
-    pub fn role_names(&self) -> impl Iterator<Item = &str> {
-        self.roles.keys().map(String::as_str)
-    }
-
     /// Current peer list.
     pub fn peers(&self) -> impl Iterator<Item = &PeerRecord> {
         self.peer_list.values()
@@ -331,6 +326,15 @@ impl BootstrapPeer {
     /// invalidate its certificate, and drop it from the peer list.
     /// Resources are reclaimed at the end of the next maintenance epoch.
     pub fn depart(&mut self, peer: PeerId) -> Result<()> {
+        self.retire_record(peer, BlacklistReason::Departed)?;
+        Ok(())
+    }
+
+    /// Every departure's record retirement (a voluntary departure or a
+    /// scale-in): drop the peer-list record, revoke its certificate,
+    /// clear its failure-detector and scaling streaks, and blacklist its
+    /// instance for `reason`. Returns the instance.
+    fn retire_record(&mut self, peer: PeerId, reason: BlacklistReason) -> Result<InstanceId> {
         let record = self
             .peer_list
             .remove(&peer)
@@ -341,8 +345,8 @@ impl BootstrapPeer {
         self.out_streaks.remove(&peer);
         self.idle_streaks.remove(&peer);
         self.elastic.remove(&peer);
-        self.blacklist_instance(peer, record.instance, BlacklistReason::Departed);
-        Ok(())
+        self.blacklist_instance(peer, record.instance, reason);
+        Ok(record.instance)
     }
 
     /// Verify that a certificate was issued here and remains valid.
@@ -519,12 +523,14 @@ impl BootstrapPeer {
     /// `scale_threshold` consecutive epochs is retired — *unless its
     /// queue is non-empty*: a peer holding queued work is never evicted
     /// (the idle streak simply holds until the queue drains). Retirement
-    /// revokes the certificate, drops the peer from the peer list and
-    /// `peers`, and blacklists the instance for release at the next
-    /// maintenance epoch.
+    /// is a departure's (revoked certificate, cleared streaks, instance
+    /// blacklisted for release at the next maintenance epoch) with
+    /// reason [`BlacklistReason::ScaledIn`]; the peer also leaves
+    /// `peers`.
     ///
-    /// The caller (the network layer) is responsible for overlay
-    /// membership and cache/index cleanup around the returned
+    /// The caller (the network layer) enlists each scaled-out peer and
+    /// retires each scaled-in one on its side (WAL, overlay membership,
+    /// index and cache cleanup) around the returned
     /// [`MaintenanceEvent::ScaleOut`] / [`MaintenanceEvent::ScaleIn`]
     /// events.
     pub fn elastic_tick<C>(
@@ -593,21 +599,11 @@ impl BootstrapPeer {
                 // and retirement retries once the queue drains.
                 continue;
             }
-            let record = self
-                .peer_list
-                .remove(&pid)
-                .ok_or_else(|| Error::Membership(format!("{pid} is not a participant")))?;
-            self.ca.revoke(&record.cert);
-            self.heartbeat_misses.remove(&pid);
-            self.upgrade_streaks.remove(&pid);
-            self.out_streaks.remove(&pid);
-            self.idle_streaks.remove(&pid);
-            self.elastic.remove(&pid);
+            let instance = self.retire_record(pid, BlacklistReason::ScaledIn)?;
             peers.remove(&pid);
-            self.blacklist_instance(pid, record.instance, BlacklistReason::ScaledIn);
             epoch_events.push(MaintenanceEvent::ScaleIn {
                 peer: pid,
-                instance: record.instance,
+                instance,
             });
         }
         self.log_events(&epoch_events);

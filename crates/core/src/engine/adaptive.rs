@@ -10,12 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use bestpeer_common::{PeerId, Result};
+use bestpeer_common::{Error, PeerId, Result};
 use bestpeer_sql::ast::SelectStmt;
 use bestpeer_sql::decompose::decompose;
 use bestpeer_sql::SelectivityEstimator;
 
-use crate::cost::{self, CostParams, EngineDecision, LevelOp, LevelSpec, ProcessingGraph};
+use crate::cost::{self, EngineDecision, LevelOp, LevelSpec, ProcessingGraph};
 use crate::histogram::{Histogram, HistogramSelectivity};
 
 use super::{mr, parallel, EngineCtx, EngineOutput};
@@ -156,14 +156,16 @@ pub fn build_processing_graph(
     })
 }
 
-/// Algorithm 2: predict both costs, run the cheaper engine.
+/// Algorithm 2: predict both costs from the context's collected
+/// statistics, run the cheaper engine.
 pub fn execute(
     ctx: &mut EngineCtx<'_>,
     submitter: PeerId,
     stmt: &SelectStmt,
-    stats: &GlobalStats,
-    params: &CostParams,
 ) -> Result<(EngineOutput, AdaptiveReport)> {
+    let stats = ctx.stats.ok_or_else(|| {
+        Error::Internal("the adaptive planner runs on collected statistics".into())
+    })?;
     let mut graph = build_processing_graph(stmt, stats, &ctx.from_schemas(stmt)?)?;
     // Cache-aware costing: the fraction of a base table already resident
     // in the submitter's result cache is read from memory, not scanned.
@@ -178,7 +180,7 @@ pub fn execute(
             }
         }
     }
-    let decision = cost::decide(params, &graph);
+    let decision = cost::decide(&ctx.config.cost, &graph);
     let (output, ran) = if decision.choose_p2p {
         (
             parallel::execute(ctx, submitter, stmt)?,

@@ -74,7 +74,6 @@ pub fn execute(
         let owners = located.get(table).cloned().unwrap_or_default();
         let mut fetch = Phase::new("fetch-partials");
         let mut partial_rows = Vec::new();
-        let mut partial_cols = Vec::new();
         let mut total_bytes = 0u64;
         // One batched serve: preamble and merge stay in owner order, so
         // the trace is identical to the old per-owner loop; only the
@@ -91,11 +90,10 @@ pub fn execute(
                     .cpu(stats.bytes_scanned + out_bytes)
                     .send(submitter, out_bytes)
             });
-            partial_cols = rs.columns;
             partial_rows.extend(rs.rows);
         }
         trace.push(fetch);
-        let rs = dist.combine.apply(&partial_cols, &partial_rows)?;
+        let rs = dist.combine.apply(&partial_rows)?;
         trace.push(Phase::new("combine").task(Task::on(submitter).cpu(total_bytes * 2)));
         let mut rs = rs;
         if bestpeer_sql::apply_order_limit(stmt, &mut rs) {

@@ -30,12 +30,16 @@ use bestpeer_transport::{Request, Response, Transport};
 
 use crate::access::Role;
 use crate::admission::AdmissionState;
+use crate::engine::adaptive::GlobalStats;
 use crate::fault::FaultState;
 use crate::indexer::{IndexOverlay, PeerLocator};
 use crate::network::{NetworkConfig, RemotePeer};
 use crate::peer::NormalPeer;
 use crate::rescache::ResultCache;
 use crate::router::{QueryFingerprint, RoutingAdvisor};
+
+/// Simulated latency of one BATON routing hop.
+const HOP_LATENCY: SimTime = SimTime::from_micros(500);
 
 /// Everything an engine needs to process one query.
 pub struct EngineCtx<'a> {
@@ -58,6 +62,9 @@ pub struct EngineCtx<'a> {
     pub schemas: &'a [TableSchema],
     /// The querying user's role (applied by every data owner).
     pub role: &'a Role,
+    /// The collected global statistics the adaptive planner costs
+    /// plans from (`None` until collected).
+    pub stats: Option<&'a GlobalStats>,
     /// The query's snapshot timestamp (Definition 2).
     pub query_ts: u64,
     /// The network's fault-injection state; every subquery served ticks
@@ -287,11 +294,9 @@ impl<'a> EngineCtx<'a> {
             .peers_for_query_from(self.overlay, Some(submitter), stmt)?;
         let hops = self.locator.stats().hops - hops_before;
         if hops > 0 {
-            trace.push(
-                Phase::new("locate").task(Task::on(submitter).fixed(SimTime::from_micros(
-                    hops * self.config.hop_latency.as_micros(),
-                ))),
-            );
+            trace.push(Phase::new("locate").task(
+                Task::on(submitter).fixed(SimTime::from_micros(hops * HOP_LATENCY.as_micros())),
+            ));
         }
         let located: BTreeMap<String, Vec<PeerId>> = located.into_iter().collect();
         if let Some(fp) = fp {

@@ -21,6 +21,10 @@ use bestpeer_sql::exec::ResultSet;
 
 use super::{EngineCtx, EngineOutput};
 
+/// HDFS replication factor of the file system mounted for MapReduce
+/// jobs and HadoopDB exports.
+pub(crate) const HDFS_REPLICATION: usize = 3;
+
 /// [`LocalSource`] over the normal peers. Map tasks are owner serves, so
 /// the fault clock ticks per map task (injected crashes land mid-job),
 /// and admission, access control, Definition 2's snapshot check, the
@@ -58,7 +62,7 @@ pub fn execute(
 ) -> Result<EngineOutput> {
     let workers: Vec<PeerId> = ctx.peers.keys().copied().collect();
     let engine = MapReduceEngine::new(workers.clone(), ctx.config.mr);
-    let mut hdfs = Hdfs::new(workers, ctx.config.hdfs_replication);
+    let mut hdfs = Hdfs::new(workers, HDFS_REPLICATION);
     let (mut rs, trace) = run_stmt(stmt, &mut PeerSource(ctx), &engine, &mut hdfs)?;
     // `run_stmt` leaves ordering and truncation to its caller, so they
     // run once, here, like every engine's coordinator step.

@@ -107,7 +107,6 @@ pub fn execute(
     let mut sums: Vec<f64> = Vec::with_capacity(n);
     let mut counts: Vec<f64> = Vec::with_capacity(n);
     let mut partial_rows = Vec::new();
-    let mut partial_cols = Vec::new();
     let mut estimates = Vec::with_capacity(n);
     let mut degraded = false;
     let mut skipped_peers = 0u32;
@@ -154,7 +153,6 @@ pub fn execute(
         };
         sums.push(s);
         counts.push(c);
-        partial_cols = rs.columns;
         partial_rows.extend(rs.rows);
 
         estimates.push(estimate_stage(func, &sums, &counts, n));
@@ -166,7 +164,7 @@ pub fn execute(
         )));
     }
 
-    let final_result = dist.combine.apply(&partial_cols, &partial_rows)?;
+    let final_result = dist.combine.apply(&partial_rows)?;
     trace.push(Phase::new("online-final").task(Task::on(submitter).cpu(1024)));
     Ok(OnlineOutput {
         estimates,

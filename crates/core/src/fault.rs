@@ -173,11 +173,6 @@ impl FaultState {
         self.down.contains(&peer)
     }
 
-    /// Peers currently down, ascending.
-    pub fn down_peers(&self) -> Vec<PeerId> {
-        self.down.iter().copied().collect()
-    }
-
     /// Record one subquery served by `peer`; charges slow-link latency
     /// when its link is degraded.
     pub fn note_serve(&mut self, peer: PeerId) {

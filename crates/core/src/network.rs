@@ -38,6 +38,13 @@ use crate::retry::RetryPolicy;
 use crate::router::{QueryFingerprint, RouterConfig, RouterStats, RoutingAdvisor};
 use crate::schema_mapping::SchemaMapping;
 
+/// Log bytes that trigger an automatic checkpoint of an enlisted
+/// peer's WAL.
+const WAL_CHECKPOINT_BYTES: u64 = 4 * 1024 * 1024;
+
+/// Byte budget of each submitter's result cache (LRU beyond it).
+const RESULT_CACHE_BUDGET: u64 = 32 * 1024 * 1024;
+
 /// Network-wide configuration: optimization toggles (each has an
 /// ablation benchmark), engine overheads, and index policy.
 #[derive(Debug, Clone)]
@@ -50,12 +57,8 @@ pub struct NetworkConfig {
     pub bloom_join: bool,
     /// Ship the whole statement when one peer owns all data (§6.2.3).
     pub single_peer_opt: bool,
-    /// Simulated latency of one BATON routing hop.
-    pub hop_latency: SimTime,
     /// MapReduce overheads for the built-in MR engine.
     pub mr: MrConfig,
-    /// HDFS replication factor for the MR engine.
-    pub hdfs_replication: usize,
     /// `(table, column)` pairs to build range indices on (§6.2.2 builds
     /// them on the nation keys).
     pub range_index_columns: Vec<(String, String)>,
@@ -74,18 +77,10 @@ pub struct NetworkConfig {
     /// pushed-down subqueries against unchanged owners are answered
     /// from memory; invalidation rides the delta-index notifications.
     pub result_cache: bool,
-    /// Byte budget of each peer's result cache (LRU beyond it).
-    pub result_cache_budget: u64,
-    /// Attach a write-ahead log to every joining peer so crashes
-    /// recover from the local log instead of losing in-memory state.
-    pub durability: bool,
     /// WAL group-commit window: records per fsync. 1 (the default)
     /// syncs every logical operation — strict durability, and the mode
     /// under which crash replay is byte-identical to pre-crash state.
     pub wal_group_window: u64,
-    /// Log bytes that trigger an automatic checkpoint (0 = checkpoint
-    /// only on demand).
-    pub wal_checkpoint_bytes: u64,
     /// Admission control: bounded per-peer request queues with load
     /// shedding (`queue_depth` 0 — the default — disables it).
     pub admission: AdmissionConfig,
@@ -109,19 +104,14 @@ impl Default for NetworkConfig {
             index_cache: true,
             bloom_join: true,
             single_peer_opt: true,
-            hop_latency: SimTime::from_micros(500),
             mr: MrConfig::default(),
-            hdfs_replication: 3,
             range_index_columns: Vec::new(),
             cost: CostParams::default(),
             ca_secret: 0xBE57_FEE8,
             retry: RetryPolicy::default(),
             resources: ResourceConfig::default(),
             result_cache: true,
-            result_cache_budget: 32 * 1024 * 1024,
-            durability: true,
             wal_group_window: 1,
-            wal_checkpoint_bytes: 4 * 1024 * 1024,
             admission: AdmissionConfig::default(),
             slo_latency: SimTime::ZERO,
             router: RouterConfig::default(),
@@ -209,12 +199,12 @@ pub struct BestPeerNetwork {
     pub cloud: SimCloud<Database>,
     peers: BTreeMap<PeerId, NormalPeer>,
     overlay: IndexOverlay,
-    /// Delta index maintenance: each peer's last published entry set.
-    /// `publish_indices` diffs the current entries against this and only
-    /// touches the overlay for the difference; the map entry is dropped
-    /// (forcing the next publish to be a full sweep) when overlay faults
-    /// may have made the remembered view diverge.
-    published: BTreeMap<PeerId, Vec<(Key, IndexEntry)>>,
+    /// The network's one record of what each peer published: its last
+    /// published entry set. `publish_indices` diffs the current entries
+    /// against it and only touches the overlay for the difference;
+    /// `retire` withdraws it. Faults never drop a set, they mark it
+    /// stale (see [`Published`]).
+    published: BTreeMap<PeerId, Published>,
     locators: BTreeMap<PeerId, PeerLocator>,
     /// Per-submitter remote-fetch result caches (level 2).
     rescaches: BTreeMap<PeerId, ResultCache>,
@@ -301,11 +291,6 @@ impl BestPeerNetwork {
         &self.metrics
     }
 
-    /// Mutable access to the metrics registry (tests, custom gauges).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// Fold one query's measured `(μ, φ)` into the cost parameters with
     /// smoothing factor `w` — the §5.5 feedback loop, driven by the
     /// telemetry report instead of a guess. Returns false (and changes
@@ -360,26 +345,31 @@ impl BestPeerNetwork {
     /// A business joins: the bootstrap admits it (§3.1), the cloud
     /// launches its instance, and the new peer enters the BATON overlay.
     pub fn join(&mut self, business: &str) -> Result<PeerId> {
-        let mut peer = self.bootstrap.admit(business, &mut self.cloud)?;
+        let peer = self.bootstrap.admit(business, &mut self.cloud)?;
         let id = peer.id;
-        if self.config.durability {
-            // Attach the redo log; attachment writes a baseline
-            // checkpoint covering the global-schema tables admit()
-            // already created.
-            let wal = Wal::new(
-                Box::new(MemDevice::new()),
-                self.config.wal_group_window,
-                self.config.wal_checkpoint_bytes,
-            );
-            peer.db.attach_wal(wal)?;
-        }
-        self.overlay.join(id)?;
         self.peers.insert(id, peer);
-        // A join changes no index entries (the newcomer publishes on
-        // load), so cached lookups stay valid; only the global
-        // statistics must be regathered.
-        self.stats = None;
+        self.enlist(id)?;
         Ok(id)
+    }
+
+    /// Enlist an admitted peer already in `peers` (a joining business
+    /// or a scaled-out elastic peer): attach its redo log, give it an
+    /// overlay position, and drop the global statistics.
+    fn enlist(&mut self, id: PeerId) -> Result<()> {
+        // Attachment writes a baseline checkpoint covering the
+        // global-schema tables admit() already created.
+        let wal = Wal::new(
+            Box::new(MemDevice::new()),
+            self.config.wal_group_window,
+            WAL_CHECKPOINT_BYTES,
+        );
+        self.peer_mut(id)?.db.attach_wal(wal)?;
+        self.overlay.join(id)?;
+        // A newcomer changes no index entries (it publishes on load), so
+        // cached lookups stay valid; only the global statistics must be
+        // regathered.
+        self.stats = None;
+        Ok(())
     }
 
     /// Install the transport used to reach remote peers.
@@ -390,11 +380,6 @@ impl BestPeerNetwork {
     /// The installed transport, if any.
     pub fn transport(&self) -> Option<&Arc<dyn Transport>> {
         self.transport.as_ref()
-    }
-
-    /// The registered remote peers.
-    pub fn remote_peers(&self) -> impl Iterator<Item = &RemotePeer> {
-        self.remotes.values()
     }
 
     /// Register a peer served by another process: it takes a position
@@ -419,7 +404,13 @@ impl BestPeerNetwork {
         }
         self.overlay.join(id)?;
         indexer::publish_entries(&mut self.overlay, &entries)?;
-        self.published.insert(id, entries);
+        self.published.insert(
+            id,
+            Published {
+                entries,
+                stale: false,
+            },
+        );
         self.remotes.insert(
             id,
             RemotePeer {
@@ -432,53 +423,42 @@ impl BestPeerNetwork {
         Ok(())
     }
 
-    /// A business departs: indices withdrawn, overlay position vacated,
-    /// certificate revoked, instance blacklisted. A departing *remote*
-    /// peer additionally has its pooled transport connections evicted,
-    /// so later queries re-resolve instead of hanging on dead sockets.
+    /// A business departs: a local peer's certificate is revoked and
+    /// its instance blacklisted; then, local or remote, its indices are
+    /// withdrawn, its overlay position vacated, and its caches, queue
+    /// and routes dropped (a remote peer's pooled connections too).
     pub fn leave(&mut self, id: PeerId) -> Result<()> {
-        if let Some(remote) = self.remotes.remove(&id) {
-            let mut changed_keys: Vec<Key> = Vec::new();
-            if let Some(prev) = self.published.remove(&id) {
-                changed_keys.extend(prev.iter().map(|(k, _)| *k));
-                indexer::remove_entries(&mut self.overlay, id, &prev)?;
-            }
-            self.overlay.leave(id)?;
-            if let Some(t) = &self.transport {
-                t.evict(&remote.addr);
-            }
-            // The serve path admits remote owners into the bounded
-            // queues too — scrub the departed peer's admission state,
-            // exactly as the local branch below does (leaving it behind
-            // let a departed remote's stale queue depth keep vetoing
-            // scale-in and skewing utilization).
-            self.admission.remove_peer(id);
-            self.advisor.remove_peer(id);
-            self.invalidate_changed(id, &changed_keys);
-            return Ok(());
+        if !self.remotes.contains_key(&id) {
+            self.peer(id)?;
+            self.bootstrap.depart(id)?;
         }
-        let peer = self
-            .peers
-            .remove(&id)
-            .ok_or_else(|| Error::Network(format!("no peer {id}")))?;
-        // Withdraw the remembered entry set first — it covers entries
-        // for tables that have since been emptied or dropped, which a
-        // probe of the current database would miss — then probe-sweep
-        // for anything published before tracking began.
+        self.retire(id)
+    }
+
+    /// Every departure's network side: local `leave`, remote `leave`,
+    /// and elastic scale-in (whose peer the bootstrap already dropped).
+    /// The remembered entry set goes first, since it lists entries of
+    /// tables since emptied or dropped, which a probe misses. A local
+    /// peer's database is then probe-swept for entries no remembered set
+    /// lists (one an overlay recovery restored from a replica after a
+    /// delta removed it). A remote peer's pooled connections are evicted,
+    /// so later queries re-resolve instead of hanging on dead sockets.
+    fn retire(&mut self, id: PeerId) -> Result<()> {
         let mut changed_keys: Vec<Key> = Vec::new();
         if let Some(prev) = self.published.remove(&id) {
-            changed_keys.extend(prev.iter().map(|(k, _)| *k));
-            indexer::remove_entries(&mut self.overlay, id, &prev)?;
+            changed_keys.extend(prev.entries.iter().map(|(k, _)| *k));
+            indexer::remove_entries(&mut self.overlay, id, &prev.entries)?;
         }
-        let range_cols = self.config.range_index_columns.clone();
-        changed_keys.extend(
-            indexer::peer_entries(id, &peer.db, &range_cols)?
-                .iter()
-                .map(|(k, _)| *k),
-        );
-        indexer::unpublish_peer(&mut self.overlay, id, &peer.db)?;
+        if let Some(peer) = self.peers.remove(&id) {
+            let range_cols = &self.config.range_index_columns;
+            let probed = indexer::peer_entries(id, &peer.db, range_cols)?;
+            changed_keys.extend(probed.iter().map(|(k, _)| *k));
+            indexer::unpublish_peer(&mut self.overlay, id, &peer.db)?;
+        }
         self.overlay.leave(id)?;
-        self.bootstrap.depart(id)?;
+        if let (Some(remote), Some(t)) = (self.remotes.remove(&id), &self.transport) {
+            t.evict(&remote.addr);
+        }
         self.locators.remove(&id);
         self.rescaches.remove(&id);
         self.admission.remove_peer(id);
@@ -553,31 +533,36 @@ impl BestPeerNetwork {
     /// (Re-)publish one peer's BATON index entries.
     ///
     /// Delta maintenance: when the peer's previously published entry set
-    /// is remembered and the overlay is delivering inserts reliably,
-    /// only the difference between the old and new sets touches the
-    /// overlay — a refresh that changes one table no longer sweeps every
-    /// index key. Entries for tables that became empty or were dropped
-    /// are in the remembered set, so they are withdrawn correctly (the
-    /// old probe-by-current-database sweep missed them and left dead
-    /// peers routable). The full unpublish/republish sweep remains the
-    /// fallback when no state is remembered, and while a lossy-insert
-    /// fault window is open (a diff would silently skip entries the
-    /// fault already ate); if any of this publish's inserts were
-    /// dropped, the remembered state is discarded so the next publish
-    /// heals with a full sweep.
+    /// is remembered, not stale, and the overlay is delivering inserts
+    /// reliably, only the difference between the old and new sets
+    /// touches the overlay — a refresh that changes one table no longer
+    /// sweeps every index key. Entries for tables that became empty or
+    /// were dropped are in the remembered set, so they are withdrawn
+    /// correctly (a probe of the current database misses them and left
+    /// dead peers routable). Otherwise the publish is a full one: the
+    /// remembered set is withdrawn, the current database probe-swept,
+    /// and every entry inserted. That covers a first publish, a stale
+    /// set (after a crash or a recovery), and an open lossy-insert fault
+    /// window (a diff would silently skip entries the fault already
+    /// ate). If any of this publish's inserts were dropped, the new set
+    /// is remembered stale, so the next publish heals with a full one.
     pub fn publish_indices(&mut self, id: PeerId) -> Result<u32> {
-        let range_cols = self.config.range_index_columns.clone();
-        let db = self.peer(id)?.db.clone();
-        let target = indexer::peer_entries(id, &db, &range_cols)?;
+        let db = &self
+            .peers
+            .get(&id)
+            .ok_or_else(|| Error::Network(format!("no peer {id}")))?
+            .db;
+        let target = indexer::peer_entries(id, db, &self.config.range_index_columns)?;
         let dropped_before = self.overlay.stats().dropped_inserts;
         let lossy = self.overlay.pending_insert_drops() > 0;
+        let prev = self.published.get(&id);
         // `Some(keys)` = delta publish touching exactly those BATON
         // keys (fine-grained invalidation); `None` = full sweep (full
         // invalidation fallback).
-        let mut delta_keys: Option<Vec<Key>> = None;
-        let hops = match self.published.get(&id) {
-            Some(prev) if !lossy => {
-                let (to_remove, to_insert) = diff_entries(prev, &target);
+        let mut delta_keys = None;
+        let hops = match prev {
+            Some(prev) if !prev.stale && !lossy => {
+                let (to_remove, to_insert) = diff_entries(&prev.entries, &target);
                 let mut keys: Vec<Key> = to_remove
                     .iter()
                     .chain(to_insert.iter())
@@ -596,25 +581,26 @@ impl BestPeerNetwork {
                 hops
             }
             _ => {
-                if let Some(prev) = self.published.get(&id) {
-                    let prev = prev.clone();
-                    indexer::remove_entries(&mut self.overlay, id, &prev)?;
+                if let Some(prev) = prev {
+                    indexer::remove_entries(&mut self.overlay, id, &prev.entries)?;
                 }
-                indexer::unpublish_peer(&mut self.overlay, id, &db)?;
+                indexer::unpublish_peer(&mut self.overlay, id, db)?;
                 let hops = indexer::publish_entries(&mut self.overlay, &target)?;
                 self.metrics.inc("index.full_publishes");
                 hops
             }
         };
-        if self.overlay.stats().dropped_inserts > dropped_before {
-            self.published.remove(&id);
-            // Some of this publish's inserts were eaten by the fault:
-            // the caches' view may be arbitrarily stale — fall back.
-            delta_keys = None;
-        } else {
-            self.published.insert(id, target);
-        }
-        match delta_keys {
+        let lost_inserts = self.overlay.stats().dropped_inserts > dropped_before;
+        self.published.insert(
+            id,
+            Published {
+                entries: target,
+                stale: lost_inserts,
+            },
+        );
+        // Inserts the fault ate leave the caches' view arbitrarily
+        // stale: fall back to full invalidation.
+        match delta_keys.filter(|_| !lost_inserts) {
             Some(keys) => self.invalidate_changed(id, &keys),
             None => self.invalidate_caches(),
         }
@@ -629,16 +615,16 @@ impl BestPeerNetwork {
         production: &Database,
         mapping: SchemaMapping,
     ) -> Result<RefreshReport> {
-        let schemas = self.bootstrap.global_schemas().to_vec();
         let report = {
-            let peer = self.peer_mut(id)?;
-            if peer.loader.is_none() {
-                peer.loader = Some(crate::loader::DataLoader::new(mapping, schemas));
-            }
-            let mut loader = peer.loader.take().expect("just set");
-            let result = loader.refresh(production, &mut peer.db);
-            peer.loader = Some(loader);
-            result?
+            let peer = self
+                .peers
+                .get_mut(&id)
+                .ok_or_else(|| Error::Network(format!("no peer {id}")))?;
+            let loader = peer.loader.get_or_insert_with(|| {
+                let schemas = self.bootstrap.global_schemas().to_vec();
+                crate::loader::DataLoader::new(mapping, schemas)
+            });
+            loader.refresh(production, &mut peer.db)?
         };
         self.publish_indices(id)?;
         Ok(report)
@@ -884,9 +870,12 @@ impl BestPeerNetwork {
             match rec.action {
                 FaultAction::Crash(p) | FaultAction::TornCrash { peer: p, .. } => {
                     // A node crash can take other peers' entries stored
-                    // at it down too; every remembered publish state is
-                    // now suspect, so force full republishes next time.
-                    self.published.clear();
+                    // at it down too; every remembered set is now
+                    // suspect, so each peer's next publish is a full one.
+                    // The sets are kept: a departure still withdraws them.
+                    for set in self.published.values_mut() {
+                        set.stale = true;
+                    }
                     if self.overlay.contains(p) {
                         self.overlay.crash(p)?;
                     }
@@ -931,9 +920,11 @@ impl BestPeerNetwork {
                         }
                         self.recover_peer_storage(p)?;
                         // Recovery must republish in full: the crash may
-                        // have lost entries the remembered state still
+                        // have lost entries the remembered set still
                         // claims are present.
-                        self.published.remove(&p);
+                        if let Some(set) = self.published.get_mut(&p) {
+                            set.stale = true;
+                        }
                         self.publish_indices(p)?;
                     }
                 }
@@ -969,17 +960,17 @@ impl BestPeerNetwork {
     /// 4. WAL corrupt, no backup → empty database with the global
     ///    schemas (the bootstrap-join baseline).
     ///
-    /// Legacy peers without a WAL keep their in-memory image — the
-    /// pre-durability "data intact on restart" semantics.
+    /// Every enlisted peer gets a WAL, but a wiped disk (a database
+    /// replaced through [`BestPeerNetwork::peer_mut`]) takes the log with
+    /// it: such a peer keeps the image fail-over restored.
     fn recover_peer_storage(&mut self, p: PeerId) -> Result<()> {
         let Some(peer) = self.peers.get_mut(&p) else {
             return Ok(());
         };
-        if !peer.db.has_wal() {
-            return Ok(());
-        }
         let instance = peer.instance;
-        let replayed = peer.db.replay_attached().expect("has_wal checked above");
+        let Some(replayed) = peer.db.replay_attached() else {
+            return Ok(());
+        };
         let backup = self
             .cloud
             .latest_backup(instance)
@@ -1042,18 +1033,63 @@ impl BestPeerNetwork {
         &mut self,
         submitter: PeerId,
         stmt: &SelectStmt,
-        role: &Role,
-        schemas: &[TableSchema],
+        role: &str,
         engine: EngineChoice,
         query_ts: u64,
     ) -> Result<(ResultSet, Trace, EngineChoice, Option<EngineDecision>)> {
+        self.with_engine_ctx(submitter, role, query_ts, true, |ctx| {
+            Ok(match engine {
+                EngineChoice::Basic => {
+                    let (rs, tr) = basic::execute(ctx, submitter, stmt)?;
+                    (rs, tr, EngineChoice::Basic, None)
+                }
+                EngineChoice::ParallelP2P => {
+                    let (rs, tr) = parallel::execute(ctx, submitter, stmt)?;
+                    (rs, tr, EngineChoice::ParallelP2P, None)
+                }
+                EngineChoice::MapReduce => {
+                    let (rs, tr) = mr::execute(ctx, submitter, stmt)?;
+                    (rs, tr, EngineChoice::MapReduce, None)
+                }
+                EngineChoice::Adaptive => {
+                    let ((rs, tr), report) = adaptive::execute(ctx, submitter, stmt)?;
+                    let used = match report.ran {
+                        adaptive::ChosenEngine::ParallelP2P => EngineChoice::ParallelP2P,
+                        adaptive::ChosenEngine::MapReduce => EngineChoice::MapReduce,
+                    };
+                    (rs, tr, used, Some(report.decision))
+                }
+            })
+        })
+    }
+
+    /// Run one engine inside the [`EngineCtx`] both query entry points
+    /// build here: the submitter's locator and, when `cached`, its
+    /// result cache (the online engine streams progressive estimates
+    /// from fresh owner serves, so it runs with a disabled one), with
+    /// the role and the global schemas borrowed from the bootstrap. A
+    /// successful run's execution counters fold into the registry.
+    fn with_engine_ctx<T>(
+        &mut self,
+        submitter: PeerId,
+        role: &str,
+        query_ts: u64,
+        cached: bool,
+        run: impl FnOnce(&mut EngineCtx<'_>) -> Result<T>,
+    ) -> Result<T> {
         let locator = self
             .locators
             .entry(submitter)
             .or_insert_with(|| PeerLocator::new(self.config.index_cache));
-        let rescache = self.rescaches.entry(submitter).or_insert_with(|| {
-            ResultCache::new(self.config.result_cache, self.config.result_cache_budget)
-        });
+        let mut uncached;
+        let rescache = if cached {
+            self.rescaches
+                .entry(submitter)
+                .or_insert_with(|| ResultCache::new(self.config.result_cache, RESULT_CACHE_BUDGET))
+        } else {
+            uncached = ResultCache::new(false, 0);
+            &mut uncached
+        };
         let mut ctx = EngineCtx {
             peers: &self.peers,
             remotes: &self.remotes,
@@ -1061,8 +1097,9 @@ impl BestPeerNetwork {
             overlay: &mut self.overlay,
             locator,
             config: &self.config,
-            schemas,
-            role,
+            schemas: self.bootstrap.global_schemas(),
+            role: self.bootstrap.role(role)?,
+            stats: self.stats.as_ref(),
             query_ts,
             faults: &mut self.faults,
             admission: &mut self.admission,
@@ -1070,30 +1107,7 @@ impl BestPeerNetwork {
             rescache,
             advisor: &mut self.advisor,
         };
-        let out = match engine {
-            EngineChoice::Basic => {
-                let (rs, tr) = basic::execute(&mut ctx, submitter, stmt)?;
-                (rs, tr, EngineChoice::Basic, None)
-            }
-            EngineChoice::ParallelP2P => {
-                let (rs, tr) = parallel::execute(&mut ctx, submitter, stmt)?;
-                (rs, tr, EngineChoice::ParallelP2P, None)
-            }
-            EngineChoice::MapReduce => {
-                let (rs, tr) = mr::execute(&mut ctx, submitter, stmt)?;
-                (rs, tr, EngineChoice::MapReduce, None)
-            }
-            EngineChoice::Adaptive => {
-                let stats = self.stats.as_ref().expect("collected before the loop");
-                let ((rs, tr), report) =
-                    adaptive::execute(&mut ctx, submitter, stmt, stats, &self.config.cost)?;
-                let used = match report.ran {
-                    adaptive::ChosenEngine::ParallelP2P => EngineChoice::ParallelP2P,
-                    adaptive::ChosenEngine::MapReduce => EngineChoice::MapReduce,
-                };
-                (rs, tr, used, Some(report.decision))
-            }
-        };
+        let out = run(&mut ctx)?;
         let exec = ctx.exec;
         self.record_exec_metrics(&exec);
         Ok(out)
@@ -1135,7 +1149,7 @@ impl BestPeerNetwork {
         engine: EngineChoice,
         query_ts: u64,
     ) -> Result<QueryOutput> {
-        let (stmt, role, schemas) = self.query_front(sql, role)?;
+        let stmt = self.query_front(sql, role)?;
         // ORDER BY keys the output lacks ride along as hidden columns,
         // dropped once the engine has ordered and truncated its answer.
         let (stmt, hidden) = bestpeer_sql::expose_order_keys(stmt);
@@ -1148,9 +1162,6 @@ impl BestPeerNetwork {
                     .into(),
             ));
         }
-        if engine == EngineChoice::Adaptive && self.stats.is_none() {
-            self.collect_statistics(&[])?;
-        }
         self.validate_statistics();
         let policy = self.config.retry.clone();
         let (loc0, res0) = self.cache_counters(submitter);
@@ -1162,8 +1173,13 @@ impl BestPeerNetwork {
         let mut sheds = 0u32;
         loop {
             self.sync_faults()?;
+            // A fault synced here drops the statistics; the adaptive
+            // planner collects them again before each attempt.
+            if engine == EngineChoice::Adaptive && self.stats.is_none() {
+                self.collect_statistics(&[])?;
+            }
             attempts += 1;
-            let outcome = self.run_engine_once(submitter, &stmt, &role, &schemas, engine, query_ts);
+            let outcome = self.run_engine_once(submitter, &stmt, role, engine, query_ts);
             // Latency accrued at slowed links is charged either way.
             let slow = self.faults.take_slow_latency();
             if slow > SimTime::ZERO {
@@ -1275,21 +1291,16 @@ impl BestPeerNetwork {
         }
     }
 
-    /// The front both query entry points share: parse `sql`, look up
-    /// `role`, fail any name that resolves nowhere (an unknown FROM
-    /// table or column) before a peer is asked, and let the admission
-    /// queues drain in registry time since the last query.
-    fn query_front(
-        &mut self,
-        sql: &str,
-        role: &str,
-    ) -> Result<(SelectStmt, Role, Vec<TableSchema>)> {
+    /// The front both query entry points share: parse `sql`, check
+    /// that `role` exists, fail any name that resolves nowhere (an
+    /// unknown FROM table or column) before a peer is asked, and let the
+    /// admission queues drain in registry time since the last query.
+    fn query_front(&mut self, sql: &str, role: &str) -> Result<SelectStmt> {
         let stmt = parse_select(sql)?;
-        let role = self.bootstrap.role(role)?.clone();
-        let schemas = self.bootstrap.global_schemas().to_vec();
-        bestpeer_sql::decompose::check_columns(&stmt, &schemas)?;
+        self.bootstrap.role(role)?;
+        bestpeer_sql::decompose::check_columns(&stmt, self.bootstrap.global_schemas())?;
         self.admission.set_now(self.metrics.now());
-        Ok((stmt, role, schemas))
+        Ok(stmt)
     }
 
     /// The submitter's cache counters (level 1 locator + level 2 result
@@ -1506,11 +1517,11 @@ impl BestPeerNetwork {
     /// virtual time; `window` is the span utilization is measured
     /// against (typically the epoch length).
     ///
-    /// Scaled-out peers join the overlay (with a WAL when durability is
-    /// on); scaled-in peers have their published indices withdrawn and
-    /// leave it. The span from the first over-threshold observation to
-    /// the scale-out answering it lands in the `scale.reaction_us`
-    /// gauge; `scale.out` / `scale.in` count events.
+    /// Scaled-out peers are enlisted like a joining business; scaled-in
+    /// peers are retired like a departing one. The span from the first
+    /// over-threshold observation to the scale-out answering it lands in
+    /// the `scale.reaction_us` gauge; `scale.out` / `scale.in` count
+    /// events.
     pub fn scale_tick(&mut self, now: SimTime, window: SimTime) -> Result<Vec<MaintenanceEvent>> {
         self.metrics.advance_clock(now);
         self.admission.set_now(now);
@@ -1538,17 +1549,7 @@ impl BestPeerNetwork {
         for e in &events {
             match e {
                 MaintenanceEvent::ScaleOut { peer, .. } => {
-                    if self.config.durability {
-                        let wal = Wal::new(
-                            Box::new(MemDevice::new()),
-                            self.config.wal_group_window,
-                            self.config.wal_checkpoint_bytes,
-                        );
-                        if let Some(p) = self.peers.get_mut(peer) {
-                            p.db.attach_wal(wal)?;
-                        }
-                    }
-                    self.overlay.join(*peer)?;
+                    self.enlist(*peer)?;
                     self.metrics.inc("scale.out");
                     if let Some(t0) = self.overload_since.take() {
                         self.metrics.set_gauge(
@@ -1558,17 +1559,7 @@ impl BestPeerNetwork {
                     }
                 }
                 MaintenanceEvent::ScaleIn { peer, .. } => {
-                    // The bootstrap already dropped the peer itself;
-                    // withdraw whatever it had published and vacate its
-                    // overlay position.
-                    if let Some(prev) = self.published.remove(peer) {
-                        indexer::remove_entries(&mut self.overlay, *peer, &prev)?;
-                    }
-                    self.overlay.leave(*peer)?;
-                    self.locators.remove(peer);
-                    self.rescaches.remove(peer);
-                    self.admission.remove_peer(*peer);
-                    self.advisor.remove_peer(*peer);
+                    self.retire(*peer)?;
                     self.metrics.inc("scale.in");
                 }
                 _ => {}
@@ -1610,34 +1601,11 @@ impl BestPeerNetwork {
         role: &str,
         query_ts: u64,
     ) -> Result<crate::engine::online::OnlineOutput> {
-        let (stmt, role, schemas) = self.query_front(sql, role)?;
+        let stmt = self.query_front(sql, role)?;
         self.sync_faults()?;
-        let locator = self
-            .locators
-            .entry(submitter)
-            .or_insert_with(|| PeerLocator::new(self.config.index_cache));
-        // The online engine streams progressive estimates from fresh
-        // owner serves: its context carries a disabled result cache.
-        let mut rescache = ResultCache::new(false, 0);
-        let mut ctx = EngineCtx {
-            peers: &self.peers,
-            remotes: &self.remotes,
-            transport: self.transport.as_deref(),
-            overlay: &mut self.overlay,
-            locator,
-            config: &self.config,
-            schemas: &schemas,
-            role: &role,
-            query_ts,
-            faults: &mut self.faults,
-            admission: &mut self.admission,
-            exec: Default::default(),
-            rescache: &mut rescache,
-            advisor: &mut self.advisor,
-        };
-        let mut out = crate::engine::online::execute(&mut ctx, submitter, &stmt)?;
-        let exec = ctx.exec;
-        self.record_exec_metrics(&exec);
+        let mut out = self.with_engine_ctx(submitter, role, query_ts, false, |ctx| {
+            crate::engine::online::execute(ctx, submitter, &stmt)
+        })?;
         let slow = self.faults.take_slow_latency();
         if slow > SimTime::ZERO {
             out.trace
@@ -1660,15 +1628,26 @@ impl BestPeerNetwork {
         role: &str,
         query_ts: u64,
     ) -> Result<(bestpeer_mapreduce::Hdfs, crate::export::ExportReport)> {
-        let role = self.bootstrap.role(role)?.clone();
-        let mut hdfs = bestpeer_mapreduce::Hdfs::new(self.peer_ids(), self.config.hdfs_replication);
-        let report = crate::export::export_tables(&self.peers, tables, &role, query_ts, &mut hdfs)?;
+        let role = self.bootstrap.role(role)?;
+        let mut hdfs = bestpeer_mapreduce::Hdfs::new(self.peer_ids(), mr::HDFS_REPLICATION);
+        let report = crate::export::export_tables(&self.peers, tables, role, query_ts, &mut hdfs)?;
         Ok((hdfs, report))
     }
 }
 
 /// A peer's published index entries, keyed by overlay position.
 type EntrySet = Vec<(Key, IndexEntry)>;
+
+/// One peer's remembered index publication.
+#[derive(Debug)]
+struct Published {
+    /// The entries the peer last published.
+    entries: EntrySet,
+    /// Set when a crash, a recovery or a publish that lost inserts may
+    /// have made the overlay diverge from `entries`: the next publish is
+    /// then a full one.
+    stale: bool,
+}
 
 /// Multiset difference between a peer's previously published entry set
 /// and its current one: `(to_remove, to_insert)`. Matched pairs are

@@ -76,11 +76,6 @@ impl NodeService {
         }
     }
 
-    /// The hosted data peer's id.
-    pub fn local_peer(&self) -> PeerId {
-        self.local
-    }
-
     /// Lock the underlying network (the binary and tests administer
     /// the node through this — loading, linking, local queries).
     pub fn network(&self) -> MutexGuard<'_, BestPeerNetwork> {

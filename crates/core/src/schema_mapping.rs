@@ -92,11 +92,6 @@ impl SchemaMapping {
         self
     }
 
-    /// The mapping entry feeding `global_table`, if any.
-    pub fn for_global(&self, global_table: &str) -> Option<&TableMap> {
-        self.tables.iter().find(|t| t.global_table == global_table)
-    }
-
     /// Transform one local row of `local_table` into a global row laid
     /// out per `global_schema`. Unmapped global columns become NULL;
     /// value maps translate local terms.

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use bestpeer_common::{ColumnDef, ColumnType, Row, TableSchema, Value};
 use bestpeer_core::admission::AdmissionConfig;
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig};
-use bestpeer_core::Role;
+use bestpeer_core::{FaultAction, Role};
 use bestpeer_simnet::SimTime;
 use bestpeer_sql::{execute_select, parse_select};
 use bestpeer_storage::Database;
@@ -603,6 +603,18 @@ fn failover_preserves_query_results() {
 }
 
 #[test]
+fn adaptive_replans_after_a_crash_drops_the_statistics() {
+    // The crash is applied at the first attempt's fault sync, which
+    // drops the collected statistics; each attempt collects them again
+    // before planning, and the retry loop fails the peer over.
+    let (mut net, central) = setup(2, 400);
+    net.backup_all().unwrap();
+    let victim = net.peer_ids()[1];
+    net.faults_mut().inject_now(FaultAction::Crash(victim));
+    check(&mut net, &central, Q2, EngineChoice::Adaptive);
+}
+
+#[test]
 fn online_aggregation_converges_to_exact() {
     let (mut net, central) = setup(4, 1000);
     let submitter = net.peer_ids()[0];
@@ -682,6 +694,26 @@ fn an_unknown_from_table_is_a_catalog_error_on_every_engine() {
             .submit_online_aggregate(submitter, sql, "R", 0)
             .unwrap_err();
         assert_eq!(err.kind(), "catalog", "online {sql}: {err}");
+    }
+}
+
+#[test]
+fn a_global_aggregate_no_owner_answers_yields_its_one_row_on_every_engine() {
+    // The range index prunes every supplier owner, so Basic's partial
+    // aggregation combines zero partial rows: COUNT finalizes to 0 and
+    // SUM and AVG to NULL, as over an empty local table.
+    let cfg = NetworkConfig {
+        range_index_columns: vec![("supplier".into(), "s_nationkey".into())],
+        ..NetworkConfig::default()
+    };
+    let (mut net, central) = setup_with(cfg, 3, 400);
+    for sql in [
+        "SELECT COUNT(*) FROM supplier WHERE s_nationkey = 999",
+        "SELECT COUNT(*), SUM(s_acctbal), AVG(s_acctbal) FROM supplier WHERE s_nationkey = 999",
+    ] {
+        for engine in ENGINES {
+            check(&mut net, &central, sql, engine);
+        }
     }
 }
 

@@ -76,11 +76,6 @@ impl HadoopDb {
         Ok(())
     }
 
-    /// Mutable access to one worker (test setup, fault injection).
-    pub fn worker_mut(&mut self, i: usize) -> &mut Worker {
-        &mut self.workers[i]
-    }
-
     /// The workers (read-only).
     pub fn workers(&self) -> &[Worker] {
         &self.workers

@@ -136,17 +136,16 @@ fn single_job_aggregate(
     hdfs: &mut Hdfs,
 ) -> Result<(ResultSet, Trace)> {
     let dist = split_aggregate(stmt)?;
-    let (parts, partial_cols) = local_results(&dist.partial, workers)?;
-    let k = dist.combine.group_cols.len();
+    let (parts, _) = local_results(&dist.partial, workers)?;
+    let k = dist.combine.group_keys;
     let combine = dist.combine.clone();
-    let partial_cols_for_reduce = partial_cols.clone();
     let columns = combine.output.columns.clone();
     let job = MapReduceJob {
         name: "aggregate".into(),
         map: Box::new(move |row| Ok(Some(group_key_of(row, k)))),
         reduce: Some(Box::new(move |_key, rows, out| {
             // Combine partials for this one group.
-            out.extend(combine.apply(&partial_cols_for_reduce, rows)?.rows);
+            out.extend(combine.apply(rows)?.rows);
             Ok(())
         })),
         input: JobInput::Local(parts),
@@ -158,7 +157,7 @@ fn single_job_aggregate(
     // only truly-empty case is zero workers, which the constructor
     // forbids. Guard anyway.
     if rows.is_empty() && k == 0 {
-        rows = dist.combine.apply(&partial_cols, &[])?.rows;
+        rows = dist.combine.apply(&[])?.rows;
     }
     Ok((ResultSet { columns, rows }, trace))
 }

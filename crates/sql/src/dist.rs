@@ -15,29 +15,32 @@ use crate::ast::{AggFunc, Expr, SelectItem, SelectStmt};
 use crate::exec::ResultSet;
 use crate::plan::{Binding, OutputStage};
 
-/// How one final aggregate is reassembled from partial columns.
+/// How one final aggregate is reassembled from the partial row, by
+/// column position in the layout [`split_aggregate`] builds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CombineSpec {
-    /// Sum the named partial column (finalizes SUM and COUNT partials).
-    Sum(String),
-    /// Min of the named partial column.
-    Min(String),
-    /// Max of the named partial column.
-    Max(String),
-    /// `sum_col / cnt_col` (finalizes AVG).
+    /// Sum the partial column (finalizes SUM; NULL over no partials).
+    Sum(usize),
+    /// Sum the partial counts (finalizes COUNT; 0 over no partials).
+    Count(usize),
+    /// Min of the partial column.
+    Min(usize),
+    /// Max of the partial column.
+    Max(usize),
+    /// `sum / cnt` (finalizes AVG).
     AvgPair {
         /// Column holding per-source sums.
-        sum_col: String,
+        sum: usize,
         /// Column holding per-source counts.
-        cnt_col: String,
+        cnt: usize,
     },
 }
 
 /// The coordinator-side half of a split aggregate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Combine {
-    /// Names of the group-key columns in the partial output (prefix).
-    pub group_cols: Vec<String>,
+    /// How many group-key columns prefix each partial row.
+    pub group_keys: usize,
     /// One spec per aggregate call of [`OutputStage::aggs`], in order.
     pub specs: Vec<CombineSpec>,
     /// The statement's output stage; its binding names the combined
@@ -71,41 +74,36 @@ pub fn split_aggregate(stmt: &SelectStmt) -> Result<DistAgg> {
     // output, laid out by its output stage.
     let output = OutputStage::new(stmt, &Binding::new());
 
-    // Partial projection list: group keys first, then partial aggregates.
+    // Partial projection list: group keys first, then partial aggregates;
+    // each spec addresses its partial columns by their position here.
     let mut partial_projs: Vec<SelectItem> = Vec::new();
-    let mut group_cols = Vec::new();
     for (i, g) in stmt.group_by.iter().enumerate() {
-        let name = format!("g{i}");
-        group_cols.push(name.clone());
         partial_projs.push(SelectItem {
             expr: g.clone(),
-            alias: Some(name),
+            alias: Some(format!("g{i}")),
         });
     }
     let mut specs = Vec::new();
     for (j, agg) in output.aggs.iter().enumerate() {
-        let partial = |func, alias: &str| SelectItem {
-            expr: Expr::Agg {
-                func,
-                arg: agg.arg.clone().map(Box::new),
-            },
-            alias: Some(alias.to_string()),
+        let mut partial = |func, alias: String| {
+            partial_projs.push(SelectItem {
+                expr: Expr::Agg {
+                    func,
+                    arg: agg.arg.clone().map(Box::new),
+                },
+                alias: Some(alias),
+            });
+            partial_projs.len() - 1
         };
-        if agg.func == AggFunc::Avg {
-            let sum_col = format!("a{j}_s");
-            let cnt_col = format!("a{j}_c");
-            partial_projs.push(partial(AggFunc::Sum, &sum_col));
-            partial_projs.push(partial(AggFunc::Count, &cnt_col));
-            specs.push(CombineSpec::AvgPair { sum_col, cnt_col });
-            continue;
-        }
-        let col = format!("a{j}");
-        partial_projs.push(partial(agg.func, &col));
         specs.push(match agg.func {
-            AggFunc::Min => CombineSpec::Min(col),
-            AggFunc::Max => CombineSpec::Max(col),
-            // Sums and counts are both merged by summation.
-            _ => CombineSpec::Sum(col),
+            AggFunc::Avg => CombineSpec::AvgPair {
+                sum: partial(AggFunc::Sum, format!("a{j}_s")),
+                cnt: partial(AggFunc::Count, format!("a{j}_c")),
+            },
+            AggFunc::Sum => CombineSpec::Sum(partial(AggFunc::Sum, format!("a{j}"))),
+            AggFunc::Count => CombineSpec::Count(partial(AggFunc::Count, format!("a{j}"))),
+            AggFunc::Min => CombineSpec::Min(partial(AggFunc::Min, format!("a{j}"))),
+            AggFunc::Max => CombineSpec::Max(partial(AggFunc::Max, format!("a{j}"))),
         });
     }
 
@@ -121,7 +119,7 @@ pub fn split_aggregate(stmt: &SelectStmt) -> Result<DistAgg> {
     Ok(DistAgg {
         partial,
         combine: Combine {
-            group_cols,
+            group_keys: stmt.group_by.len(),
             specs,
             output,
         },
@@ -129,16 +127,12 @@ pub fn split_aggregate(stmt: &SelectStmt) -> Result<DistAgg> {
 }
 
 impl Combine {
-    /// Merge partial rows (with the given column names, as produced by
-    /// the partial statement) into the final result set.
-    pub fn apply(&self, partial_columns: &[String], rows: &[Row]) -> Result<ResultSet> {
-        let col_idx = |name: &str| -> Result<usize> {
-            partial_columns
-                .iter()
-                .position(|c| c == name)
-                .ok_or_else(|| Error::Plan(format!("partial column `{name}` missing")))
-        };
-        let k = self.group_cols.len();
+    /// Merge partial rows (laid out as the partial statement projects
+    /// them) into the final result set. A global aggregate over no
+    /// partial rows still yields its one row, as a local aggregate over
+    /// no rows does.
+    pub fn apply(&self, rows: &[Row]) -> Result<ResultSet> {
+        let k = self.group_keys;
         // Group partial rows by the key prefix, preserving order.
         let mut order: Vec<Vec<Value>> = Vec::new();
         let mut groups: std::collections::HashMap<Vec<Value>, Vec<&Row>> =
@@ -151,7 +145,6 @@ impl Combine {
             groups.entry(key).or_default().push(row);
         }
         if k == 0 && groups.is_empty() {
-            // Global aggregate over zero sources still yields one row.
             order.push(Vec::new());
             groups.insert(Vec::new(), Vec::new());
         }
@@ -159,54 +152,36 @@ impl Combine {
         let mut out_rows = Vec::with_capacity(order.len());
         for key in order {
             let members = &groups[&key];
+            let sum = |i: usize, init: Value| {
+                members
+                    .iter()
+                    .map(|r| r.get(i))
+                    .filter(|v| !v.is_null())
+                    .try_fold(init, |acc, v| acc.checked_add(v))
+            };
+            let non_null = |i: usize| {
+                members
+                    .iter()
+                    .map(move |r| r.get(i))
+                    .filter(|v| !v.is_null())
+            };
             let mut combined = key.clone();
             for spec in &self.specs {
-                let v = match spec {
-                    CombineSpec::Sum(col) => {
-                        let i = col_idx(col)?;
-                        let mut acc = Value::Null;
-                        for r in members {
-                            if !r.get(i).is_null() {
-                                acc = acc.checked_add(r.get(i))?;
-                            }
-                        }
-                        acc
-                    }
-                    CombineSpec::Min(col) => {
-                        let i = col_idx(col)?;
-                        members
+                let v = match *spec {
+                    CombineSpec::Sum(i) => sum(i, Value::Null)?,
+                    CombineSpec::Count(i) => sum(i, Value::Int(0))?,
+                    CombineSpec::Min(i) => non_null(i).min().cloned().unwrap_or(Value::Null),
+                    CombineSpec::Max(i) => non_null(i).max().cloned().unwrap_or(Value::Null),
+                    CombineSpec::AvgPair { sum: si, cnt: ci } => {
+                        let total = sum(si, Value::Null)?;
+                        let cnt: i64 = members
                             .iter()
-                            .map(|r| r.get(i))
-                            .filter(|v| !v.is_null())
-                            .min()
-                            .cloned()
-                            .unwrap_or(Value::Null)
-                    }
-                    CombineSpec::Max(col) => {
-                        let i = col_idx(col)?;
-                        members
-                            .iter()
-                            .map(|r| r.get(i))
-                            .filter(|v| !v.is_null())
-                            .max()
-                            .cloned()
-                            .unwrap_or(Value::Null)
-                    }
-                    CombineSpec::AvgPair { sum_col, cnt_col } => {
-                        let si = col_idx(sum_col)?;
-                        let ci = col_idx(cnt_col)?;
-                        let mut sum = Value::Null;
-                        let mut cnt: i64 = 0;
-                        for r in members {
-                            if !r.get(si).is_null() {
-                                sum = sum.checked_add(r.get(si))?;
-                            }
-                            cnt += r.get(ci).as_int().unwrap_or(0);
-                        }
-                        if cnt == 0 || sum.is_null() {
+                            .map(|r| r.get(ci).as_int().unwrap_or(0))
+                            .sum();
+                        if cnt == 0 || total.is_null() {
                             Value::Null
                         } else {
-                            Value::Float(sum.as_f64()? / cnt as f64)
+                            Value::Float(total.as_f64()? / cnt as f64)
                         }
                     }
                 };
@@ -258,14 +233,12 @@ mod tests {
         let dist = split_aggregate(&stmt).unwrap();
         // Distributed: partial per partition, then combine.
         let mut partial_rows = Vec::new();
-        let mut partial_cols = Vec::new();
         for p in parts {
             let db = partition(p);
             let (rs, _) = execute_select(&dist.partial, &db).unwrap();
-            partial_cols = rs.columns.clone();
             partial_rows.extend(rs.rows);
         }
-        let mut dist_result = dist.combine.apply(&partial_cols, &partial_rows).unwrap();
+        let mut dist_result = dist.combine.apply(&partial_rows).unwrap();
         // Central: all rows in one database.
         let all: Vec<(i64, i64)> = parts.iter().flatten().copied().collect();
         let db = partition(&all);
@@ -326,14 +299,17 @@ mod tests {
 
     #[test]
     fn empty_everywhere_yields_sql_semantics() {
-        let stmt = parse_select("SELECT COUNT(*), SUM(q) FROM t").unwrap();
+        // No partials at all (no source answered): the one row a local
+        // aggregate over zero rows yields — COUNT 0, SUM and AVG NULL.
+        let stmt = parse_select("SELECT COUNT(*), SUM(q), AVG(q) FROM t").unwrap();
         let dist = split_aggregate(&stmt).unwrap();
-        let rs = dist
-            .combine
-            .apply(&["a0".into(), "a1".into()], &[])
-            .unwrap();
-        assert_eq!(rs.rows.len(), 1);
-        assert_eq!(rs.rows[0].get(0), &Value::Null); // no partials at all
+        let rs = dist.combine.apply(&[]).unwrap();
+        assert_eq!(
+            rs.rows,
+            vec![Row::new(vec![Value::Int(0), Value::Null, Value::Null])]
+        );
+        let (central, _) = execute_select(&stmt, &partition(&[])).unwrap();
+        assert_eq!(rs.rows, central.rows);
     }
 
     #[test]

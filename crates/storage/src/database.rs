@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 
 use bestpeer_common::{codec, stable_hash_bytes, Error, Result, Row, TableSchema, Value};
 
-use crate::stats::TableStats;
 use crate::table::Table;
 use crate::wal::{self, image_of_tables, Lsn, Replay, Wal, WalOp, WalStats};
 
@@ -221,12 +220,6 @@ impl Database {
             .is_some()
             .then(|| wal::payload::create_index(table, column));
         self.log_applied(payload)
-    }
-
-    /// Statistics snapshot for one table.
-    pub fn table_stats(&self, name: &str) -> Result<TableStats> {
-        let t = self.table(name)?;
-        Ok(TableStats::from_table(t))
     }
 
     /// Total bytes across all tables.

@@ -10,16 +10,18 @@
 //! - a snapshot store plus the Rabin-fingerprint sort-merge *snapshot
 //!   differential* algorithm the data loader uses to keep extracted data
 //!   consistent with the production system (paper §4.2, refs \[8\] \[18\]),
-//! - per-table statistics feeding the histogram and cost modules,
 //! - a redo-only write-ahead log with group commit, checkpoints, and
 //!   torn-write-tolerant replay ([`wal`]) standing in for the durability
 //!   MySQL's InnoDB provides under each paper instance.
+//!
+//! There is no separate statistics layer: the planner's table sizes,
+//! histograms and range-index bounds read a [`table::Table`] directly
+//! (`len`, `byte_size`, `column_min_max`, `scan`).
 
 pub mod database;
 pub mod fingerprint;
 pub mod index;
 pub mod snapshot;
-pub mod stats;
 pub mod table;
 pub mod wal;
 

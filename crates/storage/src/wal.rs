@@ -142,13 +142,6 @@ impl MemDevice {
         }
     }
 
-    /// Override the virtual-time cost model.
-    pub fn with_costs(mut self, append_us_per_kib: u64, fsync_us: u64) -> Self {
-        self.append_us_per_kib = append_us_per_kib;
-        self.fsync_us = fsync_us;
-        self
-    }
-
     /// Total virtual time spent in appends + fsyncs, in the microsecond
     /// unit simnet's `SimTime` uses. Deterministic for a given op
     /// sequence.
@@ -159,11 +152,6 @@ impl MemDevice {
     /// Bytes in the durable log (tests / benches).
     pub fn durable_len(&self) -> usize {
         self.durable.len()
-    }
-
-    /// Bytes buffered but not yet synced (tests).
-    pub fn unsynced_len(&self) -> usize {
-        self.buffered.len()
     }
 
     /// Flip one bit of the durable log (fault injection: bit rot /
@@ -737,15 +725,6 @@ pub struct WalStats {
     pub bytes: u64,
 }
 
-impl WalStats {
-    fn absorb(&mut self, other: WalStats) {
-        self.appends += other.appends;
-        self.fsyncs += other.fsyncs;
-        self.checkpoints += other.checkpoints;
-        self.bytes += other.bytes;
-    }
-}
-
 /// The write-ahead log attached to one [`crate::Database`].
 ///
 /// Group commit: `append` buffers a framed record on the device;
@@ -888,12 +867,6 @@ impl Wal {
     /// Drain the stats counters (telemetry pulls these periodically).
     pub fn drain_stats(&mut self) -> WalStats {
         std::mem::take(&mut self.stats)
-    }
-
-    /// Fold stats from a detached predecessor (used when recovery swaps
-    /// database images but keeps the device).
-    pub fn absorb_stats(&mut self, stats: WalStats) {
-        self.stats.absorb(stats);
     }
 
     /// Current durable-log size estimate in bytes.

@@ -142,7 +142,6 @@ fn partial_aggregation_is_partition_invariant() {
         let cut = rng.random_range(0..60usize).min(rows.len());
 
         let mut partial_rows = Vec::new();
-        let mut partial_cols = Vec::new();
         for part in [&rows[..cut], &rows[cut..]] {
             let mut db = Database::new();
             db.create_table(schema.clone()).unwrap();
@@ -151,10 +150,9 @@ fn partial_aggregation_is_partition_invariant() {
                     .unwrap();
             }
             let (rs, _) = execute_select(&dist.partial, &db).unwrap();
-            partial_cols = rs.columns;
             partial_rows.extend(rs.rows);
         }
-        let mut distributed = dist.combine.apply(&partial_cols, &partial_rows).unwrap();
+        let mut distributed = dist.combine.apply(&partial_rows).unwrap();
 
         let mut db = Database::new();
         db.create_table(schema.clone()).unwrap();
