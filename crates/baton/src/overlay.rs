@@ -666,16 +666,17 @@ impl<V: Clone> Overlay<V> {
     pub fn remove<F: Fn(&V) -> bool>(&mut self, key: Key, pred: F) -> Result<(usize, u32)> {
         let (owner, hops) = self.owner_of(key)?;
         let n = self.node_mut(owner);
-        let mut removed = 0;
-        if let Some(vs) = n.items.get_mut(&key) {
-            let before = vs.len();
-            vs.retain(|v| !pred(v));
-            removed = before - vs.len();
-            if vs.is_empty() {
-                n.items.remove(&key);
+        let mut removed = strip(&mut n.items, key, &pred);
+        if n.failed {
+            // A crashed owner's items survive only in the replicas its
+            // adjacent nodes hold, which `recover` restores from: strip
+            // them there too.
+            for site in [n.left_adj, n.right_adj].into_iter().flatten() {
+                if let Some(rep) = self.node_mut(site).replicas.get_mut(&owner) {
+                    removed = removed.max(strip(rep, key, &pred));
+                }
             }
-        }
-        if removed > 0 && self.replicate {
+        } else if removed > 0 && self.replicate {
             self.resync_replicas(owner);
         }
         Ok((removed, hops))
@@ -1050,6 +1051,21 @@ impl<V: Clone> Overlay<V> {
     }
 }
 
+/// Remove the values under `key` matching `pred` from one item map;
+/// returns how many went.
+fn strip<V>(items: &mut BTreeMap<Key, Vec<V>>, key: Key, pred: &impl Fn(&V) -> bool) -> usize {
+    let Some(vs) = items.get_mut(&key) else {
+        return 0;
+    };
+    let before = vs.len();
+    vs.retain(|v| !pred(v));
+    let removed = before - vs.len();
+    if vs.is_empty() {
+        items.remove(&key);
+    }
+    removed
+}
+
 /// Choose a split key for a parent range: the median of the stored items
 /// when present (so the child takes roughly half the load), else the
 /// range midpoint. The result is clamped strictly inside the range so
@@ -1252,6 +1268,23 @@ mod tests {
         o.recover(p).unwrap();
         assert!(!o.node(p).unwrap().failed);
         assert_eq!(o.total_items(), total, "no item duplicated or lost");
+        o.validate().unwrap();
+    }
+
+    #[test]
+    fn removal_at_a_crashed_owner_outlives_its_recovery() {
+        let mut o = overlay_of(8);
+        for k in 0..100u64 {
+            o.insert(k * 180_000_000_000_000_000, k).unwrap();
+        }
+        let key = 180_000_000_000_000_000u64;
+        let (owner, _) = o.owner_of(key).unwrap();
+        o.crash(owner).unwrap();
+        let (removed, _) = o.remove(key, |v| *v == 1).unwrap();
+        assert_eq!(removed, 1, "stripped from the replicas");
+        o.recover(owner).unwrap();
+        let (vals, _) = o.search_exact(key).unwrap();
+        assert!(vals.is_empty(), "recovery restored a removed value");
         o.validate().unwrap();
     }
 

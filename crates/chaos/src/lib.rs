@@ -9,4 +9,4 @@
 
 pub mod plan;
 
-pub use plan::{FaultEvent, FaultPlan, FaultPlanBuilder};
+pub use plan::{FaultPlan, FaultPlanBuilder};

@@ -1,13 +1,12 @@
 //! Seeded fault plans.
 //!
-//! A [`FaultPlan`] is a list of high-level [`FaultEvent`]s pinned to the
-//! network's *virtual operation clock* (one tick per subquery served).
-//! Plans come from two places: hand-written events (precise chaos
-//! scenarios) and the seeded [`FaultPlanBuilder`] (randomized chaos with
+//! A [`FaultPlan`] is a list of [`ScheduledFault`]s pinned to the
+//! network's *virtual operation clock* (one tick per subquery served),
+//! drawn by the seeded [`FaultPlanBuilder`]: randomized chaos with
 //! reproducibility — the same seed over the same peer set always yields
-//! the same plan, byte for byte).
-
-use std::fmt;
+//! the same plan, byte for byte. Precise hand-written scenarios install
+//! their `ScheduledFault`s directly
+//! ([`BestPeerNetwork::install_faults`]).
 
 use bestpeer_common::rng::Rng;
 use bestpeer_common::PeerId;
@@ -15,236 +14,28 @@ use bestpeer_core::network::BestPeerNetwork;
 use bestpeer_core::{FaultAction, ScheduledFault};
 use bestpeer_simnet::SimTime;
 
-/// One high-level chaos event; expands to one or two low-level
-/// [`ScheduledFault`] actions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEvent {
-    /// Crash `peer` at virtual time `at`; if `recover_at` is set the
-    /// process restarts then (data intact), otherwise the peer stays
-    /// down until the bootstrap's failure detector fails it over.
-    Crash {
-        /// The victim.
-        peer: PeerId,
-        /// Crash time (operation count).
-        at: u64,
-        /// Optional process-restart time.
-        recover_at: Option<u64>,
-    },
-    /// Degrade the link to `peer` from `at` until `until`, charging
-    /// `extra` latency per subquery it serves while slowed.
-    SlowLink {
-        /// The affected peer.
-        peer: PeerId,
-        /// Degradation start.
-        at: u64,
-        /// Healing time.
-        until: u64,
-        /// Extra latency per subquery served.
-        extra: SimTime,
-    },
-    /// Crash `peer` at `at` with a *torn write*: the unsynced WAL tail
-    /// survives only up to `keep` bytes (a partial fsync caught mid-air
-    /// by the power cut). Restart at `recover_at` replays the log up to
-    /// the tear and discards the incomplete tail record.
-    TornCrash {
-        /// The victim.
-        peer: PeerId,
-        /// Crash time (operation count).
-        at: u64,
-        /// Unsynced tail bytes that survive the tear.
-        keep: u32,
-        /// Optional process-restart time.
-        recover_at: Option<u64>,
-    },
-    /// Lose the next `n` BATON index-insert messages from `at` on.
-    DropIndexInserts {
-        /// When the lossy window opens.
-        at: u64,
-        /// How many inserts are lost.
-        n: u32,
-    },
-    /// The peer's loader lands a batch at `at`: its data timestamp
-    /// advances to `ts` (unblocks a stale-snapshot resubmit).
-    AdvanceLoad {
-        /// The affected peer.
-        peer: PeerId,
-        /// When the load completes.
-        at: u64,
-        /// The new load timestamp.
-        ts: u64,
-    },
-}
-
-impl FaultEvent {
-    /// Expand to the low-level schedule entries.
-    pub fn schedule(&self) -> Vec<ScheduledFault> {
-        match *self {
-            FaultEvent::Crash {
-                peer,
-                at,
-                recover_at,
-            } => {
-                let mut v = vec![ScheduledFault {
-                    at,
-                    action: FaultAction::Crash(peer),
-                }];
-                if let Some(r) = recover_at {
-                    v.push(ScheduledFault {
-                        at: r,
-                        action: FaultAction::Recover(peer),
-                    });
-                }
-                v
-            }
-            FaultEvent::TornCrash {
-                peer,
-                at,
-                keep,
-                recover_at,
-            } => {
-                let mut v = vec![ScheduledFault {
-                    at,
-                    action: FaultAction::TornCrash { peer, keep },
-                }];
-                if let Some(r) = recover_at {
-                    v.push(ScheduledFault {
-                        at: r,
-                        action: FaultAction::Recover(peer),
-                    });
-                }
-                v
-            }
-            FaultEvent::SlowLink {
-                peer,
-                at,
-                until,
-                extra,
-            } => vec![
-                ScheduledFault {
-                    at,
-                    action: FaultAction::SlowLink { peer, extra },
-                },
-                ScheduledFault {
-                    at: until,
-                    action: FaultAction::FastLink(peer),
-                },
-            ],
-            FaultEvent::DropIndexInserts { at, n } => {
-                vec![ScheduledFault {
-                    at,
-                    action: FaultAction::DropIndexInserts(n),
-                }]
-            }
-            FaultEvent::AdvanceLoad { peer, at, ts } => {
-                vec![ScheduledFault {
-                    at,
-                    action: FaultAction::AdvanceLoad { peer, ts },
-                }]
-            }
-        }
-    }
-}
-
-impl fmt::Display for FaultEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultEvent::Crash {
-                peer,
-                at,
-                recover_at: Some(r),
-            } => {
-                write!(f, "t={at}: crash {peer} (restarts t={r})")
-            }
-            FaultEvent::Crash {
-                peer,
-                at,
-                recover_at: None,
-            } => {
-                write!(f, "t={at}: crash {peer} (until fail-over)")
-            }
-            FaultEvent::TornCrash {
-                peer,
-                at,
-                keep,
-                recover_at: Some(r),
-            } => {
-                write!(f, "t={at}: torn-crash {peer} keep {keep}B (restarts t={r})")
-            }
-            FaultEvent::TornCrash {
-                peer,
-                at,
-                keep,
-                recover_at: None,
-            } => {
-                write!(
-                    f,
-                    "t={at}: torn-crash {peer} keep {keep}B (until fail-over)"
-                )
-            }
-            FaultEvent::SlowLink {
-                peer,
-                at,
-                until,
-                extra,
-            } => {
-                write!(
-                    f,
-                    "t={at}..{until}: slow link {peer} +{}us",
-                    extra.as_micros()
-                )
-            }
-            FaultEvent::DropIndexInserts { at, n } => {
-                write!(f, "t={at}: drop next {n} index inserts")
-            }
-            FaultEvent::AdvanceLoad { peer, at, ts } => {
-                write!(f, "t={at}: {peer} loads up to ts {ts}")
-            }
-        }
-    }
-}
-
-/// A reproducible schedule of chaos events.
+/// A reproducible schedule of faults, in the order the builder drew
+/// them (a crash with a restart is two entries).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// The seed the plan was generated from (0 for hand-written plans).
+    /// The seed the plan was generated from.
     pub seed: u64,
-    events: Vec<FaultEvent>,
+    faults: Vec<ScheduledFault>,
 }
 
 impl FaultPlan {
-    /// A hand-written plan from explicit events.
-    pub fn from_events(events: impl IntoIterator<Item = FaultEvent>) -> Self {
-        FaultPlan {
-            seed: 0,
-            events: events.into_iter().collect(),
-        }
-    }
-
-    /// The plan's events, in schedule order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// The expanded low-level schedule.
-    pub fn schedule(&self) -> Vec<ScheduledFault> {
-        let mut sched: Vec<ScheduledFault> =
-            self.events.iter().flat_map(FaultEvent::schedule).collect();
-        sched.sort_by_key(|e| e.at);
-        sched
-    }
-
     /// Install the plan into a network's fault state. The plan arms the
     /// schedule; faults fire as the query workload advances the virtual
     /// clock.
     pub fn install(&self, net: &mut BestPeerNetwork) {
-        net.install_faults(self.schedule());
+        net.install_faults(self.faults.iter().copied());
     }
 
-    /// A human-readable rendering (one event per line).
+    /// A human-readable rendering (one fault per line).
     pub fn describe(&self) -> String {
         let mut s = format!("fault plan (seed {:#x}):\n", self.seed);
-        for e in &self.events {
-            s.push_str(&format!("  {e}\n"));
+        for f in &self.faults {
+            s.push_str(&format!("  t={}: {}\n", f.at, f.action));
         }
         s
     }
@@ -259,7 +50,7 @@ pub struct FaultPlanBuilder {
     seed: u64,
     rng: Rng,
     peers: Vec<PeerId>,
-    events: Vec<FaultEvent>,
+    faults: Vec<ScheduledFault>,
 }
 
 impl FaultPlanBuilder {
@@ -270,7 +61,7 @@ impl FaultPlanBuilder {
             seed,
             rng: Rng::seed_from_u64(seed),
             peers: peers.to_vec(),
-            events: Vec::new(),
+            faults: Vec::new(),
         }
     }
 
@@ -279,10 +70,8 @@ impl FaultPlanBuilder {
         self.peers[i]
     }
 
-    /// Add an explicit event (mixes with the random ones).
-    pub fn event(mut self, e: FaultEvent) -> Self {
-        self.events.push(e);
-        self
+    fn push(&mut self, at: u64, action: FaultAction) {
+        self.faults.push(ScheduledFault { at, action });
     }
 
     /// A random victim crashes at a random time in `window` and restarts
@@ -295,11 +84,8 @@ impl FaultPlanBuilder {
         let peer = self.pick_peer();
         let at = self.rng.random_range(window);
         let down = self.rng.random_range(downtime);
-        self.events.push(FaultEvent::Crash {
-            peer,
-            at,
-            recover_at: Some(at + down),
-        });
+        self.push(at, FaultAction::Crash(peer));
+        self.push(at + down, FaultAction::Recover(peer));
         self
     }
 
@@ -316,12 +102,8 @@ impl FaultPlanBuilder {
         let at = self.rng.random_range(window);
         let down = self.rng.random_range(downtime);
         let keep = self.rng.random_range(0..max_keep.max(1) as u64) as u32;
-        self.events.push(FaultEvent::TornCrash {
-            peer,
-            at,
-            keep,
-            recover_at: Some(at + down),
-        });
+        self.push(at, FaultAction::TornCrash { peer, keep });
+        self.push(at + down, FaultAction::Recover(peer));
         self
     }
 
@@ -330,11 +112,7 @@ impl FaultPlanBuilder {
     pub fn crash_until_failover(mut self, window: std::ops::Range<u64>) -> Self {
         let peer = self.pick_peer();
         let at = self.rng.random_range(window);
-        self.events.push(FaultEvent::Crash {
-            peer,
-            at,
-            recover_at: None,
-        });
+        self.push(at, FaultAction::Crash(peer));
         self
     }
 
@@ -348,19 +126,15 @@ impl FaultPlanBuilder {
         let peer = self.pick_peer();
         let at = self.rng.random_range(window);
         let span = self.rng.random_range(duration);
-        self.events.push(FaultEvent::SlowLink {
-            peer,
-            at,
-            until: at + span,
-            extra,
-        });
+        self.push(at, FaultAction::SlowLink { peer, extra });
+        self.push(at + span, FaultAction::FastLink(peer));
         self
     }
 
     /// Lose `n` index-insert messages at a random time in `window`.
     pub fn drop_index_inserts(mut self, window: std::ops::Range<u64>, n: u32) -> Self {
         let at = self.rng.random_range(window);
-        self.events.push(FaultEvent::DropIndexInserts { at, n });
+        self.push(at, FaultAction::DropIndexInserts(n));
         self
     }
 
@@ -368,7 +142,7 @@ impl FaultPlanBuilder {
     pub fn build(self) -> FaultPlan {
         FaultPlan {
             seed: self.seed,
-            events: self.events,
+            faults: self.faults,
         }
     }
 }
@@ -394,7 +168,6 @@ mod tests {
         let a = make();
         let b = make();
         assert_eq!(a, b, "seeded generation is reproducible");
-        assert_eq!(a.schedule(), b.schedule());
         let c = FaultPlanBuilder::new(0xC4A06, &peers())
             .crash_recover(1..10, 5..20)
             .crash_until_failover(10..30)
@@ -405,42 +178,31 @@ mod tests {
     }
 
     #[test]
-    fn events_expand_to_sorted_schedule() {
-        let plan = FaultPlan::from_events([
-            FaultEvent::SlowLink {
-                peer: PeerId::new(1),
-                at: 9,
-                until: 20,
-                extra: SimTime::from_micros(100),
-            },
-            FaultEvent::Crash {
-                peer: PeerId::new(0),
-                at: 3,
-                recover_at: Some(7),
-            },
-        ]);
-        let sched = plan.schedule();
-        assert_eq!(sched.len(), 4, "crash+recover and slow+fast");
-        assert!(
-            sched.windows(2).all(|w| w[0].at <= w[1].at),
-            "sorted by time"
-        );
-        assert_eq!(sched[0].action, FaultAction::Crash(PeerId::new(0)));
-        assert_eq!(sched[1].action, FaultAction::Recover(PeerId::new(0)));
+    fn a_crash_with_a_restart_is_two_entries() {
+        let plan = FaultPlanBuilder::new(7, &peers())
+            .crash_recover(1..10, 5..20)
+            .slow_link(1..50, 5..10, SimTime::from_micros(100))
+            .build();
+        let f = &plan.faults;
+        assert_eq!(f.len(), 4, "crash+recover and slow+fast");
+        let FaultAction::Crash(victim) = f[0].action else {
+            panic!("expected a crash first: {:?}", f[0]);
+        };
+        assert_eq!(f[1].action, FaultAction::Recover(victim));
+        assert!(f[1].at > f[0].at, "the restart follows the crash");
+        assert!(matches!(f[2].action, FaultAction::SlowLink { .. }));
+        assert!(matches!(f[3].action, FaultAction::FastLink(_)));
+        assert!(f[3].at > f[2].at, "the link heals after it slows");
     }
 
     #[test]
     fn describe_mentions_every_event() {
-        let plan = FaultPlan::from_events([
-            FaultEvent::Crash {
-                peer: PeerId::new(2),
-                at: 4,
-                recover_at: None,
-            },
-            FaultEvent::DropIndexInserts { at: 1, n: 2 },
-        ]);
+        let plan = FaultPlanBuilder::new(1, &peers())
+            .crash_until_failover(1..5)
+            .drop_index_inserts(0..5, 2)
+            .build();
         let text = plan.describe();
-        assert!(text.contains("crash"), "{text}");
-        assert!(text.contains("drop next 2 index inserts"), "{text}");
+        assert!(text.contains(": crash peer-"), "{text}");
+        assert!(text.contains(": drop-index-inserts 2"), "{text}");
     }
 }

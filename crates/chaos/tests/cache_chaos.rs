@@ -5,9 +5,9 @@
 //! lossy index windows fall back to full invalidation, and fail-over
 //! purges any partials fetched from the failed peer.
 
-use bestpeer_chaos::{FaultEvent, FaultPlan, FaultPlanBuilder};
+use bestpeer_chaos::FaultPlanBuilder;
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig, QueryOutput};
-use bestpeer_core::Role;
+use bestpeer_core::{FaultAction, Role, ScheduledFault};
 use bestpeer_simnet::SimTime;
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
 use bestpeer_tpch::{queries, schema};
@@ -88,12 +88,10 @@ fn warm_cache_survives_mid_query_crash_with_exact_results() {
         );
 
         let victim = net.peer_ids()[1];
-        FaultPlan::from_events([FaultEvent::Crash {
-            peer: victim,
+        net.install_faults([ScheduledFault {
             at: 1,
-            recover_at: None,
-        }])
-        .install(&mut net);
+            action: FaultAction::Crash(victim),
+        }]);
         let out = submit(&mut net, queries::Q3, engine);
         assert_eq!(
             rows_of(&out),

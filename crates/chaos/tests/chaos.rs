@@ -6,10 +6,10 @@
 //! with the documented error — and that the applied fault trace is
 //! identical across same-seed runs.
 
-use bestpeer_chaos::{FaultEvent, FaultPlan, FaultPlanBuilder};
+use bestpeer_chaos::FaultPlanBuilder;
 use bestpeer_common::PeerId;
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig, QueryOutput};
-use bestpeer_core::{FaultAction, Role};
+use bestpeer_core::{FaultAction, Role, ScheduledFault};
 use bestpeer_simnet::SimTime;
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
 use bestpeer_tpch::{queries, schema};
@@ -72,12 +72,10 @@ fn crash_until_failover_preserves_q1_to_q5() {
         let victim = net.peer_ids()[2];
         // Down from the first operation of the query; no scheduled
         // recovery — only the bootstrap's fail-over can heal it.
-        FaultPlan::from_events([FaultEvent::Crash {
-            peer: victim,
+        net.install_faults([ScheduledFault {
             at: 1,
-            recover_at: None,
-        }])
-        .install(&mut net);
+            action: FaultAction::Crash(victim),
+        }]);
         let out = submit(&mut net, sql, EngineChoice::Basic);
         assert_eq!(
             rows_of(&out),
@@ -111,12 +109,10 @@ fn mid_query_crash_is_tolerated_by_every_engine() {
         let mut net = build_net(3, 240);
         net.backup_all().unwrap();
         let victim = net.peer_ids()[1];
-        FaultPlan::from_events([FaultEvent::Crash {
-            peer: victim,
+        net.install_faults([ScheduledFault {
             at: 1,
-            recover_at: None,
-        }])
-        .install(&mut net);
+            action: FaultAction::Crash(victim),
+        }]);
         let out = submit(&mut net, queries::Q3, engine);
         assert_eq!(
             rows_of(&out),
@@ -169,12 +165,16 @@ fn process_restart_rides_the_retry_loop_without_failover() {
     // Detector effectively disabled: only the scheduled restart heals.
     net.bootstrap.fail_threshold = 100;
     let victim = net.peer_ids()[1];
-    FaultPlan::from_events([FaultEvent::Crash {
-        peer: victim,
-        at: 1,
-        recover_at: Some(4),
-    }])
-    .install(&mut net);
+    net.install_faults([
+        ScheduledFault {
+            at: 1,
+            action: FaultAction::Crash(victim),
+        },
+        ScheduledFault {
+            at: 4,
+            action: FaultAction::Recover(victim),
+        },
+    ]);
     let out = submit(&mut net, queries::Q2, EngineChoice::Basic);
     assert_eq!(rows_of(&out), want);
     assert!(out.attempts >= 2);
@@ -194,12 +194,10 @@ fn unhealable_crash_times_out_with_budget_exhausted() {
     // budget: the query must give up with a timeout, not hang.
     net.bootstrap.fail_threshold = 100;
     let victim = net.peer_ids()[1];
-    FaultPlan::from_events([FaultEvent::Crash {
-        peer: victim,
+    net.install_faults([ScheduledFault {
         at: 1,
-        recover_at: None,
-    }])
-    .install(&mut net);
+        action: FaultAction::Crash(victim),
+    }]);
     let submitter = net.peer_ids()[0];
     let err = net
         .submit_query(submitter, queries::Q2, ROLE, EngineChoice::Basic, 0)
@@ -248,12 +246,10 @@ fn stale_snapshot_resubmits_until_load_completes() {
     let mut net = build_net(2, 200);
     let peers = net.peer_ids();
     // Both loaders complete at virtual time 1, advancing data to ts 2.
-    FaultPlan::from_events(peers.iter().map(|p| FaultEvent::AdvanceLoad {
-        peer: *p,
+    net.install_faults(peers.iter().map(|p| ScheduledFault {
         at: 1,
-        ts: 2,
-    }))
-    .install(&mut net);
+        action: FaultAction::AdvanceLoad { peer: *p, ts: 2 },
+    }));
     let out = net
         .submit_query(peers[0], queries::Q2, ROLE, EngineChoice::Basic, 2)
         .unwrap();
@@ -327,13 +323,19 @@ fn online_aggregation_degrades_gracefully_under_crash() {
 fn slow_links_charge_latency_to_the_trace() {
     let mut net = build_net(2, 200);
     let slowed = net.peer_ids()[1];
-    FaultPlan::from_events([FaultEvent::SlowLink {
-        peer: slowed,
-        at: 1,
-        until: 1_000,
-        extra: SimTime::from_millis(5),
-    }])
-    .install(&mut net);
+    net.install_faults([
+        ScheduledFault {
+            at: 1,
+            action: FaultAction::SlowLink {
+                peer: slowed,
+                extra: SimTime::from_millis(5),
+            },
+        },
+        ScheduledFault {
+            at: 1_000,
+            action: FaultAction::FastLink(slowed),
+        },
+    ]);
     let out = submit(&mut net, queries::Q2, EngineChoice::Basic);
     assert_eq!(out.attempts, 1, "slow links do not fail queries");
     let slowdown: Vec<_> = out

@@ -5,10 +5,9 @@
 //! identical plan — across all three engines and at 1/2/8 worker
 //! threads, where every replay must be byte-identical.
 
-use bestpeer_chaos::{FaultEvent, FaultPlan};
 use bestpeer_common::pool;
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig, QueryOutput};
-use bestpeer_core::{Role, RouterConfig};
+use bestpeer_core::{FaultAction, Role, RouterConfig, ScheduledFault};
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
 use bestpeer_tpch::schema;
 
@@ -101,12 +100,16 @@ fn run_scenario(advisor: bool) -> (Vec<Vec<String>>, u64, u64) {
     // A community member crashes mid-query and recovers 30 fault ticks
     // later; every engine queries through the window.
     let victim = net.peer_ids()[1];
-    FaultPlan::from_events([FaultEvent::Crash {
-        peer: victim,
-        at: 1,
-        recover_at: Some(30),
-    }])
-    .install(&mut net);
+    net.install_faults([
+        ScheduledFault {
+            at: 1,
+            action: FaultAction::Crash(victim),
+        },
+        ScheduledFault {
+            at: 30,
+            action: FaultAction::Recover(victim),
+        },
+    ]);
     for &engine in ENGINES {
         steps.push(rows_of(&submit(&mut net, engine)));
     }

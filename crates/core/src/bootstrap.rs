@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bestpeer_cloud::{CloudProvider, InstanceType};
+use bestpeer_cloud::{BackupId, CloudProvider, InstanceType};
 use bestpeer_common::{Error, InstanceId, PeerId, Result, TableSchema, UserId};
 use bestpeer_storage::Database;
 
@@ -28,6 +28,8 @@ pub struct PeerRecord {
     pub instance: InstanceId,
     /// The issued certificate.
     pub cert: Certificate,
+    /// The peer's latest cloud backup, whichever instance took it.
+    pub backup: Option<BackupId>,
 }
 
 /// Why an instance landed on the blacklist.
@@ -222,6 +224,21 @@ impl BootstrapPeer {
         &self.global_schemas
     }
 
+    /// An empty database holding the global schema's tables: a joining
+    /// peer's first image, and recovery's last resort.
+    pub fn schema_database(&self) -> Result<Database> {
+        let mut db = Database::new();
+        for schema in &self.global_schemas {
+            db.create_table(schema.clone())?;
+        }
+        Ok(db)
+    }
+
+    /// The latest backup [`BootstrapPeer::backup_all`] took of `peer`.
+    pub fn latest_backup(&self, peer: PeerId) -> Option<BackupId> {
+        self.peer_list.get(&peer)?.backup
+    }
+
     /// Move the peer-id allocator to `raw` (ids only move forward).
     /// Multi-process deployments partition the id space this way —
     /// each `bestpeer-node` process starts its allocator at a distinct
@@ -312,13 +329,12 @@ impl BootstrapPeer {
                 business: business.to_owned(),
                 instance,
                 cert,
+                backup: None,
             },
         );
         let mut normal = NormalPeer::new(peer, business, instance);
         normal.cert = Some(cert);
-        for schema in &self.global_schemas {
-            normal.db.create_table(schema.clone())?;
-        }
+        normal.db = self.schema_database()?;
         Ok(normal)
     }
 
@@ -384,18 +400,16 @@ impl BootstrapPeer {
     /// One epoch of the Algorithm 1 daemon: probe every normal peer
     /// (one heartbeat per epoch), fail over peers that have missed
     /// [`fail_threshold`](BootstrapPeer::fail_threshold) consecutive
-    /// heartbeats (fresh instance + restore from the latest backup),
-    /// auto-scale overloaded ones, then release blacklisted resources.
-    /// Returns the events of this epoch; the network layer relays them
-    /// to participants (the "notify" step).
-    pub fn maintenance_tick<C>(
+    /// heartbeats, auto-scale overloaded ones, then release blacklisted
+    /// resources. A fail-over only moves the peer to a fresh instance;
+    /// the network's recovery decides the image it runs on. Returns the
+    /// events of this epoch; the network layer relays them to
+    /// participants (the "notify" step).
+    pub fn maintenance_tick<C: CloudProvider>(
         &mut self,
         cloud: &mut C,
         peers: &mut BTreeMap<PeerId, NormalPeer>,
-    ) -> Result<Vec<MaintenanceEvent>>
-    where
-        C: CloudProvider<Snapshot = Database>,
-    {
+    ) -> Result<Vec<MaintenanceEvent>> {
         let mut epoch_events = Vec::new();
         let ids: Vec<PeerId> = self.peer_list.keys().copied().collect();
         for pid in ids {
@@ -411,29 +425,8 @@ impl BootstrapPeer {
                 self.heartbeat_misses.remove(&pid);
                 // --- auto fail-over (Algorithm 1 lines 6–10) ---------
                 let new_instance = cloud.launch_instance(cloud.shape(record.instance)?)?;
-                let restored = match cloud.latest_backup(record.instance) {
-                    Some(b) => cloud.restore(b)?,
-                    None => {
-                        // No backup yet: start from an empty database
-                        // with the global schema.
-                        let mut db = Database::new();
-                        for s in &self.global_schemas {
-                            db.create_table(s.clone())?;
-                        }
-                        db
-                    }
-                };
                 if let Some(peer) = peers.get_mut(&pid) {
                     peer.instance = new_instance;
-                    // Keep the WAL device across the image swap — and do
-                    // NOT checkpoint yet: the network's Recover sync
-                    // still needs to replay the old log to decide
-                    // whether it is fresher than this restored backup.
-                    let wal = peer.db.detach_wal();
-                    peer.db = restored;
-                    if let Some(w) = wal {
-                        peer.db.adopt_wal(w);
-                    }
                 }
                 self.blacklist_instance(pid, record.instance, BlacklistReason::FailedOver);
                 self.peer_list.get_mut(&pid).expect("listed").instance = new_instance;
@@ -611,9 +604,10 @@ impl BootstrapPeer {
     }
 
     /// Back every peer's database up through the cloud adapter (the
-    /// RDS/EBS "four-minute window" cycle of §2.1).
+    /// RDS/EBS "four-minute window" cycle of §2.1), and record each
+    /// backup as its peer's latest.
     pub fn backup_all<C>(
-        &self,
+        &mut self,
         cloud: &mut C,
         peers: &BTreeMap<PeerId, NormalPeer>,
     ) -> Result<usize>
@@ -621,9 +615,9 @@ impl BootstrapPeer {
         C: CloudProvider<Snapshot = Database>,
     {
         let mut n = 0;
-        for record in self.peer_list.values() {
+        for record in self.peer_list.values_mut() {
             if let Some(peer) = peers.get(&record.peer) {
-                cloud.backup(record.instance, peer.db.clone())?;
+                record.backup = Some(cloud.backup(record.instance, peer.db.clone())?);
                 n += 1;
             }
         }
@@ -692,10 +686,9 @@ mod tests {
     }
 
     #[test]
-    fn failover_restores_from_backup() {
+    fn failover_moves_the_peer_after_the_miss_threshold() {
         let (mut boot, mut cloud, mut peers) = setup();
         let pid = *peers.keys().next().unwrap();
-        // Load data and take a backup.
         peers
             .get_mut(&pid)
             .unwrap()
@@ -703,10 +696,10 @@ mod tests {
             .insert("t", Row::new(vec![Value::Int(42)]))
             .unwrap();
         boot.backup_all(&mut cloud, &peers).unwrap();
-        // Crash the instance; simulate on-disk loss.
+        let backup = boot.latest_backup(pid).expect("backup recorded");
+        let digest = peers[&pid].db.digest();
         let old_instance = peers[&pid].instance;
         cloud.inject_crash(old_instance).unwrap();
-        peers.get_mut(&pid).unwrap().db = Database::new();
 
         // The detector needs `fail_threshold` missed heartbeats before
         // declaring the peer dead.
@@ -724,34 +717,28 @@ mod tests {
             .iter()
             .find(|e| matches!(e, MaintenanceEvent::FailOver { .. }))
             .expect("failover event");
-        if let MaintenanceEvent::FailOver {
+        let MaintenanceEvent::FailOver {
             peer,
             old_instance: o,
             new_instance,
-        } = failover
-        {
-            assert_eq!(*peer, pid);
-            assert_eq!(*o, old_instance);
-            assert_ne!(*new_instance, old_instance);
-        }
-        // Data restored from the latest backup.
-        let restored = &peers[&pid].db;
-        assert_eq!(restored.table("t").unwrap().len(), 1);
+        } = *failover
+        else {
+            unreachable!()
+        };
+        assert_eq!(peer, pid);
+        assert_eq!(o, old_instance);
+        assert_ne!(new_instance, old_instance);
+        // The peer and its record moved; its database and its backup
+        // lineage are left to the network's recovery.
+        assert_eq!(peers[&pid].instance, new_instance);
+        let record = boot.peers().find(|r| r.peer == pid).unwrap();
+        assert_eq!(record.instance, new_instance);
+        assert_eq!(boot.latest_backup(pid), Some(backup));
+        assert_eq!(peers[&pid].db.digest(), digest);
         // The dead instance was released in the same epoch.
         assert!(events
             .iter()
             .any(|e| matches!(e, MaintenanceEvent::Released { .. })));
-    }
-
-    #[test]
-    fn failover_without_backup_rebuilds_schema() {
-        let (mut boot, mut cloud, mut peers) = setup();
-        boot.fail_threshold = 1;
-        let pid = *peers.keys().next().unwrap();
-        cloud.inject_crash(peers[&pid].instance).unwrap();
-        boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
-        assert!(peers[&pid].db.has_table("t"));
-        assert_eq!(peers[&pid].db.table("t").unwrap().len(), 0);
     }
 
     #[test]

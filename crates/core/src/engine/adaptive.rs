@@ -90,7 +90,7 @@ impl GlobalStats {
 pub fn build_processing_graph(
     stmt: &SelectStmt,
     stats: &GlobalStats,
-    schemas: &[bestpeer_common::TableSchema],
+    schemas: &[&bestpeer_common::TableSchema],
 ) -> Result<ProcessingGraph> {
     let decomp = decompose(stmt, schemas)?;
     let mut levels = Vec::new();

@@ -252,7 +252,7 @@ impl<'a> EngineCtx<'a> {
     }
 
     /// The schema of one global table.
-    pub fn schema(&self, table: &str) -> Result<&TableSchema> {
+    pub fn schema(&self, table: &str) -> Result<&'a TableSchema> {
         self.schemas
             .iter()
             .find(|s| s.name == table)
@@ -260,8 +260,8 @@ impl<'a> EngineCtx<'a> {
     }
 
     /// Schemas for each FROM table of a statement, in order.
-    pub fn from_schemas(&self, stmt: &SelectStmt) -> Result<Vec<TableSchema>> {
-        stmt.from.iter().map(|t| self.schema(t).cloned()).collect()
+    pub fn from_schemas(&self, stmt: &SelectStmt) -> Result<Vec<&'a TableSchema>> {
+        stmt.from.iter().map(|t| self.schema(t)).collect()
     }
 
     /// Locate the owner peers per table and charge the BATON routing

@@ -193,15 +193,18 @@ impl FaultState {
     }
 
     /// Mark a peer up without a scheduled recovery — the bootstrap's
-    /// fail-over healed it. Logged like any other event so the trace
-    /// stays a complete account of availability transitions.
-    pub fn mark_failed_over(&mut self, peer: PeerId) {
-        if self.down.remove(&peer) {
+    /// fail-over healed it. A peer this state had down is logged back up
+    /// like any other event, so the trace stays a complete account of
+    /// availability transitions; returns whether it was.
+    pub fn mark_failed_over(&mut self, peer: PeerId) -> bool {
+        let was_down = self.down.remove(&peer);
+        if was_down {
             self.log.push(FaultRecord {
                 at: self.clock,
                 action: FaultAction::Recover(peer),
             });
         }
+        was_down
     }
 
     /// The applied-event log (the deterministic fault trace).
@@ -313,12 +316,12 @@ mod tests {
         }]);
         f.tick();
         assert!(f.is_down(p));
-        f.mark_failed_over(p);
+        assert!(f.mark_failed_over(p));
         assert!(!f.is_down(p));
         assert_eq!(f.log().last().unwrap().action, FaultAction::Recover(p));
         // Marking an up peer again is a no-op (no duplicate log entry).
         let len = f.log().len();
-        f.mark_failed_over(p);
+        assert!(!f.mark_failed_over(p));
         assert_eq!(f.log().len(), len);
     }
 

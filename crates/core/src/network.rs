@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bestpeer_baton::Key;
 use bestpeer_cloud::{CloudProvider, SimCloud};
-use bestpeer_common::{Error, PeerId, Result, Row, TableSchema, UserId};
+use bestpeer_common::{mix64, Error, PeerId, Result, Row, TableSchema, UserId};
 use bestpeer_mapreduce::MrConfig;
 use bestpeer_simnet::{Cluster, Phase, ResourceConfig, SimTime, Task, Trace};
 use bestpeer_sql::ast::SelectStmt;
@@ -44,6 +44,15 @@ const WAL_CHECKPOINT_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Byte budget of each submitter's result cache (LRU beyond it).
 const RESULT_CACHE_BUDGET: u64 = 32 * 1024 * 1024;
+
+/// A fresh in-memory redo log committing every `group_window` records.
+fn new_wal(group_window: u64) -> Wal {
+    Wal::new(
+        Box::new(MemDevice::new()),
+        group_window,
+        WAL_CHECKPOINT_BYTES,
+    )
+}
 
 /// Network-wide configuration: optimization toggles (each has an
 /// ablation benchmark), engine overheads, and index policy.
@@ -358,11 +367,7 @@ impl BestPeerNetwork {
     fn enlist(&mut self, id: PeerId) -> Result<()> {
         // Attachment writes a baseline checkpoint covering the
         // global-schema tables admit() already created.
-        let wal = Wal::new(
-            Box::new(MemDevice::new()),
-            self.config.wal_group_window,
-            WAL_CHECKPOINT_BYTES,
-        );
+        let wal = new_wal(self.config.wal_group_window);
         self.peer_mut(id)?.db.attach_wal(wal)?;
         self.overlay.join(id)?;
         // A newcomer changes no index entries (it publishes on load), so
@@ -732,15 +737,6 @@ impl BestPeerNetwork {
     /// recorded at [`BestPeerNetwork::collect_statistics`] time to
     /// detect histograms that have gone stale.
     fn table_version_fingerprints(&self) -> BTreeMap<String, u64> {
-        fn mix64(mut x: u64) -> u64 {
-            // splitmix64 finalizer: cheap, stable, well mixed.
-            x ^= x >> 30;
-            x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x ^= x >> 27;
-            x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^= x >> 31;
-            x
-        }
         let mut out: BTreeMap<String, u64> = BTreeMap::new();
         for (id, peer) in &self.peers {
             for table in peer.db.non_empty_tables() {
@@ -908,26 +904,7 @@ impl BestPeerNetwork {
                         }
                     }
                 }
-                FaultAction::Recover(p) => {
-                    if self.overlay.contains(p) {
-                        self.overlay.recover(p)?;
-                    }
-                    if self.peers.contains_key(&p) {
-                        let instance = self.peers[&p].instance;
-                        if let Ok(mut m) = self.cloud.metrics(instance) {
-                            m.responsive = true;
-                            let _ = self.cloud.set_metrics(instance, m);
-                        }
-                        self.recover_peer_storage(p)?;
-                        // Recovery must republish in full: the crash may
-                        // have lost entries the remembered set still
-                        // claims are present.
-                        if let Some(set) = self.published.get_mut(&p) {
-                            set.stale = true;
-                        }
-                        self.publish_indices(p)?;
-                    }
-                }
+                FaultAction::Recover(p) => self.restart_peer(p)?,
                 FaultAction::AdvanceLoad { peer, ts } => {
                     if let Some(p) = self.peers.get_mut(&peer) {
                         if p.db.load_timestamp() < ts {
@@ -944,65 +921,68 @@ impl BestPeerNetwork {
         Ok(())
     }
 
-    /// The restart-time recovery decision (tentpole of the durability
-    /// model; see DESIGN.md §14). A restarted durable peer prefers
-    /// replaying its local WAL; a BATON-replicated cloud backup is the
-    /// fallback when the log is corrupt or missing — and when both
-    /// sources exist, *the fresher LSN wins* (ties go to the WAL, which
-    /// is byte-identical and avoids a restore):
+    /// A crashed or failed-over peer comes back: its overlay node
+    /// recovers from adjacent replicas, its instance answers heartbeats,
+    /// [`BestPeerNetwork::recover_peer_storage`] decides its database,
+    /// and its indices are republished. The republish is a full one: the
+    /// crash may have lost entries the remembered set still claims are
+    /// present.
+    fn restart_peer(&mut self, p: PeerId) -> Result<()> {
+        if self.overlay.contains(p) {
+            self.overlay.recover(p)?;
+        }
+        let Some(instance) = self.peers.get(&p).map(|peer| peer.instance) else {
+            return Ok(());
+        };
+        if let Ok(mut m) = self.cloud.metrics(instance) {
+            m.responsive = true;
+            let _ = self.cloud.set_metrics(instance, m);
+        }
+        self.recover_peer_storage(p)?;
+        if let Some(set) = self.published.get_mut(&p) {
+            set.stale = true;
+        }
+        self.publish_indices(p)?;
+        Ok(())
+    }
+
+    /// The one recovery decision (see DESIGN.md §14), for an in-place
+    /// restart and a fail-over alike: the peer runs on the fresher of
+    /// its local WAL and its latest cloud backup, whichever instance
+    /// took that backup. Ties go to the WAL, which is byte-identical and
+    /// avoids a restore:
     ///
     /// 1. WAL replays cleanly, no backup → WAL.
     /// 2. WAL replays cleanly, backup exists → whichever `last_lsn` is
     ///    higher (a stale replica must never clobber fresher log state,
     ///    and a torn log must never clobber a fresher replica).
-    /// 3. WAL corrupt, backup exists → backup; the log is superseded by
-    ///    a fresh checkpoint.
-    /// 4. WAL corrupt, no backup → empty database with the global
-    ///    schemas (the bootstrap-join baseline).
+    /// 3. WAL corrupt or missing, backup exists → backup; the log is
+    ///    superseded by a fresh checkpoint.
+    /// 4. WAL corrupt or missing, no backup → empty database with the
+    ///    global schemas (the bootstrap-join baseline).
     ///
-    /// Every enlisted peer gets a WAL, but a wiped disk (a database
-    /// replaced through [`BestPeerNetwork::peer_mut`]) takes the log with
-    /// it: such a peer keeps the image fail-over restored.
+    /// A missing log is a wiped disk (a database replaced through
+    /// [`BestPeerNetwork::peer_mut`]); the peer leaves recovery with a
+    /// fresh log numbered after the installed image.
     fn recover_peer_storage(&mut self, p: PeerId) -> Result<()> {
-        let Some(peer) = self.peers.get_mut(&p) else {
-            return Ok(());
-        };
-        let instance = peer.instance;
-        let Some(replayed) = peer.db.replay_attached() else {
-            return Ok(());
-        };
+        let replayed = self.peer(p)?.db.replay_attached().ok();
         let backup = self
-            .cloud
-            .latest_backup(instance)
+            .bootstrap
+            .latest_backup(p)
             .and_then(|b| self.cloud.restore(b).ok());
-        let peer = self.peers.get_mut(&p).expect("present above");
-        let (source, records) = match (replayed, backup) {
-            (Ok((db, records, _)), Some(replica)) => {
-                if replica.last_lsn() > db.last_lsn() {
-                    peer.db.install_recovered(replica, true)?;
-                    ("replica", 0)
-                } else {
-                    peer.db.install_recovered(db, false)?;
-                    ("wal", records)
-                }
+        let (image, source, records) = match (replayed, backup) {
+            (Some((db, _)), Some(replica)) if replica.last_lsn() > db.last_lsn() => {
+                (replica, "replica", 0)
             }
-            (Ok((db, records, _)), None) => {
-                peer.db.install_recovered(db, false)?;
-                ("wal", records)
-            }
-            (Err(_), Some(replica)) => {
-                peer.db.install_recovered(replica, true)?;
-                ("replica", 0)
-            }
-            (Err(_), None) => {
-                let mut db = Database::new();
-                for s in self.bootstrap.global_schemas() {
-                    db.create_table(s.clone())?;
-                }
-                peer.db.install_recovered(db, true)?;
-                ("schema", 0)
-            }
+            (Some((db, records)), _) => (db, "wal", records),
+            (None, Some(replica)) => (replica, "replica", 0),
+            (None, None) => (self.bootstrap.schema_database()?, "schema", 0),
         };
+        let db = &mut self.peers.get_mut(&p).expect("checked above").db;
+        db.install_recovered(image, source != "wal")?;
+        if !db.has_wal() {
+            db.attach_wal(new_wal(self.config.wal_group_window))?;
+        }
         self.metrics.inc_by("wal.replayed_records", records);
         self.metrics.inc(&format!("recovery.source.{source}"));
         Ok(())
@@ -1407,22 +1387,28 @@ impl BestPeerNetwork {
 
     /// One Algorithm 1 maintenance epoch (fail-over, auto-scaling,
     /// resource release), with cache invalidation as the "notify
-    /// participants" step. A failed-over peer is healed end to end: its
-    /// database is restored from the latest cloud backup (bootstrap), its
-    /// BATON node recovers from adjacent replicas, and its index entries
-    /// are republished.
+    /// participants" step. The bootstrap moves a failed-over peer to a
+    /// fresh instance; the network then restarts it exactly once, as a
+    /// scheduled `Recover` would (overlay node, recovery decision,
+    /// republish): through the `Recover` record the fault state logs for
+    /// a peer it had down, or directly for one whose crash it never saw
+    /// (a crash of the cloud instance alone).
     pub fn maintenance_tick(&mut self) -> Result<Vec<MaintenanceEvent>> {
         let events = self
             .bootstrap
             .maintenance_tick(&mut self.cloud, &mut self.peers)?;
+        let mut unlogged = Vec::new();
         for e in &events {
             if let MaintenanceEvent::FailOver { peer, .. } = e {
-                // Logs a Recover record; the sync below heals the
-                // overlay node and republishes the restored indices.
-                self.faults.mark_failed_over(*peer);
+                if !self.faults.mark_failed_over(*peer) {
+                    unlogged.push(*peer);
+                }
             }
         }
         self.sync_faults()?;
+        for p in unlogged {
+            self.restart_peer(p)?;
+        }
         if !events.is_empty() {
             self.invalidate_caches();
         }

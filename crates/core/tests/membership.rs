@@ -177,6 +177,21 @@ fn local_leave_after_another_peer_crashed_withdraws_the_peer() {
 }
 
 #[test]
+fn local_leave_during_another_peers_outage_withdraws_the_peer() {
+    // The leaver's entries stored at the crashed peer's overlay node
+    // survive only in the replicas its neighbours hold; the departure
+    // must strip them there, or the node's recovery restores them.
+    let mut net = two_peers();
+    let leaver = net.join("business-2").unwrap();
+    net.load_peer(leaver, rows(2), 1).unwrap();
+    let down = net.peer_ids()[1];
+    net.crash_data_peer(down).unwrap();
+    net.leave(leaver).unwrap();
+    net.recover_data_peer(down).unwrap();
+    assert_retired(&mut net, leaver);
+}
+
+#[test]
 fn remote_leave_withdraws_the_peer() {
     remote_leave(false);
 }

@@ -1,12 +1,16 @@
-//! Restart-time recovery source selection (DESIGN.md §14 decision
-//! tree), including the fallback-ordering regression: when a BATON
-//! cloud replica and local WAL replay disagree, *the fresher LSN must
-//! win* — a stale replica must never clobber fresher log state, and a
-//! torn log must never clobber a fresher replica.
+//! Recovery source selection (DESIGN.md §14 decision tree), including
+//! the fallback-ordering regression: when a BATON cloud replica and
+//! local WAL replay disagree, *the fresher LSN must win* — a stale
+//! replica must never clobber fresher log state, and a torn log must
+//! never clobber a fresher replica. An in-place restart and a
+//! fail-over take the same decision, once per fail-over, against the
+//! peer's latest backup whichever instance took it; a missing log
+//! counts as a corrupt one.
 
+use bestpeer_common::PeerId;
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig};
 use bestpeer_core::Role;
-use bestpeer_storage::MemDevice;
+use bestpeer_storage::{Database, MemDevice};
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
 use bestpeer_tpch::schema;
 
@@ -217,4 +221,121 @@ fn corrupt_checkpoint_without_replica_rebuilds_global_schemas() {
         &bestpeer_common::Value::Int(200),
         "only the surviving peer's partition remains"
     );
+}
+
+/// Recovery decisions taken so far, over every source.
+fn decisions(net: &BestPeerNetwork) -> u64 {
+    ["wal", "replica", "schema"]
+        .iter()
+        .map(|s| net.metrics().counter(&format!("recovery.source.{s}")))
+        .sum()
+}
+
+/// Run `fail_threshold` maintenance epochs, after which the detector
+/// has failed the crashed `victim` over, and check that the fail-over
+/// took exactly one recovery decision.
+fn fail_over(net: &mut BestPeerNetwork, victim: PeerId) {
+    let before = decisions(net);
+    let old = net.peer(victim).unwrap().instance;
+    for _ in 0..net.bootstrap.fail_threshold {
+        net.maintenance_tick().unwrap();
+    }
+    assert_ne!(net.peer(victim).unwrap().instance, old, "failed over");
+    assert_eq!(decisions(net), before + 1, "one decision per fail-over");
+}
+
+/// Crash the victim's cloud instance alone (the fault state never sees
+/// it) and wipe its disk, log included.
+fn crash_instance_and_wipe_disk(net: &mut BestPeerNetwork, victim: PeerId) {
+    let instance = net.peer(victim).unwrap().instance;
+    net.cloud.inject_crash(instance).unwrap();
+    net.peer_mut(victim).unwrap().db = Database::new();
+}
+
+#[test]
+fn failover_after_a_corrupt_checkpoint_restores_the_backup() {
+    let mut net = setup(2, 200, 1);
+    let victim = net.peer_ids()[1];
+    insert_extra(&mut net, victim);
+    net.backup_all().unwrap();
+    let backed_up = net.peer(victim).unwrap().db.digest();
+
+    corrupt_checkpoint(&mut net, victim);
+    net.crash_data_peer(victim).unwrap();
+    fail_over(&mut net, victim);
+    assert_eq!(
+        net.peer(victim).unwrap().db.digest(),
+        backed_up,
+        "the backup of the peer's former instance restores it"
+    );
+    assert_eq!(net.metrics().counter("recovery.source.replica"), 1);
+    assert_eq!(net.metrics().counter("recovery.source.schema"), 0);
+}
+
+#[test]
+fn failover_prefers_a_fresher_backup_over_a_torn_log() {
+    let mut net = setup(2, 200, 8);
+    let victim = net.peer_ids()[1];
+    net.peer_mut(victim)
+        .unwrap()
+        .db
+        .wal_mut()
+        .unwrap()
+        .flush()
+        .unwrap();
+    insert_extra(&mut net, victim);
+    net.backup_all().unwrap();
+    let backed_up = net.peer(victim).unwrap().db.digest();
+
+    net.torn_crash_data_peer(victim, 10).unwrap();
+    fail_over(&mut net, victim);
+    assert_eq!(
+        net.peer(victim).unwrap().db.digest(),
+        backed_up,
+        "a torn log must never clobber a fresher backup, on fail-over too"
+    );
+    assert_eq!(net.metrics().counter("recovery.source.replica"), 1);
+}
+
+#[test]
+fn failover_of_a_wiped_disk_restores_the_backup_under_a_fresh_log() {
+    let mut net = setup(2, 200, 1);
+    let victim = net.peer_ids()[1];
+    net.backup_all().unwrap();
+    let backed_up = net.peer(victim).unwrap().db.digest();
+
+    crash_instance_and_wipe_disk(&mut net, victim);
+    fail_over(&mut net, victim);
+    assert_eq!(net.peer(victim).unwrap().db.digest(), backed_up);
+    assert_eq!(net.metrics().counter("recovery.source.replica"), 1);
+    assert!(
+        net.peer(victim).unwrap().db.has_wal(),
+        "no peer leaves recovery without a log"
+    );
+
+    // The fresh log numbers its records after the restored image, so
+    // inserts logged now replay over it after a crash.
+    insert_extra(&mut net, victim);
+    let fresh = net.peer(victim).unwrap().db.digest();
+    assert_ne!(fresh, backed_up);
+    net.crash_data_peer(victim).unwrap();
+    net.recover_data_peer(victim).unwrap();
+    assert_eq!(net.peer(victim).unwrap().db.digest(), fresh);
+    assert_eq!(net.metrics().counter("recovery.source.wal"), 1);
+}
+
+#[test]
+fn failover_of_a_wiped_disk_without_backup_rebuilds_global_schemas() {
+    let mut net = setup(2, 200, 1);
+    let victim = net.peer_ids()[1];
+
+    crash_instance_and_wipe_disk(&mut net, victim);
+    fail_over(&mut net, victim);
+    let db = &net.peer(victim).unwrap().db;
+    assert_eq!(db.total_rows(), 0);
+    for s in schema::all_tables() {
+        assert!(db.has_table(&s.name), "{} must be recreated", s.name);
+    }
+    assert_eq!(net.metrics().counter("recovery.source.schema"), 1);
+    assert!(db.has_wal(), "no peer leaves recovery without a log");
 }

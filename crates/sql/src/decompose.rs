@@ -18,6 +18,8 @@
 //! ([`crate::phys::plan_physical`]) calls the same two, ranking tables by
 //! estimated scan size where [`decompose`] ranks them all equal.
 
+use std::borrow::Borrow;
+
 use bestpeer_common::{Error, Result, TableSchema};
 
 use crate::ast::{ColumnRef, Expr, SelectStmt};
@@ -141,16 +143,16 @@ pub fn check_columns(stmt: &SelectStmt, schemas: &[TableSchema]) -> Result<()> {
 /// Bloom filter built from the selective side prune the unfiltered side
 /// before it crosses the network; the parallel engine likewise uses the
 /// most selective table as the replicated (small) side.
-pub fn reorder_for_selectivity(
+pub fn reorder_for_selectivity<'s>(
     stmt: &SelectStmt,
-    schemas: &[TableSchema],
-) -> (SelectStmt, Vec<TableSchema>) {
+    schemas: &[&'s TableSchema],
+) -> (SelectStmt, Vec<&'s TableSchema>) {
     let mut scored: Vec<(usize, usize)> = stmt
         .from
         .iter()
         .enumerate()
         .map(|(i, _)| {
-            let schema = &schemas[i];
+            let schema = schemas[i];
             let hits = stmt
                 .predicates
                 .iter()
@@ -168,7 +170,7 @@ pub fn reorder_for_selectivity(
     scored.sort_by_key(|&(_, hits)| std::cmp::Reverse(hits));
     let mut out = stmt.clone();
     out.from = scored.iter().map(|(i, _)| stmt.from[*i].clone()).collect();
-    let new_schemas = scored.iter().map(|(i, _)| schemas[*i].clone()).collect();
+    let new_schemas = scored.iter().map(|(i, _)| schemas[*i]).collect();
     (out, new_schemas)
 }
 
@@ -176,14 +178,17 @@ pub fn reorder_for_selectivity(
 /// table, in order). Each part binds the columns the statement
 /// references, and the join order keeps FROM order wherever it has a
 /// choice, so the pipeline starts from `parts[0]`.
-pub fn decompose(stmt: &SelectStmt, schemas: &[TableSchema]) -> Result<Decomposition> {
+pub fn decompose<S: Borrow<TableSchema>>(
+    stmt: &SelectStmt,
+    schemas: &[S],
+) -> Result<Decomposition> {
     assert_eq!(schemas.len(), stmt.from.len(), "one schema per FROM table");
     let bindings: Vec<Binding> = stmt
         .from
         .iter()
         .zip(schemas)
         .map(|(t, schema)| {
-            let cols = needed_columns(stmt, schema).into_iter();
+            let cols = needed_columns(stmt, schema.borrow()).into_iter();
             Binding::from_cols(cols.map(|c| (Some(t.clone()), c)).collect())
         })
         .collect();

@@ -257,21 +257,17 @@ impl Database {
 
     /// Attach a WAL and write a baseline checkpoint of the current
     /// contents (so replay never needs state from before attachment).
-    pub fn attach_wal(&mut self, wal: Wal) -> Result<()> {
+    /// The log numbers its records after the image's `last_lsn`.
+    pub fn attach_wal(&mut self, mut wal: Wal) -> Result<()> {
+        wal.set_next_lsn(self.last_lsn + 1);
         self.wal = Some(wal);
         self.checkpoint()
     }
 
-    /// Re-attach a WAL *without* checkpointing — used when fail-over
-    /// swaps the database image but the log device must stay readable
-    /// for the recovery decision (see `core::network`).
+    /// Re-attach a WAL *without* checkpointing — a restarted process
+    /// continuing to log into the device it replayed from.
     pub fn adopt_wal(&mut self, wal: Wal) {
         self.wal = Some(wal);
-    }
-
-    /// Detach and return the WAL, leaving the database unlogged.
-    pub fn detach_wal(&mut self) -> Option<Wal> {
-        self.wal.take()
     }
 
     /// Whether a WAL is attached.
@@ -349,16 +345,14 @@ impl Database {
     }
 
     /// Replay the attached WAL into a fresh database image without
-    /// touching `self`. `None` when no WAL is attached; `Err` when the
-    /// log or checkpoint is corrupt. On success returns the image, the
-    /// number of log records applied, and whether a torn tail was
-    /// discarded.
-    pub fn replay_attached(&self) -> Option<Result<(Database, u64, bool)>> {
-        self.wal.as_ref().map(|w| {
-            let replay = w.replay()?;
-            let torn = replay.torn_tail;
-            Database::from_replay(&replay).map(|(db, records)| (db, records, torn))
-        })
+    /// touching `self`, returning the image and the number of log
+    /// records applied. `Err` when no WAL is attached or the log or
+    /// checkpoint is corrupt.
+    pub fn replay_attached(&self) -> Result<(Database, u64)> {
+        match &self.wal {
+            Some(w) => Database::from_replay(&w.replay()?),
+            None => Err(Error::Internal("replay: no wal attached".into())),
+        }
     }
 
     /// Install a recovered image (WAL replay or replica restore) into

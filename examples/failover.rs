@@ -1,8 +1,10 @@
 //! Auto fail-over and auto-scaling (paper §3.2, Algorithm 1): crash a
 //! peer's instance, watch the bootstrap daemon launch a replacement and
-//! restore the database from its EBS-style backup, and overload another
-//! peer to trigger a scale-up — all against the simulated cloud, with
-//! pay-as-you-go billing accruing throughout.
+//! recovery restore the database from its EBS-style backup, and
+//! overload another peer to trigger a scale-up — all against the
+//! simulated cloud, with pay-as-you-go billing accruing throughout. The
+//! run asserts that the restored peer holds its pre-crash rows and runs
+//! on a fresh write-ahead log.
 //!
 //! ```text
 //! cargo run --example failover
@@ -44,6 +46,7 @@ fn main() {
     println!("backed up {backed_up} peer databases to (simulated) EBS");
 
     // acme's instance crashes and loses its disk.
+    let lineitems = net.peer(acme).unwrap().db.table("lineitem").unwrap().len();
     let dead_instance = net.peer(acme).unwrap().instance;
     net.cloud.inject_crash(dead_instance).unwrap();
     net.peer_mut(acme).unwrap().db = Database::new();
@@ -71,10 +74,16 @@ fn main() {
             net.bootstrap.heartbeat_misses(acme)
         );
     }
+    let restored = &net.peer(acme).unwrap().db;
+    assert_eq!(
+        restored.table("lineitem").unwrap().len(),
+        lineitems,
+        "fail-over restores the backed-up rows"
+    );
+    assert!(restored.has_wal(), "the restored peer logs again");
     println!(
-        "acme is back on {} with {} lineitem rows restored; globex now runs {}",
+        "acme is back on {} with {lineitems} lineitem rows restored; globex now runs {}",
         net.peer(acme).unwrap().instance,
-        net.peer(acme).unwrap().db.table("lineitem").unwrap().len(),
         net.cloud.shape(net.peer(globex).unwrap().instance).unwrap(),
     );
 

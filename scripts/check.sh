@@ -58,6 +58,9 @@ run_test() {
   echo "==> end-to-end benchmark self-test (builds perfbench/, its own workspace, which no workspace build compiles)"
   CARGO_TARGET_DIR="$PWD/target" python3 perfbench/selftest.py
 
+  echo "==> Algorithm 1 smoke (the failover example asserts that a wiped, failed-over peer gets its backed-up rows and a fresh log back)"
+  cargo run -q --release --example failover
+
   echo "==> recovery + durability chaos suites (default threads)"
   cargo test -q -p bestpeer-storage --test wal_file
   cargo test -q -p bestpeer-core --test recovery
