@@ -25,6 +25,7 @@
 //! `BENCH_net.json` is not compared against a committed baseline by
 //! `scripts/bench_compare.sh`; the absolute bound is the gate.
 
+use bestpeer_bench::setup::full_read_role;
 use bestpeer_bench::Flags;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,7 +33,7 @@ use std::time::Instant;
 
 use bestpeer_common::Row;
 use bestpeer_core::network::{BestPeerNetwork, NetworkConfig};
-use bestpeer_core::{NodeService, Role};
+use bestpeer_core::NodeService;
 use bestpeer_sql::exec::ResultSet;
 use bestpeer_sql::parse_select;
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
@@ -45,26 +46,6 @@ const MAX_P50_RTT_US: u64 = 10_000;
 const SUBQUERY: &str = "SELECT l_orderkey, l_linenumber, l_quantity FROM lineitem \
      WHERE l_quantity > 40 \
      ORDER BY l_quantity DESC, l_orderkey, l_linenumber LIMIT 20";
-
-fn full_read_role() -> Role {
-    let tables = schema::all_tables();
-    let spec: Vec<(String, Vec<String>)> = tables
-        .iter()
-        .map(|t| {
-            (
-                t.name.clone(),
-                t.columns.iter().map(|c| c.name.clone()).collect(),
-            )
-        })
-        .collect();
-    let borrowed: Vec<(&str, Vec<&str>)> = spec
-        .iter()
-        .map(|(t, cs)| (t.as_str(), cs.iter().map(String::as_str).collect()))
-        .collect();
-    let as_slices: Vec<(&str, &[&str])> =
-        borrowed.iter().map(|(t, cs)| (*t, cs.as_slice())).collect();
-    Role::full_read("R", &as_slices)
-}
 
 fn build_node() -> (NodeService, ResultSet) {
     let mut net = BestPeerNetwork::new(schema::all_tables(), NetworkConfig::default());

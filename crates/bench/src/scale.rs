@@ -144,7 +144,7 @@ pub fn build_scale_net(cfg: &ScaleConfig, queue_depth: u32) -> BestPeerNetwork {
 }
 
 /// Zipf(θ) CDF over `n` ranks (rank 0 hottest).
-fn zipf_cdf(n: usize, theta: f64) -> Vec<f64> {
+pub(crate) fn zipf_cdf(n: usize, theta: f64) -> Vec<f64> {
     let weights: Vec<f64> = (0..n).map(|r| 1.0 / ((r + 1) as f64).powf(theta)).collect();
     let total: f64 = weights.iter().sum();
     let mut acc = 0.0;
@@ -158,7 +158,7 @@ fn zipf_cdf(n: usize, theta: f64) -> Vec<f64> {
 }
 
 /// Draw a 0-based rank from the Zipfian CDF.
-fn zipf_sample(rng: &mut Rng, cdf: &[f64]) -> usize {
+pub(crate) fn zipf_sample(rng: &mut Rng, cdf: &[f64]) -> usize {
     let u = rng.random_unit();
     cdf.partition_point(|&c| c <= u).min(cdf.len() - 1)
 }

@@ -17,6 +17,7 @@ use bestpeer_simnet::{driver, Cluster, Trace};
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
 use bestpeer_tpch::{queries, schema};
 
+use crate::scale::{zipf_cdf, zipf_sample};
 use crate::setup::{full_read_role, resource_config, BenchConfig};
 
 /// Which side of the supply chain is being queried.
@@ -290,12 +291,6 @@ fn result_digest(rs: &bestpeer_sql::exec::ResultSet) -> u64 {
     stable_hash(&Value::str(format!("{:?}\u{1}{:?}", rs.columns, rs.rows)))
 }
 
-/// Draw a 0-based rank from the Zipfian CDF.
-fn zipf_sample(rng: &mut Rng, cdf: &[f64]) -> usize {
-    let u = rng.random_unit();
-    cdf.partition_point(|&c| c <= u).min(cdf.len() - 1)
-}
-
 /// The repeated-query workload of the cache benchmark: `queries`
 /// arrivals whose templates are drawn Zipf(`theta`)-distributed from the
 /// cross-side `(submitter, nation)` template pool, so a small set of hot
@@ -327,18 +322,7 @@ pub fn run_repeated_templates(
         }
     }
     assert!(!pool.is_empty(), "need at least one template");
-    let weights: Vec<f64> = (0..pool.len())
-        .map(|r| 1.0 / ((r + 1) as f64).powf(theta))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut acc = 0.0;
-    let cdf: Vec<f64> = weights
-        .iter()
-        .map(|w| {
-            acc += w / total;
-            acc
-        })
-        .collect();
+    let cdf = zipf_cdf(pool.len(), theta);
 
     let sim = Cluster::new(resource_config(bench));
     let mut rng = Rng::seed_from_u64(seed);

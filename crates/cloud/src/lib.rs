@@ -11,12 +11,17 @@
 //!
 //! - [`provider::CloudProvider`] — the abstract adapter interface the
 //!   BestPeer++ core programs against (launch/terminate/upgrade,
-//!   asynchronous backup and restore, health metrics, billing), and
+//!   asynchronous backup and restore, load metrics, billing), and
 //! - [`sim::SimCloud`] — a simulated provider implementing it, with the
 //!   paper's instance types ([`types::InstanceType`]: `m1.small`,
-//!   `m1.large`), EBS-style snapshot storage, CloudWatch-style metrics
-//!   that tests and the fail-over daemon can script, and
-//!   pay-as-you-go accounting of instance-hours and storage.
+//!   `m1.large`), EBS-style snapshot storage, scriptable CloudWatch-style
+//!   metrics, and pay-as-you-go accounting of instance-hours and storage.
+//!
+//! The metrics carry load (CPU and storage utilization, which drive
+//! auto-scaling), not liveness: whether a peer is serving is recorded
+//! once, in the core's fault state, which the bootstrap's failure
+//! detector reads. The cloud keeps no record of a peer's backups
+//! either; the bootstrap's peer list keeps each peer's latest.
 
 pub mod billing;
 pub mod provider;

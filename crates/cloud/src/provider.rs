@@ -9,7 +9,8 @@ use crate::types::{InstanceMetrics, InstanceState, InstanceType};
 pub struct BackupId(pub u64);
 
 /// The elastic-infrastructure interface (paper §2.1): provisioning,
-/// termination, scaling, asynchronous backup/restore, and monitoring.
+/// termination, scaling, asynchronous backup/restore, and load
+/// monitoring.
 ///
 /// `Snapshot` is the opaque database image shipped to durable storage —
 /// in BestPeer++ the whole MySQL database "backed up to Amazon's reliable
@@ -29,17 +30,16 @@ pub trait CloudProvider {
 
     /// Store a backup of the instance's database asynchronously; the
     /// previous backup for the instance remains until this completes.
+    /// The caller keeps the returned id (the bootstrap records it as
+    /// the peer's latest backup).
     fn backup(&mut self, id: InstanceId, snapshot: Self::Snapshot) -> Result<BackupId>;
-
-    /// The most recent completed backup of `of`, if any.
-    fn latest_backup(&self, of: InstanceId) -> Option<BackupId>;
 
     /// Fetch a stored backup payload (used during fail-over recovery).
     fn restore(&self, backup: BackupId) -> Result<Self::Snapshot>
     where
         Self::Snapshot: Clone;
 
-    /// Sample health metrics for an instance (CloudWatch analogue).
+    /// Sample load metrics for an instance (CloudWatch analogue).
     fn metrics(&self, id: InstanceId) -> Result<InstanceMetrics>;
 
     /// Current lifecycle state.

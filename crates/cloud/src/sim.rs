@@ -1,8 +1,8 @@
 //! The simulated cloud provider.
 //!
 //! Stands in for Amazon EC2 + RDS + EBS + CloudWatch. Instances are
-//! records; backups are stored payloads; metrics are scriptable so tests
-//! and the fail-over daemon can inject crashes and overload conditions.
+//! records; backups are stored payloads; load metrics are scriptable so
+//! tests can inject overload conditions.
 
 use std::collections::HashMap;
 
@@ -17,7 +17,6 @@ struct Instance {
     shape: InstanceType,
     state: InstanceState,
     metrics: InstanceMetrics,
-    latest_backup: Option<BackupId>,
 }
 
 /// A fully in-process cloud. `S` is the backup payload type (the peer's
@@ -61,18 +60,10 @@ impl<S> SimCloud<S> {
         self.ledger.total_cents(self.clock_us)
     }
 
-    /// Script the next metrics sample for an instance (test / fault
-    /// injection hook — the analogue of real-world load changing).
+    /// Script the next metrics sample for an instance (the analogue of
+    /// real-world load changing).
     pub fn set_metrics(&mut self, id: InstanceId, m: InstanceMetrics) -> Result<()> {
         self.instance_mut(id)?.metrics = m;
-        Ok(())
-    }
-
-    /// Crash an instance: it stops responding to probes.
-    pub fn inject_crash(&mut self, id: InstanceId) -> Result<()> {
-        let inst = self.instance_mut(id)?;
-        inst.state = InstanceState::Failed;
-        inst.metrics.responsive = false;
         Ok(())
     }
 
@@ -109,7 +100,6 @@ impl<S: Clone> CloudProvider for SimCloud<S> {
                 shape,
                 state: InstanceState::Running,
                 metrics: InstanceMetrics::default(),
-                latest_backup: None,
             },
         );
         self.ledger.start(id, shape, self.clock_us);
@@ -122,7 +112,6 @@ impl<S: Clone> CloudProvider for SimCloud<S> {
             return Err(Error::Cloud(format!("{id} already terminated")));
         }
         inst.state = InstanceState::Terminated;
-        inst.metrics.responsive = false;
         self.ledger.stop(id, self.clock_us);
         Ok(())
     }
@@ -139,17 +128,12 @@ impl<S: Clone> CloudProvider for SimCloud<S> {
     }
 
     fn backup(&mut self, id: InstanceId, snapshot: S) -> Result<BackupId> {
-        // Asynchronous in the paper; atomic swap of "latest" here.
+        // Asynchronous in the paper; complete on return here.
         self.instance(id)?;
         let bid = BackupId(self.next_backup);
         self.next_backup += 1;
         self.backups.insert(bid, snapshot);
-        self.instance_mut(id)?.latest_backup = Some(bid);
         Ok(bid)
-    }
-
-    fn latest_backup(&self, of: InstanceId) -> Option<BackupId> {
-        self.instances.get(&of).and_then(|i| i.latest_backup)
     }
 
     fn restore(&self, backup: BackupId) -> Result<S> {
@@ -181,7 +165,6 @@ mod tests {
         let mut cloud: SimCloud<Vec<u8>> = SimCloud::new();
         let id = cloud.launch_instance(InstanceType::M1_SMALL).unwrap();
         assert_eq!(cloud.state(id).unwrap(), InstanceState::Running);
-        assert!(cloud.metrics(id).unwrap().responsive);
         assert_eq!(cloud.running_count(), 1);
         cloud.terminate_instance(id).unwrap();
         assert_eq!(cloud.state(id).unwrap(), InstanceState::Terminated);
@@ -193,22 +176,12 @@ mod tests {
     fn backup_and_restore_round_trip() {
         let mut cloud: SimCloud<String> = SimCloud::new();
         let id = cloud.launch_instance(InstanceType::M1_SMALL).unwrap();
-        assert_eq!(cloud.latest_backup(id), None);
         let b1 = cloud.backup(id, "v1".into()).unwrap();
         let b2 = cloud.backup(id, "v2".into()).unwrap();
-        assert_eq!(cloud.latest_backup(id), Some(b2));
+        assert_ne!(b1, b2);
         assert_eq!(cloud.restore(b1).unwrap(), "v1");
         assert_eq!(cloud.restore(b2).unwrap(), "v2");
         assert!(cloud.restore(BackupId(999)).is_err());
-    }
-
-    #[test]
-    fn crash_makes_instance_unresponsive() {
-        let mut cloud: SimCloud<()> = SimCloud::new();
-        let id = cloud.launch_instance(InstanceType::M1_SMALL).unwrap();
-        cloud.inject_crash(id).unwrap();
-        assert_eq!(cloud.state(id).unwrap(), InstanceState::Failed);
-        assert!(!cloud.metrics(id).unwrap().responsive);
     }
 
     #[test]
@@ -220,14 +193,6 @@ mod tests {
         cloud.advance_clock(3_600_000_000);
         assert_eq!(cloud.shape(id).unwrap(), InstanceType::M1_LARGE);
         assert_eq!(cloud.bill_cents(), 6 + 24);
-    }
-
-    #[test]
-    fn cannot_upgrade_failed_instance() {
-        let mut cloud: SimCloud<()> = SimCloud::new();
-        let id = cloud.launch_instance(InstanceType::M1_SMALL).unwrap();
-        cloud.inject_crash(id).unwrap();
-        assert!(cloud.upgrade_instance(id, InstanceType::M1_LARGE).is_err());
     }
 
     #[test]

@@ -55,26 +55,25 @@ impl fmt::Display for InstanceType {
     }
 }
 
-/// Lifecycle state of a launched instance.
+/// Lifecycle state of a launched instance. Whether the peer on it is
+/// serving is not the cloud's to say: the core's fault state records
+/// that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceState {
-    /// Serving.
+    /// Launched and billed.
     Running,
-    /// Crashed / unresponsive (fail-over pending).
-    Failed,
     /// Terminated; resources released.
     Terminated,
 }
 
-/// A CloudWatch-style health sample for one instance.
+/// A CloudWatch-style load sample for one instance: what auto-scaling
+/// reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceMetrics {
     /// CPU utilization in `[0, 1]`.
     pub cpu_utilization: f64,
     /// Fraction of attached storage in use, `[0, 1]`.
     pub storage_used: f64,
-    /// Whether the instance answered the probe at all.
-    pub responsive: bool,
 }
 
 impl Default for InstanceMetrics {
@@ -82,7 +81,6 @@ impl Default for InstanceMetrics {
         InstanceMetrics {
             cpu_utilization: 0.1,
             storage_used: 0.1,
-            responsive: true,
         }
     }
 }

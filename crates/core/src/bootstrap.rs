@@ -15,9 +15,11 @@ use bestpeer_storage::Database;
 
 use crate::access::Role;
 use crate::ca::{Certificate, CertificateAuthority};
+use crate::fault::FaultState;
 use crate::peer::NormalPeer;
 
-/// Peer-list record kept by the bootstrap peer.
+/// Peer-list record kept by the bootstrap peer: the one record of where
+/// a peer runs, whose it is, its certificate and its latest backup.
 #[derive(Debug, Clone)]
 pub struct PeerRecord {
     /// The peer id.
@@ -143,7 +145,7 @@ pub struct BootstrapPeer {
     /// Consecutive missed heartbeat epochs before a peer is declared
     /// dead and failed over. One epoch = one
     /// [`BootstrapPeer::maintenance_tick`]. A threshold above 1 keeps a
-    /// transient hiccup (one unresponsive probe) from triggering a
+    /// transient hiccup (one unanswered heartbeat) from triggering a
     /// fail-over that would discard unreplicated local state.
     pub fail_threshold: u32,
     /// Consecutive over- (or under-) threshold epochs a peer must
@@ -234,9 +236,9 @@ impl BootstrapPeer {
         Ok(db)
     }
 
-    /// The latest backup [`BootstrapPeer::backup_all`] took of `peer`.
-    pub fn latest_backup(&self, peer: PeerId) -> Option<BackupId> {
-        self.peer_list.get(&peer)?.backup
+    /// `peer`'s record, if it is a participant admitted here.
+    pub fn record(&self, peer: PeerId) -> Option<&PeerRecord> {
+        self.peer_list.get(&peer)
     }
 
     /// Move the peer-id allocator to `raw` (ids only move forward).
@@ -305,14 +307,13 @@ impl BootstrapPeer {
     }
 
     /// Admit a new business: launch its dedicated instance, issue a
-    /// certificate, and enter it into the peer list (§3.1). The joined
-    /// peer receives "the current participants, global schema, role
-    /// definitions, and an issued certificate" — returned here as the
-    /// constructed [`NormalPeer`].
-    pub fn admit<C>(&mut self, business: &str, cloud: &mut C) -> Result<NormalPeer>
-    where
-        C: CloudProvider<Snapshot = Database>,
-    {
+    /// certificate, and enter it into the peer list (§3.1). Returns the
+    /// new peer's id. The joined peer receives "the current
+    /// participants, global schema, role definitions, and an issued
+    /// certificate": the network builds it on
+    /// [`BootstrapPeer::schema_database`], and the certificate stays on
+    /// its record.
+    pub fn admit<C: CloudProvider>(&mut self, business: &str, cloud: &mut C) -> Result<PeerId> {
         if self.peer_list.values().any(|r| r.business == business) {
             return Err(Error::Membership(format!(
                 "business `{business}` already participates"
@@ -332,10 +333,7 @@ impl BootstrapPeer {
                 backup: None,
             },
         );
-        let mut normal = NormalPeer::new(peer, business, instance);
-        normal.cert = Some(cert);
-        normal.db = self.schema_database()?;
-        Ok(normal)
+        Ok(peer)
     }
 
     /// Handle a voluntary departure (§3.1): blacklist the peer,
@@ -398,24 +396,25 @@ impl BootstrapPeer {
     }
 
     /// One epoch of the Algorithm 1 daemon: probe every normal peer
-    /// (one heartbeat per epoch), fail over peers that have missed
+    /// (one heartbeat per epoch, which a peer `faults` has down misses),
+    /// fail over peers that have missed
     /// [`fail_threshold`](BootstrapPeer::fail_threshold) consecutive
-    /// heartbeats, auto-scale overloaded ones, then release blacklisted
-    /// resources. A fail-over only moves the peer to a fresh instance;
-    /// the network's recovery decides the image it runs on. Returns the
-    /// events of this epoch; the network layer relays them to
-    /// participants (the "notify" step).
+    /// heartbeats, auto-scale the instances of overloaded ones (read
+    /// from the cloud's metrics), then release blacklisted resources. A
+    /// fail-over only moves the peer's record to a fresh instance; the
+    /// network logs the peer's `Recover`, and its recovery decides the
+    /// image the peer runs on. Returns the events of this epoch; the
+    /// network layer relays them to participants (the "notify" step).
     pub fn maintenance_tick<C: CloudProvider>(
         &mut self,
         cloud: &mut C,
-        peers: &mut BTreeMap<PeerId, NormalPeer>,
+        faults: &FaultState,
     ) -> Result<Vec<MaintenanceEvent>> {
         let mut epoch_events = Vec::new();
         let ids: Vec<PeerId> = self.peer_list.keys().copied().collect();
         for pid in ids {
-            let record = self.peer_list.get(&pid).expect("listed peer").clone();
-            let metrics = cloud.metrics(record.instance)?;
-            if !metrics.responsive {
+            let instance = self.peer_list[&pid].instance;
+            if faults.is_down(pid) {
                 // --- failure detection: heartbeat miss epochs --------
                 let misses = self.heartbeat_misses.entry(pid).or_insert(0);
                 *misses += 1;
@@ -424,21 +423,19 @@ impl BootstrapPeer {
                 }
                 self.heartbeat_misses.remove(&pid);
                 // --- auto fail-over (Algorithm 1 lines 6–10) ---------
-                let new_instance = cloud.launch_instance(cloud.shape(record.instance)?)?;
-                if let Some(peer) = peers.get_mut(&pid) {
-                    peer.instance = new_instance;
-                }
-                self.blacklist_instance(pid, record.instance, BlacklistReason::FailedOver);
+                let new_instance = cloud.launch_instance(cloud.shape(instance)?)?;
+                self.blacklist_instance(pid, instance, BlacklistReason::FailedOver);
                 self.peer_list.get_mut(&pid).expect("listed").instance = new_instance;
                 self.failovers += 1;
                 epoch_events.push(MaintenanceEvent::FailOver {
                     peer: pid,
-                    old_instance: record.instance,
+                    old_instance: instance,
                     new_instance,
                 });
             } else {
-                // A responsive heartbeat resets the miss streak.
+                // An answered heartbeat resets the miss streak.
                 self.heartbeat_misses.remove(&pid);
+                let metrics = cloud.metrics(instance)?;
                 if metrics.cpu_utilization > self.scale_cpu_threshold
                     || metrics.storage_used > self.scale_storage_threshold
                 {
@@ -452,8 +449,8 @@ impl BootstrapPeer {
                     *streak += 1;
                     if *streak >= self.scale_threshold {
                         self.upgrade_streaks.remove(&pid);
-                        if let Some(bigger) = cloud.shape(record.instance)?.upgrade() {
-                            cloud.upgrade_instance(record.instance, bigger)?;
+                        if let Some(bigger) = cloud.shape(instance)?.upgrade() {
+                            cloud.upgrade_instance(instance, bigger)?;
                             epoch_events.push(MaintenanceEvent::AutoScale {
                                 peer: pid,
                                 shape: bigger,
@@ -506,9 +503,9 @@ impl BootstrapPeer {
     /// [`scale_cpu_threshold`](BootstrapPeer::scale_cpu_threshold) for
     /// [`scale_threshold`](BootstrapPeer::scale_threshold) consecutive
     /// epochs buys one fresh elastic peer (admitted exactly like a
-    /// joining business, with the global schema pre-created), capped so
-    /// at most [`elastic_limit`](BootstrapPeer::elastic_limit) elastic
-    /// peers are live. Fired streaks re-arm, so a still-overloaded peer
+    /// joining business), capped so at most
+    /// [`elastic_limit`](BootstrapPeer::elastic_limit) elastic peers are
+    /// live. Fired streaks re-arm, so a still-overloaded peer
     /// requests the next peer only after another full streak.
     ///
     /// **Scale-in:** an elastic peer under
@@ -518,23 +515,18 @@ impl BootstrapPeer {
     /// (the idle streak simply holds until the queue drains). Retirement
     /// is a departure's (revoked certificate, cleared streaks, instance
     /// blacklisted for release at the next maintenance epoch) with
-    /// reason [`BlacklistReason::ScaledIn`]; the peer also leaves
-    /// `peers`.
+    /// reason [`BlacklistReason::ScaledIn`].
     ///
-    /// The caller (the network layer) enlists each scaled-out peer and
-    /// retires each scaled-in one on its side (WAL, overlay membership,
-    /// index and cache cleanup) around the returned
-    /// [`MaintenanceEvent::ScaleOut`] / [`MaintenanceEvent::ScaleIn`]
-    /// events.
-    pub fn elastic_tick<C>(
+    /// Only the peer list changes here. The caller (the network layer)
+    /// enlists each scaled-out peer and retires each scaled-in one on
+    /// its side (database, WAL, overlay membership, index and cache
+    /// cleanup) from the returned [`MaintenanceEvent::ScaleOut`] /
+    /// [`MaintenanceEvent::ScaleIn`] events.
+    pub fn elastic_tick<C: CloudProvider>(
         &mut self,
         cloud: &mut C,
-        peers: &mut BTreeMap<PeerId, NormalPeer>,
         loads: &BTreeMap<PeerId, PeerLoad>,
-    ) -> Result<Vec<MaintenanceEvent>>
-    where
-        C: CloudProvider<Snapshot = Database>,
-    {
+    ) -> Result<Vec<MaintenanceEvent>> {
         let mut epoch_events = Vec::new();
         // Hysteresis streaks track consecutive epochs; a peer absent
         // from this epoch's sample (departed, failed over) starts fresh.
@@ -564,14 +556,11 @@ impl BootstrapPeer {
             for _ in 0..over.len().min(budget) {
                 let name = format!("elastic-{}", self.elastic_seq);
                 self.elastic_seq += 1;
-                let peer = self.admit(&name, cloud)?;
-                let pid = peer.id;
-                let instance = peer.instance;
-                peers.insert(pid, peer);
+                let pid = self.admit(&name, cloud)?;
                 self.elastic.insert(pid);
                 epoch_events.push(MaintenanceEvent::ScaleOut {
                     peer: pid,
-                    instance,
+                    instance: self.peer_list[&pid].instance,
                 });
             }
             for pid in over {
@@ -593,7 +582,6 @@ impl BootstrapPeer {
                 continue;
             }
             let instance = self.retire_record(pid, BlacklistReason::ScaledIn)?;
-            peers.remove(&pid);
             epoch_events.push(MaintenanceEvent::ScaleIn {
                 peer: pid,
                 instance,
@@ -628,6 +616,7 @@ impl BootstrapPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultAction;
     use bestpeer_cloud::{InstanceMetrics, SimCloud};
     use bestpeer_common::{ColumnDef, ColumnType, Row, Value};
 
@@ -635,50 +624,61 @@ mod tests {
         vec![TableSchema::new("t", vec![ColumnDef::new("id", ColumnType::Int)], vec![0]).unwrap()]
     }
 
-    fn setup() -> (
-        BootstrapPeer,
-        SimCloud<Database>,
-        BTreeMap<PeerId, NormalPeer>,
-    ) {
+    /// A bootstrap with two admitted peers, the cloud they run in, and a
+    /// fault-free fault state (every peer answers its heartbeats).
+    fn setup() -> (BootstrapPeer, SimCloud<Database>, FaultState, Vec<PeerId>) {
         let mut boot = BootstrapPeer::new(schemas(), 0xB00);
         let mut cloud: SimCloud<Database> = SimCloud::new();
-        let mut peers = BTreeMap::new();
-        for name in ["acme", "globex"] {
-            let p = boot.admit(name, &mut cloud).unwrap();
-            peers.insert(p.id, p);
-        }
-        (boot, cloud, peers)
+        let ids = ["acme", "globex"]
+            .iter()
+            .map(|name| boot.admit(name, &mut cloud).unwrap())
+            .collect();
+        (boot, cloud, FaultState::new(), ids)
+    }
+
+    /// The instance `pid`'s record says it runs on.
+    fn instance(boot: &BootstrapPeer, pid: PeerId) -> InstanceId {
+        boot.record(pid).unwrap().instance
+    }
+
+    fn failed_over(events: &[MaintenanceEvent]) -> bool {
+        events
+            .iter()
+            .any(|e| matches!(e, MaintenanceEvent::FailOver { .. }))
     }
 
     #[test]
     fn admit_issues_cert_and_schema() {
-        let (boot, _, peers) = setup();
+        let (boot, cloud, _, ids) = setup();
         assert_eq!(boot.peer_count(), 2);
-        for p in peers.values() {
-            boot.verify(p.cert.as_ref().unwrap()).unwrap();
-            assert!(p.db.has_table("t"), "global schema provisioned");
+        for (pid, business) in ids.into_iter().zip(["acme", "globex"]) {
+            let record = boot.record(pid).unwrap();
+            assert_eq!(record.business, business);
+            boot.verify(&record.cert).unwrap();
+            assert!(cloud.shape(record.instance).is_ok(), "instance launched");
         }
+        let db = boot.schema_database().unwrap();
+        assert!(db.has_table("t"), "global schema provisioned");
     }
 
     #[test]
     fn duplicate_business_rejected() {
-        let (mut boot, mut cloud, _) = setup();
+        let (mut boot, mut cloud, _, _) = setup();
         assert!(boot.admit("acme", &mut cloud).is_err());
     }
 
     #[test]
     fn departure_revokes_and_blacklists() {
-        let (mut boot, mut cloud, mut peers) = setup();
-        let (pid, cert) = {
-            let p = peers.values().next().unwrap();
-            (p.id, *p.cert.as_ref().unwrap())
-        };
+        let (mut boot, mut cloud, faults, ids) = setup();
+        let pid = ids[0];
+        let cert = boot.record(pid).unwrap().cert;
         boot.depart(pid).unwrap();
         assert_eq!(boot.peer_count(), 1);
+        assert!(boot.record(pid).is_none());
         assert!(boot.verify(&cert).is_err(), "certificate invalidated");
         // Resources reclaimed at the next epoch.
         let before = cloud.running_count();
-        let events = boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+        let events = boot.maintenance_tick(&mut cloud, &faults).unwrap();
         assert!(events
             .iter()
             .any(|e| matches!(e, MaintenanceEvent::Released { instances: 1 })));
@@ -687,32 +687,24 @@ mod tests {
 
     #[test]
     fn failover_moves_the_peer_after_the_miss_threshold() {
-        let (mut boot, mut cloud, mut peers) = setup();
-        let pid = *peers.keys().next().unwrap();
-        peers
-            .get_mut(&pid)
-            .unwrap()
-            .db
-            .insert("t", Row::new(vec![Value::Int(42)]))
+        let (mut boot, mut cloud, mut faults, ids) = setup();
+        let pid = ids[0];
+        let mut peer = NormalPeer::new(pid);
+        peer.db = boot.schema_database().unwrap();
+        peer.db.insert("t", Row::new(vec![Value::Int(42)])).unwrap();
+        boot.backup_all(&mut cloud, &BTreeMap::from([(pid, peer)]))
             .unwrap();
-        boot.backup_all(&mut cloud, &peers).unwrap();
-        let backup = boot.latest_backup(pid).expect("backup recorded");
-        let digest = peers[&pid].db.digest();
-        let old_instance = peers[&pid].instance;
-        cloud.inject_crash(old_instance).unwrap();
+        let backup = boot.record(pid).unwrap().backup.expect("backup recorded");
+        let old_instance = instance(&boot, pid);
+        faults.inject_now(FaultAction::Crash(pid));
 
         // The detector needs `fail_threshold` missed heartbeats before
         // declaring the peer dead.
         for _ in 0..boot.fail_threshold - 1 {
-            let events = boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
-            assert!(
-                !events
-                    .iter()
-                    .any(|e| matches!(e, MaintenanceEvent::FailOver { .. })),
-                "below the miss threshold: no fail-over yet"
-            );
+            let events = boot.maintenance_tick(&mut cloud, &faults).unwrap();
+            assert!(!failed_over(&events), "below the miss threshold");
         }
-        let events = boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+        let events = boot.maintenance_tick(&mut cloud, &faults).unwrap();
         let failover = events
             .iter()
             .find(|e| matches!(e, MaintenanceEvent::FailOver { .. }))
@@ -728,64 +720,58 @@ mod tests {
         assert_eq!(peer, pid);
         assert_eq!(o, old_instance);
         assert_ne!(new_instance, old_instance);
-        // The peer and its record moved; its database and its backup
-        // lineage are left to the network's recovery.
-        assert_eq!(peers[&pid].instance, new_instance);
-        let record = boot.peers().find(|r| r.peer == pid).unwrap();
-        assert_eq!(record.instance, new_instance);
-        assert_eq!(boot.latest_backup(pid), Some(backup));
-        assert_eq!(peers[&pid].db.digest(), digest);
+        // The record moved; its backup lineage is left to the network's
+        // recovery.
+        assert_eq!(instance(&boot, pid), new_instance);
+        assert_eq!(boot.record(pid).unwrap().backup, Some(backup));
+        assert_eq!(boot.health().failovers, 1);
+        // The other peer answered every heartbeat.
+        assert_eq!(boot.heartbeat_misses(ids[1]), 0);
         // The dead instance was released in the same epoch.
         assert!(events
             .iter()
             .any(|e| matches!(e, MaintenanceEvent::Released { .. })));
+        assert_eq!(
+            cloud.state(old_instance).unwrap(),
+            bestpeer_cloud::InstanceState::Terminated
+        );
     }
 
     #[test]
     fn responsive_heartbeat_resets_miss_streak() {
-        let (mut boot, mut cloud, mut peers) = setup();
-        let pid = *peers.keys().next().unwrap();
-        let instance = peers[&pid].instance;
-        let down = InstanceMetrics {
-            cpu_utilization: 0.1,
-            storage_used: 0.1,
-            responsive: false,
-        };
-        let up = InstanceMetrics {
-            cpu_utilization: 0.1,
-            storage_used: 0.1,
-            responsive: true,
-        };
+        let (mut boot, mut cloud, mut faults, ids) = setup();
+        let pid = ids[0];
+        let before = instance(&boot, pid);
         // Two misses, then a hiccup heals before the third.
-        cloud.set_metrics(instance, down).unwrap();
-        boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
-        boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+        faults.inject_now(FaultAction::Crash(pid));
+        boot.maintenance_tick(&mut cloud, &faults).unwrap();
+        boot.maintenance_tick(&mut cloud, &faults).unwrap();
         assert_eq!(boot.heartbeat_misses(pid), 2);
-        cloud.set_metrics(instance, up).unwrap();
-        boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+        faults.inject_now(FaultAction::Recover(pid));
+        boot.maintenance_tick(&mut cloud, &faults).unwrap();
         assert_eq!(boot.heartbeat_misses(pid), 0, "streak reset");
         // Going down again restarts the count from zero: two more misses
         // still do not fail the peer over.
-        cloud.set_metrics(instance, down).unwrap();
-        boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
-        let events = boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e, MaintenanceEvent::FailOver { .. })));
-        assert_eq!(peers[&pid].instance, instance, "instance untouched");
+        faults.inject_now(FaultAction::Crash(pid));
+        boot.maintenance_tick(&mut cloud, &faults).unwrap();
+        let events = boot.maintenance_tick(&mut cloud, &faults).unwrap();
+        assert!(!failed_over(&events));
+        assert_eq!(instance(&boot, pid), before, "instance untouched");
     }
 
     #[test]
     fn event_history_is_capped() {
-        let (mut boot, mut cloud, mut peers) = setup();
+        let (mut boot, mut cloud, mut faults, ids) = setup();
         boot.max_event_history = 4;
         boot.fail_threshold = 1;
-        let pid = *peers.keys().next().unwrap();
+        // Nothing here logs the peer's `Recover`, so it stays down and
+        // every epoch fails it over again and releases the instance
+        // before.
+        faults.inject_now(FaultAction::Crash(ids[0]));
         for _ in 0..10 {
-            // Each epoch: crash current instance → fail-over + release.
-            cloud.inject_crash(peers[&pid].instance).unwrap();
-            boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+            boot.maintenance_tick(&mut cloud, &faults).unwrap();
         }
+        assert_eq!(boot.health().failovers, 10);
         assert!(
             boot.events().len() <= 4,
             "history capped: {}",
@@ -800,14 +786,14 @@ mod tests {
 
     #[test]
     fn blacklist_skips_duplicate_instances() {
-        let (mut boot, mut cloud, mut peers) = setup();
-        let pid = *peers.keys().next().unwrap();
-        let instance = peers[&pid].instance;
+        let (mut boot, mut cloud, faults, ids) = setup();
+        let pid = ids[0];
+        let instance = instance(&boot, pid);
         boot.depart(pid).unwrap();
         // A second blacklisting of the same instance (e.g. a racing
         // fail-over record) must not produce a double release.
         boot.blacklist_instance(pid, instance, BlacklistReason::FailedOver);
-        let events = boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+        let events = boot.maintenance_tick(&mut cloud, &faults).unwrap();
         assert!(events
             .iter()
             .any(|e| matches!(e, MaintenanceEvent::Released { instances: 1 })));
@@ -815,19 +801,10 @@ mod tests {
 
     #[test]
     fn departure_clears_heartbeat_state() {
-        let (mut boot, mut cloud, mut peers) = setup();
-        let pid = *peers.keys().next().unwrap();
-        cloud
-            .set_metrics(
-                peers[&pid].instance,
-                InstanceMetrics {
-                    cpu_utilization: 0.1,
-                    storage_used: 0.1,
-                    responsive: false,
-                },
-            )
-            .unwrap();
-        boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+        let (mut boot, mut cloud, mut faults, ids) = setup();
+        let pid = ids[0];
+        faults.inject_now(FaultAction::Crash(pid));
+        boot.maintenance_tick(&mut cloud, &faults).unwrap();
         assert_eq!(boot.heartbeat_misses(pid), 1);
         boot.depart(pid).unwrap();
         assert_eq!(boot.heartbeat_misses(pid), 0, "no stale counter retained");
@@ -835,22 +812,21 @@ mod tests {
 
     #[test]
     fn overload_triggers_auto_scaling() {
-        let (mut boot, mut cloud, mut peers) = setup();
-        let pid = *peers.keys().next().unwrap();
+        let (mut boot, mut cloud, faults, ids) = setup();
+        let instance = instance(&boot, ids[0]);
         cloud
             .set_metrics(
-                peers[&pid].instance,
+                instance,
                 InstanceMetrics {
                     cpu_utilization: 0.99,
                     storage_used: 0.2,
-                    responsive: true,
                 },
             )
             .unwrap();
         // The debounce holds the upgrade back until `scale_threshold`
         // consecutive over-threshold epochs have been observed.
         for _ in 0..boot.scale_threshold - 1 {
-            let events = boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+            let events = boot.maintenance_tick(&mut cloud, &faults).unwrap();
             assert!(
                 !events
                     .iter()
@@ -858,7 +834,7 @@ mod tests {
                 "one hot sample must not trigger an upgrade"
             );
         }
-        let events = boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+        let events = boot.maintenance_tick(&mut cloud, &faults).unwrap();
         assert!(events.iter().any(|e| matches!(
             e,
             MaintenanceEvent::AutoScale {
@@ -866,14 +842,11 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(
-            cloud.shape(peers[&pid].instance).unwrap(),
-            InstanceType::M1_LARGE
-        );
+        assert_eq!(cloud.shape(instance).unwrap(), InstanceType::M1_LARGE);
         // Another full streak of overloaded epochs has nowhere to
         // scale: no event.
         for _ in 0..boot.scale_threshold {
-            let events = boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+            let events = boot.maintenance_tick(&mut cloud, &faults).unwrap();
             assert!(!events
                 .iter()
                 .any(|e| matches!(e, MaintenanceEvent::AutoScale { .. })));
@@ -882,26 +855,23 @@ mod tests {
 
     #[test]
     fn transient_spike_does_not_upgrade() {
-        let (mut boot, mut cloud, mut peers) = setup();
-        let pid = *peers.keys().next().unwrap();
-        let instance = peers[&pid].instance;
+        let (mut boot, mut cloud, faults, ids) = setup();
+        let instance = instance(&boot, ids[0]);
         let hot = InstanceMetrics {
             cpu_utilization: 0.99,
             storage_used: 0.2,
-            responsive: true,
         };
         let cool = InstanceMetrics {
             cpu_utilization: 0.10,
             storage_used: 0.2,
-            responsive: true,
         };
         // Alternating hot/cool samples never accumulate a streak, so
         // the instance shape never changes no matter how long it runs.
         for _ in 0..4 * boot.scale_threshold {
             cloud.set_metrics(instance, hot).unwrap();
-            boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+            boot.maintenance_tick(&mut cloud, &faults).unwrap();
             cloud.set_metrics(instance, cool).unwrap();
-            boot.maintenance_tick(&mut cloud, &mut peers).unwrap();
+            boot.maintenance_tick(&mut cloud, &faults).unwrap();
         }
         assert_eq!(cloud.shape(instance).unwrap(), InstanceType::M1_SMALL);
         assert!(!boot
@@ -912,12 +882,11 @@ mod tests {
 
     #[test]
     fn roles_and_users_are_centrally_registered() {
-        let (mut boot, _, peers) = setup();
+        let (mut boot, _, _, ids) = setup();
         boot.define_role(Role::new("viewer"));
         assert!(boot.role("viewer").is_ok());
         assert!(boot.role("nope").is_err());
-        let pid = *peers.keys().next().unwrap();
-        let u = boot.register_user("alice", pid).unwrap();
+        let u = boot.register_user("alice", ids[0]).unwrap();
         assert_eq!(boot.users().count(), 1);
         assert_eq!(boot.users().next().unwrap().user, u);
         assert!(boot.register_user("bob", PeerId::new(999)).is_err());

@@ -232,7 +232,7 @@ impl<'a> EngineCtx<'a> {
                 return Ok(Prepared::Hit(rs));
             }
         }
-        peer.precheck_subquery(stmt, self.role, self.query_ts)?;
+        peer.check_access(stmt, self.role)?;
         Ok(Prepared::Miss {
             target: MissTarget::Local(peer),
             cache_key: fp.map(|fp| (fp, load_ts)),

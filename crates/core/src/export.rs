@@ -101,7 +101,7 @@ pub fn exported_input(table: &str) -> bestpeer_mapreduce::JobInput {
 mod tests {
     use super::*;
     use crate::access::AccessRule;
-    use bestpeer_common::{ColumnDef, ColumnType, InstanceId, Row, TableSchema, Value};
+    use bestpeer_common::{ColumnDef, ColumnType, Row, TableSchema, Value};
     use bestpeer_mapreduce::{MapReduceEngine, MapReduceJob, MrConfig};
 
     fn peers() -> BTreeMap<PeerId, NormalPeer> {
@@ -116,7 +116,7 @@ mod tests {
         .unwrap();
         let mut out = BTreeMap::new();
         for p in 0..3u64 {
-            let mut peer = NormalPeer::new(PeerId::new(p), format!("b{p}"), InstanceId::new(p));
+            let mut peer = NormalPeer::new(PeerId::new(p));
             peer.db.create_table(schema.clone()).unwrap();
             for i in 0..4i64 {
                 peer.db

@@ -16,9 +16,10 @@ use bestpeer_simnet::SimTime;
 /// One schedulable fault action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// The peer's process stops serving subqueries (and its instance
-    /// stops answering heartbeats) until recovery or fail-over. A
-    /// durable peer loses unsynced WAL appends (kill-9 between fsyncs).
+    /// The peer's process stops serving subqueries and answering the
+    /// bootstrap's heartbeats until a [`FaultAction::Recover`] (a
+    /// restart, or the one a fail-over logs). A durable peer loses
+    /// unsynced WAL appends (kill-9 between fsyncs).
     Crash(PeerId),
     /// Like [`FaultAction::Crash`], but the kill lands mid-write: the
     /// first `keep` bytes of the peer's unsynced WAL buffer reach the
@@ -29,8 +30,9 @@ pub enum FaultAction {
         /// Unsynced bytes persisted by the torn write.
         keep: u32,
     },
-    /// The peer's process comes back and recovers its data (WAL replay
-    /// for durable peers, memory image for legacy ones).
+    /// The peer's process comes back, in place or on the fresh instance
+    /// a fail-over launched, and recovers its data (the fresher of its
+    /// WAL and its latest backup).
     Recover(PeerId),
     /// The link to the peer degrades: every subquery it serves while
     /// slowed is charged `extra` additional latency in the cost trace.
@@ -99,7 +101,9 @@ impl fmt::Display for FaultRecord {
 }
 
 /// The network's fault state: the virtual clock, the pending schedule,
-/// the set of logically-down peers, link slowdowns, and the applied log.
+/// the set of down peers, link slowdowns, and the applied log. The down
+/// set is the network's one record of liveness: the query path and the
+/// bootstrap's failure detector both read [`FaultState::is_down`].
 #[derive(Debug, Default)]
 pub struct FaultState {
     clock: u64,
@@ -190,21 +194,6 @@ impl FaultState {
     /// forwards it to the BATON overlay).
     pub fn take_pending_drops(&mut self) -> u32 {
         std::mem::take(&mut self.pending_drops)
-    }
-
-    /// Mark a peer up without a scheduled recovery — the bootstrap's
-    /// fail-over healed it. A peer this state had down is logged back up
-    /// like any other event, so the trace stays a complete account of
-    /// availability transitions; returns whether it was.
-    pub fn mark_failed_over(&mut self, peer: PeerId) -> bool {
-        let was_down = self.down.remove(&peer);
-        if was_down {
-            self.log.push(FaultRecord {
-                at: self.clock,
-                action: FaultAction::Recover(peer),
-            });
-        }
-        was_down
     }
 
     /// The applied-event log (the deterministic fault trace).
@@ -304,25 +293,6 @@ mod tests {
         f.tick();
         f.note_serve(p);
         assert_eq!(f.take_slow_latency(), SimTime::ZERO, "link healed");
-    }
-
-    #[test]
-    fn failed_over_peers_are_logged_as_recovered() {
-        let mut f = FaultState::new();
-        let p = PeerId::new(5);
-        f.schedule([ScheduledFault {
-            at: 1,
-            action: FaultAction::Crash(p),
-        }]);
-        f.tick();
-        assert!(f.is_down(p));
-        assert!(f.mark_failed_over(p));
-        assert!(!f.is_down(p));
-        assert_eq!(f.log().last().unwrap().action, FaultAction::Recover(p));
-        // Marking an up peer again is a no-op (no duplicate log entry).
-        let len = f.log().len();
-        assert!(!f.mark_failed_over(p));
-        assert_eq!(f.log().len(), len);
     }
 
     #[test]

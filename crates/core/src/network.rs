@@ -206,6 +206,9 @@ pub struct BestPeerNetwork {
     pub bootstrap: BootstrapPeer,
     /// The simulated cloud region everything runs in.
     pub cloud: SimCloud<Database>,
+    /// The local peers (database, loader, role assignments). Where each
+    /// runs, and whether it is down, live only in the bootstrap's peer
+    /// list and in `faults`.
     peers: BTreeMap<PeerId, NormalPeer>,
     overlay: IndexOverlay,
     /// The network's one record of what each peer published: its last
@@ -226,9 +229,11 @@ pub struct BestPeerNetwork {
     /// [`BestPeerNetwork::set_transport`]; required only when remotes
     /// are registered.
     transport: Option<Arc<dyn Transport>>,
+    /// The one record of which peers are down: the query path and the
+    /// bootstrap's failure detector both read it.
     faults: FaultState,
-    /// How much of the fault log has been synchronised into the cloud /
-    /// overlay / databases.
+    /// How much of the fault log has been synchronised into the overlay
+    /// and the databases.
     fault_sync_cursor: usize,
     /// Admission control: bounded per-peer virtual-time request queues
     /// (load shedding and the elasticity loop's utilization signal).
@@ -354,21 +359,22 @@ impl BestPeerNetwork {
     /// A business joins: the bootstrap admits it (§3.1), the cloud
     /// launches its instance, and the new peer enters the BATON overlay.
     pub fn join(&mut self, business: &str) -> Result<PeerId> {
-        let peer = self.bootstrap.admit(business, &mut self.cloud)?;
-        let id = peer.id;
-        self.peers.insert(id, peer);
+        let id = self.bootstrap.admit(business, &mut self.cloud)?;
         self.enlist(id)?;
         Ok(id)
     }
 
-    /// Enlist an admitted peer already in `peers` (a joining business
-    /// or a scaled-out elastic peer): attach its redo log, give it an
-    /// overlay position, and drop the global statistics.
+    /// Enlist a peer the bootstrap just admitted (a joining business or
+    /// a scaled-out elastic peer): build it on the global schema's empty
+    /// tables under a fresh redo log, give it an overlay position, and
+    /// drop the global statistics.
     fn enlist(&mut self, id: PeerId) -> Result<()> {
+        let mut peer = NormalPeer::new(id);
+        peer.db = self.bootstrap.schema_database()?;
         // Attachment writes a baseline checkpoint covering the
-        // global-schema tables admit() already created.
-        let wal = new_wal(self.config.wal_group_window);
-        self.peer_mut(id)?.db.attach_wal(wal)?;
+        // global-schema tables.
+        peer.db.attach_wal(new_wal(self.config.wal_group_window))?;
+        self.peers.insert(id, peer);
         self.overlay.join(id)?;
         // A newcomer changes no index entries (it publishes on load), so
         // cached lookups stay valid; only the global statistics must be
@@ -441,7 +447,8 @@ impl BestPeerNetwork {
     }
 
     /// Every departure's network side: local `leave`, remote `leave`,
-    /// and elastic scale-in (whose peer the bootstrap already dropped).
+    /// and elastic scale-in (whose record the bootstrap already
+    /// retired).
     /// The remembered entry set goes first, since it lists entries of
     /// tables since emptied or dropped, which a probe misses. A local
     /// peer's database is then probe-swept for entries no remembered set
@@ -812,8 +819,8 @@ impl BestPeerNetwork {
         self.faults.log()
     }
 
-    /// Crash a data peer immediately (its process stops serving, its
-    /// instance stops answering heartbeats, its BATON node fails). For
+    /// Crash a data peer immediately (it stops serving subqueries and
+    /// answering heartbeats, and its BATON node fails). For
     /// a remote peer, its pooled transport connections are evicted so
     /// retries reconnect instead of timing out on dead sockets.
     pub fn crash_data_peer(&mut self, id: PeerId) -> Result<()> {
@@ -848,9 +855,9 @@ impl BestPeerNetwork {
     }
 
     /// Push the side effects of newly applied fault events into the
-    /// cloud (heartbeats), the BATON overlay (node crash/recover), and
-    /// the peer databases (load advances). Runs before every query
-    /// attempt and at the end of every maintenance epoch.
+    /// BATON overlay (node crash/recover) and the peer databases (the
+    /// kill-9, recovery, load advances). Runs before every query attempt
+    /// and at the end of every maintenance epoch.
     fn sync_faults(&mut self) -> Result<()> {
         let drops = self.faults.take_pending_drops();
         if drops > 0 {
@@ -874,12 +881,6 @@ impl BestPeerNetwork {
                     }
                     if self.overlay.contains(p) {
                         self.overlay.crash(p)?;
-                    }
-                    if let Some(peer) = self.peers.get(&p) {
-                        if let Ok(mut m) = self.cloud.metrics(peer.instance) {
-                            m.responsive = false;
-                            let _ = self.cloud.set_metrics(peer.instance, m);
-                        }
                     }
                     // The kill-9 itself: volatile state is dropped and
                     // the durable checkpoint + log replay back in. A
@@ -922,7 +923,7 @@ impl BestPeerNetwork {
     }
 
     /// A crashed or failed-over peer comes back: its overlay node
-    /// recovers from adjacent replicas, its instance answers heartbeats,
+    /// recovers from adjacent replicas,
     /// [`BestPeerNetwork::recover_peer_storage`] decides its database,
     /// and its indices are republished. The republish is a full one: the
     /// crash may have lost entries the remembered set still claims are
@@ -931,12 +932,8 @@ impl BestPeerNetwork {
         if self.overlay.contains(p) {
             self.overlay.recover(p)?;
         }
-        let Some(instance) = self.peers.get(&p).map(|peer| peer.instance) else {
+        if !self.peers.contains_key(&p) {
             return Ok(());
-        };
-        if let Ok(mut m) = self.cloud.metrics(instance) {
-            m.responsive = true;
-            let _ = self.cloud.set_metrics(instance, m);
         }
         self.recover_peer_storage(p)?;
         if let Some(set) = self.published.get_mut(&p) {
@@ -968,7 +965,8 @@ impl BestPeerNetwork {
         let replayed = self.peer(p)?.db.replay_attached().ok();
         let backup = self
             .bootstrap
-            .latest_backup(p)
+            .record(p)
+            .and_then(|r| r.backup)
             .and_then(|b| self.cloud.restore(b).ok());
         let (image, source, records) = match (replayed, backup) {
             (Some((db, _)), Some(replica)) if replica.last_lsn() > db.last_lsn() => {
@@ -1387,28 +1385,21 @@ impl BestPeerNetwork {
 
     /// One Algorithm 1 maintenance epoch (fail-over, auto-scaling,
     /// resource release), with cache invalidation as the "notify
-    /// participants" step. The bootstrap moves a failed-over peer to a
-    /// fresh instance; the network then restarts it exactly once, as a
-    /// scheduled `Recover` would (overlay node, recovery decision,
-    /// republish): through the `Recover` record the fault state logs for
-    /// a peer it had down, or directly for one whose crash it never saw
-    /// (a crash of the cloud instance alone).
+    /// participants" step. The bootstrap's failure detector reads the
+    /// fault state and moves a failed-over peer's record to a fresh
+    /// instance; the network then logs the peer's `Recover`, which
+    /// restarts it exactly once, as a scheduled `Recover` would (overlay
+    /// node, recovery decision, republish).
     pub fn maintenance_tick(&mut self) -> Result<Vec<MaintenanceEvent>> {
         let events = self
             .bootstrap
-            .maintenance_tick(&mut self.cloud, &mut self.peers)?;
-        let mut unlogged = Vec::new();
+            .maintenance_tick(&mut self.cloud, &self.faults)?;
         for e in &events {
             if let MaintenanceEvent::FailOver { peer, .. } = e {
-                if !self.faults.mark_failed_over(*peer) {
-                    unlogged.push(*peer);
-                }
+                self.faults.inject_now(FaultAction::Recover(*peer));
             }
         }
         self.sync_faults()?;
-        for p in unlogged {
-            self.restart_peer(p)?;
-        }
         if !events.is_empty() {
             self.invalidate_caches();
         }
@@ -1514,24 +1505,24 @@ impl BestPeerNetwork {
         let now = self.admission.now();
         let mut loads = BTreeMap::new();
         let mut any_over = false;
-        for (&id, peer) in &self.peers {
+        for &id in self.peers.keys() {
             let load = PeerLoad {
                 utilization: self.admission.utilization(id, window),
                 queue_depth: self.admission.queue_depth(id),
             };
             any_over |= load.utilization > self.bootstrap.scale_cpu_threshold;
-            if let Ok(mut m) = self.cloud.metrics(peer.instance) {
-                m.cpu_utilization = load.utilization;
-                let _ = self.cloud.set_metrics(peer.instance, m);
+            if let Some(record) = self.bootstrap.record(id) {
+                if let Ok(mut m) = self.cloud.metrics(record.instance) {
+                    m.cpu_utilization = load.utilization;
+                    let _ = self.cloud.set_metrics(record.instance, m);
+                }
             }
             loads.insert(id, load);
         }
         if any_over && self.overload_since.is_none() {
             self.overload_since = Some(now);
         }
-        let events = self
-            .bootstrap
-            .elastic_tick(&mut self.cloud, &mut self.peers, &loads)?;
+        let events = self.bootstrap.elastic_tick(&mut self.cloud, &loads)?;
         for e in &events {
             match e {
                 MaintenanceEvent::ScaleOut { peer, .. } => {

@@ -1,21 +1,22 @@
 //! The normal peer (paper §4).
 //!
-//! Each participating business owns one normal peer: a cloud instance
-//! hosting the local database (its horizontal partition of the global
-//! schema), the data loader, the locally-administered user accounts and
-//! role assignments, and the subquery service other peers call during
-//! distributed query processing — which enforces access control and the
-//! snapshot-timestamp semantics of Definition 2.
+//! Each participating business owns one normal peer: the local database
+//! (its horizontal partition of the global schema), the data loader, the
+//! locally-administered user accounts and role assignments, and the
+//! subquery service other peers call during distributed query processing
+//! — which enforces access control and the snapshot-timestamp semantics
+//! of Definition 2. Where the peer runs (its cloud instance), whose it is
+//! and its certificate are the bootstrap's
+//! [`crate::bootstrap::PeerRecord`].
 
 use std::collections::BTreeMap;
 
-use bestpeer_common::{Error, InstanceId, PeerId, Result, UserId};
+use bestpeer_common::{Error, PeerId, Result, UserId};
 use bestpeer_sql::ast::{Expr, SelectStmt};
 use bestpeer_sql::exec::{execute_select, ExecStats, ResultSet};
 use bestpeer_storage::Database;
 
 use crate::access::Role;
-use crate::ca::Certificate;
 use crate::loader::DataLoader;
 
 /// One business's peer.
@@ -23,16 +24,10 @@ use crate::loader::DataLoader;
 pub struct NormalPeer {
     /// Network-wide peer id.
     pub id: PeerId,
-    /// The owning business's name.
-    pub business: String,
-    /// The cloud instance currently hosting this peer.
-    pub instance: InstanceId,
     /// The local database (global-schema partition).
     pub db: Database,
     /// The ETL pipeline from the business's production system.
     pub loader: Option<DataLoader>,
-    /// Certificate issued by the bootstrap CA.
-    pub cert: Option<Certificate>,
     /// Local role assignments: user → role name. Role *definitions*
     /// live at the bootstrap peer; assignment is a local-administrator
     /// decision (paper §4.4).
@@ -40,15 +35,12 @@ pub struct NormalPeer {
 }
 
 impl NormalPeer {
-    /// A fresh peer on `instance`.
-    pub fn new(id: PeerId, business: impl Into<String>, instance: InstanceId) -> Self {
+    /// A fresh peer with an empty database.
+    pub fn new(id: PeerId) -> Self {
         NormalPeer {
             id,
-            business: business.into(),
-            instance,
             db: Database::new(),
             loader: None,
-            cert: None,
             assignments: BTreeMap::new(),
         }
     }
@@ -82,16 +74,6 @@ impl NormalPeer {
         role: &Role,
         query_ts: u64,
     ) -> Result<(ResultSet, ExecStats)> {
-        self.precheck_subquery(stmt, role, query_ts)?;
-        self.execute_subquery(stmt, role)
-    }
-
-    /// The validation half of [`NormalPeer::serve_subquery`]: the
-    /// snapshot-timestamp check and access control, with no execution.
-    /// Batched serving runs every owner's precheck sequentially (so
-    /// error ordering matches the one-at-a-time path exactly) before
-    /// fanning the pure execution half out to pool workers.
-    pub fn precheck_subquery(&self, stmt: &SelectStmt, role: &Role, query_ts: u64) -> Result<()> {
         if self.db.load_timestamp() < query_ts {
             return Err(Error::StaleSnapshot(format!(
                 "peer {} data timestamp {} is older than query timestamp {query_ts}",
@@ -99,7 +81,8 @@ impl NormalPeer {
                 self.db.load_timestamp()
             )));
         }
-        self.check_access(stmt, role)
+        self.check_access(stmt, role)?;
+        self.execute_subquery(stmt, role)
     }
 
     /// The execution half of [`NormalPeer::serve_subquery`]: run the
@@ -116,9 +99,13 @@ impl NormalPeer {
         Ok((rs, stats))
     }
 
-    /// Column references that the query *evaluates* (as opposed to
-    /// merely projecting) must be readable.
-    fn check_access(&self, stmt: &SelectStmt, role: &Role) -> Result<()> {
+    /// The access-control half of [`NormalPeer::serve_subquery`]:
+    /// column references that the query *evaluates* (as opposed to
+    /// merely projecting) must be readable. Batched serving runs every
+    /// owner's check sequentially, after its snapshot check (so error
+    /// ordering matches the one-at-a-time path exactly), before fanning
+    /// the execution half out to pool workers.
+    pub(crate) fn check_access(&self, stmt: &SelectStmt, role: &Role) -> Result<()> {
         let check = |e: &Expr| -> Result<()> {
             for c in e.referenced_columns() {
                 let table = self.owning_table(stmt, &c.column, c.table.as_deref())?;
@@ -205,7 +192,7 @@ mod tests {
     use bestpeer_sql::parse_select;
 
     fn peer() -> NormalPeer {
-        let mut p = NormalPeer::new(PeerId::new(1), "acme", InstanceId::new(1));
+        let mut p = NormalPeer::new(PeerId::new(1));
         p.db.create_table(
             TableSchema::new(
                 "lineitem",

@@ -587,8 +587,7 @@ fn failover_preserves_query_results() {
     let (mut net, central) = setup(2, 800);
     net.backup_all().unwrap();
     let victim = net.peer_ids()[1];
-    let instance = net.peer(victim).unwrap().instance;
-    net.cloud.inject_crash(instance).unwrap();
+    net.crash_data_peer(victim).unwrap();
     // Simulate disk loss on the crashed instance.
     net.peer_mut(victim).unwrap().db = Database::new();
 

@@ -5,11 +5,14 @@
 //! never clobber a fresher replica. An in-place restart and a
 //! fail-over take the same decision, once per fail-over, against the
 //! peer's latest backup whichever instance took it; a missing log
-//! counts as a corrupt one.
+//! counts as a corrupt one. The failure detector reads the fault state
+//! itself, so a crash the fault clock applies mid-query fails over as
+//! soon as a direct one.
 
-use bestpeer_common::PeerId;
+use bestpeer_common::{InstanceId, PeerId};
+use bestpeer_core::bootstrap::MaintenanceEvent;
 use bestpeer_core::network::{BestPeerNetwork, EngineChoice, NetworkConfig};
-use bestpeer_core::Role;
+use bestpeer_core::{FaultAction, Role, ScheduledFault};
 use bestpeer_storage::{Database, MemDevice};
 use bestpeer_tpch::dbgen::{DbGen, TpchConfig};
 use bestpeer_tpch::schema;
@@ -236,19 +239,22 @@ fn decisions(net: &BestPeerNetwork) -> u64 {
 /// took exactly one recovery decision.
 fn fail_over(net: &mut BestPeerNetwork, victim: PeerId) {
     let before = decisions(net);
-    let old = net.peer(victim).unwrap().instance;
+    let old = instance(net, victim);
     for _ in 0..net.bootstrap.fail_threshold {
         net.maintenance_tick().unwrap();
     }
-    assert_ne!(net.peer(victim).unwrap().instance, old, "failed over");
+    assert_ne!(instance(net, victim), old, "failed over");
     assert_eq!(decisions(net), before + 1, "one decision per fail-over");
 }
 
-/// Crash the victim's cloud instance alone (the fault state never sees
-/// it) and wipe its disk, log included.
-fn crash_instance_and_wipe_disk(net: &mut BestPeerNetwork, victim: PeerId) {
-    let instance = net.peer(victim).unwrap().instance;
-    net.cloud.inject_crash(instance).unwrap();
+/// The instance the bootstrap's record says `peer` runs on.
+fn instance(net: &BestPeerNetwork, peer: PeerId) -> InstanceId {
+    net.bootstrap.record(peer).unwrap().instance
+}
+
+/// Crash the victim and wipe its disk, log included.
+fn crash_and_wipe_disk(net: &mut BestPeerNetwork, victim: PeerId) {
+    net.crash_data_peer(victim).unwrap();
     net.peer_mut(victim).unwrap().db = Database::new();
 }
 
@@ -304,7 +310,7 @@ fn failover_of_a_wiped_disk_restores_the_backup_under_a_fresh_log() {
     net.backup_all().unwrap();
     let backed_up = net.peer(victim).unwrap().db.digest();
 
-    crash_instance_and_wipe_disk(&mut net, victim);
+    crash_and_wipe_disk(&mut net, victim);
     fail_over(&mut net, victim);
     assert_eq!(net.peer(victim).unwrap().db.digest(), backed_up);
     assert_eq!(net.metrics().counter("recovery.source.replica"), 1);
@@ -329,7 +335,7 @@ fn failover_of_a_wiped_disk_without_backup_rebuilds_global_schemas() {
     let mut net = setup(2, 200, 1);
     let victim = net.peer_ids()[1];
 
-    crash_instance_and_wipe_disk(&mut net, victim);
+    crash_and_wipe_disk(&mut net, victim);
     fail_over(&mut net, victim);
     let db = &net.peer(victim).unwrap().db;
     assert_eq!(db.total_rows(), 0);
@@ -338,4 +344,56 @@ fn failover_of_a_wiped_disk_without_backup_rebuilds_global_schemas() {
     }
     assert_eq!(net.metrics().counter("recovery.source.schema"), 1);
     assert!(db.has_wal(), "no peer leaves recovery without a log");
+}
+
+#[test]
+fn a_crash_applied_mid_query_fails_over_after_fail_threshold_epochs() {
+    const SQL: &str = "SELECT COUNT(*) AS n FROM lineitem";
+    for mid_query in [false, true] {
+        let mut net = setup(3, 200, 1);
+        net.backup_all().unwrap();
+        let [submitter, _, victim] = net.peer_ids()[..] else {
+            unreachable!()
+        };
+        let answer = net
+            .submit_query(submitter, SQL, ROLE, EngineChoice::Basic, 0)
+            .unwrap()
+            .result
+            .rows;
+        if mid_query {
+            // The fault clock ticks once per owner serve: the crash
+            // lands on the next query's second serve, before the
+            // victim's, so no detector has looked since.
+            let at = net.faults_mut().clock() + 2;
+            net.install_faults([ScheduledFault {
+                at,
+                action: FaultAction::Crash(victim),
+            }]);
+        } else {
+            net.crash_data_peer(victim).unwrap();
+        }
+        let threshold = net.bootstrap.fail_threshold;
+        let epochs = net.metrics().counter("bootstrap.epochs");
+        let out = net
+            .submit_query(submitter, SQL, ROLE, EngineChoice::Basic, 0)
+            .unwrap();
+        assert_eq!(out.result.rows, answer, "mid-query {mid_query}");
+        assert_eq!(
+            net.metrics().counter("bootstrap.epochs") - epochs,
+            u64::from(threshold),
+            "mid-query {mid_query}: one epoch per miss, none lost"
+        );
+        assert_eq!(out.attempts, threshold + 1, "mid-query {mid_query}");
+        assert!(net
+            .bootstrap
+            .events()
+            .iter()
+            .any(|e| matches!(e, MaintenanceEvent::FailOver { peer, .. } if *peer == victim)));
+        let log: Vec<FaultAction> = net.fault_log().iter().map(|r| r.action).collect();
+        assert_eq!(
+            log,
+            [FaultAction::Crash(victim), FaultAction::Recover(victim)],
+            "mid-query {mid_query}: the fail-over logs the victim's recovery"
+        );
+    }
 }

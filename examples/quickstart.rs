@@ -41,7 +41,7 @@ fn main() {
         net.load_peer(id, data, 1).expect("load");
         println!(
             "{name} joined as {id} on instance {}",
-            net.peer(id).unwrap().instance
+            net.bootstrap.record(id).unwrap().instance
         );
     }
 

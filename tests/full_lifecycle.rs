@@ -209,10 +209,8 @@ fn corporate_network_end_to_end() {
 
     net.cloud.advance_clock(3_600_000_000);
     assert!(net.cloud.bill_cents() > 0, "pay-as-you-go meters ran");
-    assert!(net
-        .cloud
-        .state(net.peer(submitter).unwrap().instance)
-        .is_ok());
+    let instance = net.bootstrap.record(submitter).unwrap().instance;
+    assert!(net.cloud.state(instance).is_ok());
 }
 
 #[test]
